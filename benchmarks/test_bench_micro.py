@@ -1,8 +1,9 @@
 """Microbenchmarks for the substrates: executor throughput, knowledge
 model checking, the indistinguishability index, and the f transformation
 -- plus the epistemic-kernel family (index build, Knows sweep, CK
-fixpoint) whose measurements are written to ``BENCH_kernel.json`` at the
-repo root as the committed performance baseline.
+fixpoint, each against the naive reference) whose measurements are
+written to ``BENCH_kernel.json`` at the repo root as the committed
+performance baseline.
 
 These are the performance-sensitive inner loops every experiment rides
 on; they use pytest-benchmark's standard multi-round measurement.  Set
@@ -139,16 +140,15 @@ def test_bench_transform_f(benchmark):
 # tests, so what is benchmarked here is exactly what is proven correct
 # there.
 #
-# Two kernels are measured per operation: the PR 2 equivalence-class
-# kernel ("class", the committed baseline) and the struct-of-arrays
-# kernel ("columnar").  Timings are *warm*: the run objects are shared
-# across rounds, so per-run caches (prefix histories, timeline columns,
-# event hashes) are hot and the measurement isolates the kernel's own
-# work -- the regime the explorer and ensemble drivers actually run in.
+# Timings are *warm*: the run objects are shared across rounds, so
+# per-run caches (prefix histories, timeline columns, event hashes) are
+# hot and the measurement isolates the kernel's own work -- the regime
+# the explorer and ensemble drivers actually run in.
 
 KERNEL_NS = (5, 10, 20)
 KERNEL_DURATION = 8
 SWEEP_SAMPLE_RUNS = 3  # the naive sweep is quadratic; sample a slice
+NAIVE_MAX_N = 10  # the naive kernel is timed (and the gate read) up to here
 
 
 def kernel_system(n):
@@ -157,20 +157,10 @@ def kernel_system(n):
     )
 
 
-def build_class_kernel(runs):
-    system = System(runs, kernel="class")
-    for p in system.processes:
-        system.classes(p)
-    return system
-
-
 def build_columnar_kernel(runs):
-    system = System(runs, kernel="columnar")
-    system.build_index()
+    system = System(runs)
+    system.columnar_kernel()
     return system
-
-
-KERNEL_BUILDERS = {"class": build_class_kernel, "columnar": build_columnar_kernel}
 
 
 def _sweep_points(system):
@@ -196,41 +186,34 @@ def _naive_knows_sweep(system, points):
     return total
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_index_build(benchmark, n, kernel):
-    """Index construction (class tables / columnar arena) for all n processes."""
+def test_bench_kernel_index_build(benchmark, n):
+    """Columnar index construction (arena + class rows) for all n processes."""
     runs = kernel_system(n).runs
 
-    system = benchmark(KERNEL_BUILDERS[kernel], runs)
-    if kernel == "class":
-        assert system.stats.index_builds == n
-        assert system.stats.points_indexed == n * system.point_count
-    else:
-        assert system.columnar_kernel() is not None
-        assert system.stats.arena_builds >= 1
+    system = benchmark(build_columnar_kernel, runs)
+    assert system.stats.arena_builds == 1
+    assert system.columnar_kernel().point_total == system.point_count
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_knows_sweep(benchmark, n, kernel):
+def test_bench_kernel_knows_sweep(benchmark, n):
     """Warm known_crashed_set sweep over the sampled point workload."""
-    system = KERNEL_BUILDERS[kernel](kernel_system(n).runs)
+    system = build_columnar_kernel(kernel_system(n).runs)
     points = _sweep_points(system)
 
     total = benchmark(_knows_sweep, system, points)
     assert total == _naive_knows_sweep(system, points)
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_BUILDERS))
 @pytest.mark.parametrize("n", KERNEL_NS)
-def test_bench_kernel_ck_fixpoint(benchmark, n, kernel):
-    """The C_G fixpoint over the full group (warm class bits / arena)."""
-    system = KERNEL_BUILDERS[kernel](kernel_system(n).runs)
+def test_bench_kernel_ck_fixpoint(benchmark, n):
+    """The C_G fixpoint over the full group (warm class rows)."""
+    system = build_columnar_kernel(kernel_system(n).runs)
     checker = GroupChecker(ModelChecker(system))
     group = system.processes
     phi = Crashed(system.processes[-1])
-    checker.common_knowledge_points(group, phi)  # warm class bits + phi set
+    checker.common_knowledge_points(group, phi)  # warm the kernel + phi set
 
     points = benchmark(checker.common_knowledge_points, group, phi)
     assert isinstance(points, set)
@@ -273,14 +256,13 @@ def _best_of_pair(thunk_a, thunk_b, repeat=5):
 
 
 def test_kernel_baseline_json():
-    """Measure the kernel family (class vs columnar vs naive), the arena
-    transfer microbenchmark, and write ``BENCH_kernel.json``.
+    """Measure the kernel family (columnar vs naive), the arena transfer
+    microbenchmark, and write ``BENCH_kernel.json``.
 
-    The speedup gates -- columnar >= 5x class on index build and >= 3x
-    on the C_G fixpoint at n=20, transfer header <= 10% of the pickled
-    run batch -- are the issue's acceptance criteria; under
-    REPRO_BENCH_SMOKE=1 only the correctness assertions are enforced,
-    never the timing ratios.
+    The gates -- columnar >= 5x naive on the Knows sweep and on the C_G
+    fixpoint at n=10, transfer header <= 10% of the pickled run batch --
+    are the acceptance criteria; under REPRO_BENCH_SMOKE=1 only the
+    correctness assertions are enforced, never the timing ratios.
     """
     import pickle
 
@@ -290,75 +272,55 @@ def test_kernel_baseline_json():
     results = {}
     for n in KERNEL_NS:
         runs = kernel_system(n).runs
+        index_s = _best_of(build_columnar_kernel, runs, repeat=5)
 
-        class_index_s, columnar_index_s = _best_of_pair(
-            lambda: build_class_kernel(runs),
-            lambda: build_columnar_kernel(runs),
-        )
-
-        cls = build_class_kernel(runs)
-        col = build_columnar_kernel(runs)
-        points = _sweep_points(cls)
-        class_total = _knows_sweep(cls, points)
-        columnar_total = _knows_sweep(col, points)
-        assert columnar_total == class_total
-        class_sweep_s, columnar_sweep_s = _best_of_pair(
-            lambda: _knows_sweep(cls, points),
-            lambda: _knows_sweep(col, points),
-        )
-
-        group = cls.processes
-        phi = Crashed(cls.processes[-1])
-        checker_cls = GroupChecker(ModelChecker(cls))
-        checker_col = GroupChecker(ModelChecker(col))
-        class_ck = checker_cls.common_knowledge_points(group, phi)
-        columnar_ck = checker_col.common_knowledge_points(group, phi)
-        assert columnar_ck == class_ck
-        class_ck_s, columnar_ck_s = _best_of_pair(
-            lambda: checker_cls.common_knowledge_points(group, phi),
-            lambda: checker_col.common_knowledge_points(group, phi),
-        )
+        system = build_columnar_kernel(runs)
+        points = _sweep_points(system)
+        total = _knows_sweep(system, points)
+        group = system.processes
+        phi = Crashed(system.processes[-1])
+        checker = GroupChecker(ModelChecker(system))
+        ck = checker.common_knowledge_points(group, phi)
 
         entry = {
             "runs": len(runs),
-            "points": cls.point_count,
-            "classes": sum(len(cls.classes(p)) for p in cls.processes),
-            "class_index_build_s": class_index_s,
-            "class_knows_sweep_s": class_sweep_s,
-            "class_ck_fixpoint_s": class_ck_s,
-            "columnar_index_build_s": columnar_index_s,
-            "columnar_knows_sweep_s": columnar_sweep_s,
-            "columnar_ck_fixpoint_s": columnar_ck_s,
-            "index_speedup_vs_class": (
-                class_index_s / columnar_index_s if columnar_index_s else float("inf")
-            ),
-            "knows_speedup_vs_class": (
-                class_sweep_s / columnar_sweep_s if columnar_sweep_s else float("inf")
-            ),
-            "ck_speedup_vs_class": (
-                class_ck_s / columnar_ck_s if columnar_ck_s else float("inf")
-            ),
+            "points": system.point_count,
+            "classes": system.columnar_kernel().total_classes,
+            "columnar_index_build_s": index_s,
         }
-
-        if n <= 10:  # the naive path is quadratic; skip it at n=20
-            naive_total = _naive_knows_sweep(cls, points)
-            assert class_total == naive_total
-            naive_sweep_s = _best_of(_naive_knows_sweep, cls, points, repeat=1)
-
-            naive_checker = ModelChecker(System(runs, kernel="class"))
-            naive_ck = naive_common_knowledge_points(naive_checker, group, phi)
-            assert class_ck == naive_ck
-            naive_ck_s = _best_of(
-                naive_common_knowledge_points, naive_checker, group, phi, repeat=1
+        if n <= NAIVE_MAX_N:  # the naive path is quadratic; skip it at n=20
+            assert total == _naive_knows_sweep(system, points)
+            naive_checker = ModelChecker(System(runs))
+            assert ck == naive_common_knowledge_points(naive_checker, group, phi)
+            naive_sweep_s, sweep_s = _best_of_pair(
+                lambda: _naive_knows_sweep(system, points),
+                lambda: _knows_sweep(system, points),
             )
-
-            entry["naive_knows_sweep_s"] = naive_sweep_s
-            entry["naive_ck_fixpoint_s"] = naive_ck_s
-            entry["knows_speedup"] = (
-                naive_sweep_s / columnar_sweep_s if columnar_sweep_s else float("inf")
+            # The columnar C_G side is sub-millisecond: more rounds keep
+            # its best-of stable enough for the 15% rule.
+            naive_ck_s, ck_s = _best_of_pair(
+                lambda: naive_common_knowledge_points(naive_checker, group, phi),
+                lambda: checker.common_knowledge_points(group, phi),
+                repeat=25,
             )
-            entry["ck_speedup"] = (
-                naive_ck_s / columnar_ck_s if columnar_ck_s else float("inf")
+            entry.update(
+                {
+                    "columnar_knows_sweep_s": sweep_s,
+                    "columnar_ck_fixpoint_s": ck_s,
+                    "naive_knows_sweep_s": naive_sweep_s,
+                    "naive_ck_fixpoint_s": naive_ck_s,
+                    "knows_speedup": (
+                        naive_sweep_s / sweep_s if sweep_s else float("inf")
+                    ),
+                    "ck_speedup": naive_ck_s / ck_s if ck_s else float("inf"),
+                }
+            )
+        else:
+            entry["columnar_knows_sweep_s"] = _best_of(
+                _knows_sweep, system, points, repeat=5
+            )
+            entry["columnar_ck_fixpoint_s"] = _best_of(
+                checker.common_knowledge_points, group, phi, repeat=5
             )
 
         results[f"n={n}"] = entry
@@ -400,8 +362,8 @@ def test_kernel_baseline_json():
             "crash_prob": 0.4,
             "sweep_sample_runs": SWEEP_SAMPLE_RUNS,
             "timer": (
-                "best of 5 interleaved class/columnar perf_counter runs "
-                "(naive: 1), warm run objects"
+                "best of 5 perf_counter runs (C_G pairs: 25), naive/columnar "
+                f"rounds interleaved at n <= {NAIVE_MAX_N}, warm run objects"
             ),
         },
         "results": results,
@@ -410,9 +372,6 @@ def test_kernel_baseline_json():
     BENCH_KERNEL_JSON.write_text(json.dumps(baseline, indent=2) + "\n")
 
     if not SMOKE:
-        at20 = results["n=20"]
-        assert at20["index_speedup_vs_class"] >= 5.0, at20
-        assert at20["ck_speedup_vs_class"] >= 3.0, at20
         at10 = results["n=10"]
         assert at10["knows_speedup"] >= 5.0, at10
         assert at10["ck_speedup"] >= 5.0, at10

@@ -8,13 +8,14 @@ process-pool transfer paths only ever need the *shape* of a run set:
 which event happened when, for whom.  This package flattens a batch of
 runs into a handful of contiguous ``int64`` buffers (a :class:`RunArena`)
 plus two small interning tables (the event alphabet and per-run meta
-dicts), and rebuilds the kernel on top of it:
+dicts), and builds the epistemic kernel on top of it:
 
 * :mod:`repro.columnar.arena` -- lossless ``encode_runs`` /
   ``decode_runs`` round trips between ``tuple[Run, ...]`` and the arena;
 * :mod:`repro.columnar.kernel` -- :class:`ColumnarKernel`, the bulk-array
   evaluation of crash masks, ~_p classes (CSR layout), Knows and the
-  C_G/E^k fixpoints, selected by ``System(..., kernel="columnar")``;
+  C_G/E^k fixpoints; every :class:`~repro.model.system.System` answers
+  its knowledge queries through one, built lazily;
 * :mod:`repro.columnar.transfer` -- ships arenas to/from pool workers
   via ``multiprocessing.shared_memory`` with a tiny pickled header;
 * :mod:`repro.columnar.jsonio` -- stable JSON form of an arena for the

@@ -1,9 +1,10 @@
 """The columnar epistemic kernel: bulk-array Knows / E^k / C_G.
 
-Where the class kernel (:mod:`repro.model.system`) buckets points into
-:class:`~repro.model.system.EquivClass` objects one dict probe at a
-time, this kernel derives the same structure as flat arrays over the
-global point numbering (point ``(runs[i], m)`` has id ``base[i] + m``):
+This is the one ~_p index of a :class:`~repro.model.system.System`,
+built lazily by ``System.columnar_kernel()``.  Following Halpern-Moses,
+~_p is an equivalence, so the index is organized by class, as flat
+arrays over the global point numbering (point ``(runs[i], m)`` has id
+``base[i] + m``):
 
 * ``crash rows``  -- one int crash bitmask per point (bit j = process j
   crashed), taken verbatim from ``Run.crash_masks``;
@@ -12,9 +13,9 @@ global point numbering (point ``(runs[i], m)`` has id ``base[i] + m``):
   per-process ~_p classes are exactly the distinct node ids;
 * ``class tables`` -- per process: a dense ``point -> class`` row
   (classes numbered globally across processes, first-occurrence order
-  within each process, matching ``System.classes``) and a CSR layout
-  (``class_points_csr`` / ``class_offsets_csr`` / ``class_sizes``) of
-  the members of every class, in ascending point-id order;
+  within each process) and a CSR layout (``class_points_csr`` /
+  ``class_offsets_csr`` / ``class_sizes``) of the members of every
+  class, in ascending point-id order;
 * ``known masks`` -- per class, the AND of its members' crash rows
   (= {q : K_p crash(q)}), computed in one ``bitwise_and.reduceat``.
 
@@ -22,8 +23,7 @@ One E_G step is then five array operations *total* (gather members,
 segment-sum, compare to sizes, gather per point, AND across the group)
 instead of a Python loop over classes, and the C_G greatest fixpoint
 iterates that step on a boolean point vector.  Without numpy the same
-sweeps run over Python-int bitsets (the class kernel's representation)
--- identical results.
+sweeps run over Python-int bitsets, one per class -- identical results.
 
 Point sets cross the kernel boundary as an opaque ``PointSet`` (numpy
 bool vector or int bitset); callers use :meth:`ColumnarKernel.full_set`,
@@ -222,7 +222,6 @@ class ColumnarKernel:
         trie = self._trie
         trie_get = trie.get
         next_node = len(trie) + 1
-        hits = misses = 0
         seg_nodes: list[list[int]] = []
         seg_counts: list[list[int]] = []
         n_runs = arena.n_runs
@@ -250,19 +249,11 @@ class ColumnarKernel:
                     if nxt is None:
                         nxt = trie[key] = next_node
                         next_node += 1
-                        misses += 1
-                    else:
-                        hits += 1
                     node = nxt
                 nodes_append(node)
                 counts_append(dur + 1 - prev)
             seg_nodes.append(nodes)
             seg_counts.append(counts)
-        # Hash-cons traffic is canonicalization traffic: surface it on
-        # the same counters the HistoryInterner feeds.
-        interner = self.system.interner
-        interner.hits += hits
-        interner.misses += misses
         return seg_nodes, seg_counts
 
     def _build_class_tables(self) -> None:
@@ -274,8 +265,8 @@ class ColumnarKernel:
         seg_nodes, seg_counts = self._history_rows()
         self._seg_nodes = seg_nodes
         self._seg_counts = seg_counts
-        # Classes are numbered in first-occurrence order (the order
-        # System.classes uses).  The per-process node -> local class id
+        # Classes are numbered in first-occurrence order over the run
+        # sequence.  The per-process node -> local class id
         # tables persist past the build so :meth:`refined` can continue
         # the numbering exactly where this build left off.
         self._node_to_cid: list[dict[int, int]] = []
@@ -365,9 +356,8 @@ class ColumnarKernel:
     def known_masks(self) -> list[int]:
         """Per-class crash-knowledge masks, built on first query.
 
-        The class kernel computes known sets per query, not at build;
-        the columnar build matches that laziness so the index-build
-        benchmark compares grouping work against grouping work.
+        Kept out of the index build: systems that never ask a crash
+        query never pay for the masks.
         """
         masks = self._known_masks_cache
         if masks is None:
@@ -412,6 +402,11 @@ class ColumnarKernel:
 
     # -- class lookup --------------------------------------------------------
 
+    def class_ids(self, j: int) -> range:
+        """Global class ids of process index ``j``, in first-occurrence order."""
+        stop = self.class_base[j + 1] if j + 1 < self.n else self.total_classes
+        return range(self.class_base[j], stop)
+
     def class_of_point(self, j: int, point_id: int) -> int:
         """Global class id of an in-system point for process index ``j``."""
         row = self.point_class_rows[j]
@@ -454,7 +449,7 @@ class ColumnarKernel:
         history materialization); foreign points fall back to walking
         their local history through the hash-cons trie, so a foreign
         point whose history *does* occur in the system still lands in
-        the right class -- matching ``System.class_of``.
+        the right class.
         """
         system = self.system
         j = system.process_bit(process)
@@ -593,14 +588,10 @@ class ColumnarKernel:
             result: PointSet = keep.all(axis=0)
             return result
         bits_l = self._class_bits_list()
-        base = self.class_base
-        total = self.total_classes
         acc: int | None = None
         for j in members_j:
-            start = base[j]
-            stop = base[j + 1] if j + 1 < self.n else total
             keep_bits = 0
-            for cid in range(start, stop):
+            for cid in self.class_ids(j):
                 b = bits_l[cid]
                 if b & current == b:
                     keep_bits |= b

@@ -13,7 +13,7 @@
   DC1-DC3 properties as temporal formulas.
 * :mod:`repro.knowledge.reference`  -- the naive point-scanning kernel,
   retained as the differential-testing and benchmarking baseline for
-  the class-based fast path.
+  the columnar fast path (:mod:`repro.columnar.kernel`).
 """
 
 from repro.knowledge.formulas import (

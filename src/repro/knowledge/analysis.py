@@ -41,12 +41,13 @@ def insensitive_to_failure(
     phi's truth there with its truth at points carrying history h.
     """
     system = checker.system
-    # One representative point per ~_process class; the kernel's class
-    # table enumerates histories in first-occurrence order, so this is
-    # the same scan as before minus the per-point re-hashing.
-    seen: dict[History, Point] = {
-        cls.history: cls.representative for cls in system.classes(process)
-    }
+    kernel = system.columnar_kernel()
+    # One representative point per ~_process class: its first member, in
+    # class-id (= first-occurrence) order.
+    seen: dict[History, Point] = {}
+    for cid in kernel.class_ids(system.process_bit(process)):
+        point = system.point_at(kernel.member_point_ids(cid)[0])
+        seen[point.history(process)] = point
     for history, point in seen.items():
         if not history.crashed:
             continue

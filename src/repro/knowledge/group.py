@@ -24,7 +24,7 @@ halves on generated ensembles.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.knowledge.formulas import And, Formula, Knows
 from repro.knowledge.semantics import ModelChecker
@@ -47,14 +47,6 @@ def e_iterated(group: Sequence[ProcessId], formula: Formula, depth: int) -> Form
     return current
 
 
-def _iter_bits(bits: int) -> Iterator[int]:
-    """Yield the set bit positions of a Python-int bitset."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 class GroupChecker:
     """Semantic group-knowledge queries over one finite system.
 
@@ -62,45 +54,17 @@ class GroupChecker:
     formulas in general, so they are computed semantically here rather
     than as AST nodes.
 
-    Both C_G and the E^k ladder run over the system's integer-indexed
-    class graph: point sets are Python-int bitsets (bit i = point id i),
-    and one E_G step keeps exactly the points whose ~_p class is wholly
-    inside the current set, for every p in G -- an AND/OR sweep over
-    class bitsets instead of a formula re-walk per point.
+    Both C_G and the E^k ladder run over the system's columnar kernel:
+    point sets are indexed by global point id, and one E_G step
+    (:meth:`~repro.columnar.kernel.ColumnarKernel.e_step`) keeps exactly
+    the points whose ~_p class is wholly inside the current set, for
+    every p in G -- array work over the class rows instead of a formula
+    re-walk per point.
     """
 
     def __init__(self, checker: ModelChecker) -> None:
         self.checker = checker
         self.system = checker.system
-
-    # -- bitset plumbing ---------------------------------------------------
-
-    def _formula_bits(self, formula: Formula) -> int:
-        """The bitset of in-system points satisfying ``formula``."""
-        bits = 0
-        pid = 0
-        holds = self.checker.holds
-        for run in self.system.runs:
-            for m in range(run.duration + 1):
-                if holds(formula, Point(run, m)):
-                    bits |= 1 << pid
-                pid += 1
-        return bits
-
-    def _e_step(self, class_bits: Sequence[Sequence[int]], current: int) -> int:
-        """One E_G application: points whose every member-class is in ``current``."""
-        self.system.stats.ck_fixpoint_iterations += 1
-        if not class_bits:
-            return (1 << self.system.point_count) - 1  # empty conjunction
-        result: int | None = None
-        for per_process in class_bits:
-            keep = 0
-            for bits in per_process:
-                if bits & current == bits:
-                    keep |= bits
-            result = keep if result is None else result & keep
-        assert result is not None  # class_bits is non-empty here
-        return result
 
     # -- distributed knowledge -------------------------------------------------
 
@@ -131,27 +95,16 @@ class GroupChecker:
         """The set of points (run_index, time) where C_G phi holds.
 
         Computed as the greatest fixpoint of X = E_G(phi and X): start
-        from the bitset of points satisfying phi and apply the bitset
-        E_G step until stable.
+        from the set of points satisfying phi and apply the E_G step
+        until stable.
         """
         system = self.system
         system.note_knowledge_query()
         members = [p for p in system.processes if p in group]
         kernel = system.columnar_kernel()
-        if kernel is not None:
-            base = kernel.formula_set(self.checker, formula)
-            fixed = kernel.ck_fixpoint(
-                [system.process_bit(p) for p in members], base
-            )
-            return {system.point_key(pid) for pid in kernel.iter_point_ids(fixed)}
-        class_bits = [system.class_bitsets(p) for p in members]
-        current = self._formula_bits(formula)
-        while True:
-            refined = self._e_step(class_bits, current) & current
-            if refined == current:
-                break
-            current = refined
-        return {system.point_key(pid) for pid in _iter_bits(current)}
+        base = kernel.formula_set(self.checker, formula)
+        fixed = kernel.ck_fixpoint([system.process_bit(p) for p in members], base)
+        return {system.point_key(pid) for pid in kernel.iter_point_ids(fixed)}
 
     def common_knowledge(
         self, group: Sequence[ProcessId], formula: Formula, point: Point
@@ -176,7 +129,7 @@ class GroupChecker:
         """The largest k <= cap with E_G^k phi true at the point.
 
         Semantically: level sets S_0 = [[phi]], S_{k+1} = E_G(S_k) are
-        computed once as bitsets; E^k holds at the point iff each group
+        computed once as point sets; E^k holds at the point iff each group
         member's class of the point is contained in S_{k-1}.  Knowledge
         is veridical, so the level sets only shrink and the first failed
         level is final -- no nested formula is ever materialized.
@@ -184,35 +137,17 @@ class GroupChecker:
         system = self.system
         members = [p for p in system.processes if p in group]
         kernel = system.columnar_kernel()
-        if kernel is not None:
-            # The point's class per group member (by point id when
-            # in-system, by local history otherwise; an absent class is
-            # empty = vacuous truth).
-            point_cids = [kernel.class_id_at(p, point) for p in group]
-            members_j = [system.process_bit(p) for p in members]
-            level = kernel.formula_set(self.checker, formula)
-            depth = 0
-            while depth < cap:
-                if not all(
-                    kernel.class_in_set(cid, level) for cid in point_cids
-                ):
-                    break
-                depth += 1
-                if depth < cap:
-                    level = kernel.e_step(members_j, level)
-            return depth
-        # The point's class bitset per group member (by local history, so
-        # foreign points work; an absent class is empty = vacuous truth).
-        point_classes = [
-            system.class_bits_for_history(p, point.history(p)) for p in group
-        ]
-        class_bits = [system.class_bitsets(p) for p in members]
-        level = self._formula_bits(formula)
+        # The point's class per group member (by point id when in-system,
+        # by local history otherwise; an absent class is empty = vacuous
+        # truth).
+        point_cids = [kernel.class_id_at(p, point) for p in group]
+        members_j = [system.process_bit(p) for p in members]
+        level = kernel.formula_set(self.checker, formula)
         depth = 0
         while depth < cap:
-            if not all(bits & level == bits for bits in point_classes):
+            if not all(kernel.class_in_set(cid, level) for cid in point_cids):
                 break
             depth += 1
             if depth < cap:
-                level = self._e_step(class_bits, level)
+                level = kernel.e_step(members_j, level)
         return depth

@@ -1,9 +1,9 @@
 """Naive reference implementations of the epistemic kernel.
 
-These are the pre-class-based algorithms, retained verbatim in spirit:
+These are the pre-kernel algorithms, retained verbatim in spirit:
 every query quantifies over points by scanning runs and comparing local
-histories structurally, with no interning, no equivalence classes, no
-bitsets, and no caching.  They exist for two reasons:
+histories structurally, with no hash-consing, no equivalence classes,
+no bitsets, and no caching.  They exist for two reasons:
 
 * the differential property tests pin the fast kernel's verdicts to
   these semantics point-for-point on randomized systems;

@@ -206,31 +206,16 @@ class ModelChecker:
             stats = self.stats
             child = formula.child
             kernel = self.system.columnar_kernel()
-            if kernel is not None:
-                cid = kernel.class_id_at(formula.process, point)
-                if cid is None:
-                    return True  # foreign history: vacuously true (empty class)
-                stats.knows_class_evals += 1
-                if isinstance(child, Crashed):
-                    # K_p(crash(q)) is one bit of the class's AND-mask.
-                    bit = self.system.process_bit(child.process)
-                    return bool((kernel.known_mask(cid) >> bit) & 1)
-                evaluate = self._eval
-                for candidate in kernel.points_of_class(cid):
-                    stats.knows_point_evals += 1
-                    if not evaluate(child, candidate):
-                        return False
-                return True
-            cls = self.system.class_of(formula.process, point)
-            if cls is None:
+            cid = kernel.class_id_at(formula.process, point)
+            if cid is None:
                 return True  # foreign history: vacuously true (empty class)
             stats.knows_class_evals += 1
             if isinstance(child, Crashed):
                 # K_p(crash(q)) is one bit of the class's AND-mask.
                 bit = self.system.process_bit(child.process)
-                return bool((cls.known_crashed_mask >> bit) & 1)
+                return bool((kernel.known_mask(cid) >> bit) & 1)
             evaluate = self._eval
-            for candidate in cls.points:
+            for candidate in kernel.points_of_class(cid):
                 stats.knows_point_evals += 1
                 if not evaluate(child, candidate):
                     return False

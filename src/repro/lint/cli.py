@@ -115,12 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="parse worker threads (default: min(8, cpu count))",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         metavar="FILE",
@@ -173,16 +167,12 @@ def _run(args: argparse.Namespace) -> int:
     selector = _make_selector(args.select) if args.select else None
     if args.update_baseline and args.baseline is None:
         raise UsageError("--update-baseline requires --baseline FILE")
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
     paths = list(args.paths) or _default_paths()
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise UsageError(f"no such path: {', '.join(missing)}")
 
-    report = lint_paths(
-        paths, selector, cache_dir=args.cache_dir, jobs=args.jobs
-    )
+    report = lint_paths(paths, selector, cache_dir=args.cache_dir)
     if args.stats:
         print(
             f"cache: {report.cache_hits} hit(s), "

@@ -3,8 +3,7 @@
 Phase 1 parses each file once, runs the per-file rules, and extracts a
 :class:`~repro.lint.project.FileSummary`; with a cache directory, files
 whose bytes are unchanged skip this phase entirely (their summaries and
-findings come from disk), and fresh parses run on a small thread pool.
-Phase 2 joins every summary into the
+findings come from disk).  Phase 2 joins every summary into the
 :class:`~repro.lint.project.ProjectIndex`, builds the call graph, runs
 the effect fixpoint, and evaluates the whole-program rules — always
 recomputed, so an edit to one helper updates transitive findings in
@@ -18,8 +17,6 @@ a warm run's JSON output is byte-identical to a cold run's.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -140,20 +137,18 @@ def _parse_one(
     return _FileResult(display, sha256, summary, tuple(findings), None, False)
 
 
-def _default_jobs() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 def _phase1(
     files: list[Path],
     file_rules: tuple[Rule, ...],
     cache: AnalysisCache | None,
-    jobs: int | None,
 ) -> tuple[list[_FileResult], list[str]]:
-    """Per-file results in discovery order, plus I/O errors."""
+    """Per-file results in discovery order, plus I/O errors.
+
+    Parsing stays on the calling thread: it is CPU-bound under the GIL,
+    and CPython 3.11's AST constructor is not safe to run concurrently.
+    """
     io_errors: list[str] = []
-    slots: list[_FileResult | None] = []
-    fresh: list[tuple[int, Path, str, str, str]] = []  # slot, path, display, sha, src
+    results: list[_FileResult] = []
     for path in files:
         display = _display_path(path)
         try:
@@ -166,43 +161,17 @@ def _phase1(
         entry = cache.lookup(display, sha256) if cache is not None else None
         if entry is not None:
             findings = entry.summary.findings if entry.summary else ()
-            slots.append(
+            results.append(
                 _FileResult(
                     display, sha256, entry.summary, findings, entry.parse_error, True
                 )
             )
             continue
-        slots.append(None)
-        fresh.append((len(slots) - 1, path, display, sha256, source))
-    if fresh:
-        workers = jobs if jobs is not None else _default_jobs()
-        if workers > 1 and len(fresh) > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                parsed = list(
-                    pool.map(
-                        lambda item: _parse_one(
-                            item[1], item[2], item[3], item[4], file_rules
-                        ),
-                        fresh,
-                    )
-                )
-        else:
-            parsed = [
-                _parse_one(path, display, sha, src, file_rules)
-                for _, path, display, sha, src in fresh
-            ]
-        for (slot, *_), result in zip(fresh, parsed):
-            slots[slot] = result
-            if cache is not None:
-                cache.store(
-                    result.display,
-                    result.sha256,
-                    result.summary,
-                    result.parse_error,
-                )
-    return [slot for slot in slots if slot is not None], io_errors
+        result = _parse_one(path, display, sha256, source, file_rules)
+        results.append(result)
+        if cache is not None:
+            cache.store(display, sha256, result.summary, result.parse_error)
+    return results, io_errors
 
 
 def _phase2(
@@ -254,7 +223,6 @@ def lint_paths(
     paths: Iterable[Path],
     select: Callable[[str], bool] | None = None,
     cache_dir: Path | None = None,
-    jobs: int | None = None,
 ) -> LintReport:
     """Lint every python file under ``paths`` with the selected rules.
 
@@ -268,7 +236,7 @@ def lint_paths(
         AnalysisCache.open(cache_dir, rules) if cache_dir is not None else None
     )
     files = list(iter_python_files(paths))
-    results, io_errors = _phase1(files, file_rules, cache, jobs)
+    results, io_errors = _phase1(files, file_rules, cache)
 
     findings: list[LintFinding] = []
     parse_errors: list[str] = list(io_errors)

@@ -1,9 +1,8 @@
 """Model-invariant rules (INV001–INV004).
 
 ``Run``/``History``/``System`` are value objects: the epistemic kernel
-interns histories, caches equivalence-class tables, and keys bitsets by
-point numbering, all on the assumption that a constructed model object
-never changes.  A post-construction write invalidates those caches
+caches per-run prefixes, point positions and equivalence-class tables,
+all on the assumption that a constructed model object never changes.  A post-construction write invalidates those caches
 without invalidating the answers already derived from them.  The
 columnar arena buffers extend the same contract across process
 boundaries: their bytes are shared (or re-materialised bit-identically)
@@ -26,10 +25,6 @@ _MODEL_PACKAGES: tuple[str, ...] = ("repro.model", "repro.knowledge")
 #: kernel-internal tables that only the kernel modules may touch
 KERNEL_INTERNAL_ATTRS = frozenset(
     {
-        "_classes",
-        "_class_bits",
-        "_interner",
-        "_table",
         "_run_pos",
         "_run_value_pos",
         "_prefixes",
@@ -185,9 +180,10 @@ class ForeignPrivateWriteRule(Rule):
 
 @register
 class KernelTableWriteRule(Rule):
-    """INV002: the interned-history and equivalence-class tables are
-    owned by the kernel modules; any outside write desynchronises
-    interning (pointer-equality fast paths) from the class bitsets."""
+    """INV002: the kernel's cached tables (run positions, per-run
+    prefixes and timelines, the model checker's foreign-run ids) are
+    owned by the kernel modules; any outside write desynchronises a
+    cache from the answers already derived through it."""
 
     id = "INV002"
     summary = "write to a kernel-internal table outside the kernel"

@@ -7,9 +7,9 @@ This package implements the paper's run-based model verbatim:
 * :mod:`repro.model.history` -- per-process histories and cuts.
 * :mod:`repro.model.run` -- runs (functions from time to cuts), points,
   and validators for conditions R1--R5.
-* :mod:`repro.model.system` -- systems (sets of runs) with the
-  class-based indistinguishability kernel (interned histories,
-  equivalence classes, crash bitmasks) used for knowledge evaluation.
+* :mod:`repro.model.system` -- systems (sets of runs), their point
+  numbering, and the knowledge primitives served by the columnar
+  indistinguishability kernel (:mod:`repro.columnar.kernel`).
 * :mod:`repro.model.context` -- contexts: failure bounds, channel
   semantics, and failure-detector specifications.
 """
@@ -27,9 +27,9 @@ from repro.model.events import (
     StandardSuspicion,
     SuspectEvent,
 )
-from repro.model.history import Cut, History, HistoryInterner
+from repro.model.history import Cut, History
 from repro.model.run import Point, Run, RunValidationError, validate_run
-from repro.model.system import EquivClass, KernelStats, System
+from repro.model.system import KernelStats, System
 
 __all__ = [
     "ChannelSemantics",
@@ -37,11 +37,9 @@ __all__ = [
     "CrashEvent",
     "Cut",
     "DoEvent",
-    "EquivClass",
     "Event",
     "GeneralizedSuspicion",
     "History",
-    "HistoryInterner",
     "KernelStats",
     "InitEvent",
     "Message",

@@ -251,45 +251,6 @@ class History:
 EMPTY_HISTORY = History()
 
 
-class HistoryInterner:
-    """A canonicalization table mapping equal histories to one representative.
-
-    The indistinguishability kernel buckets points by local history; with
-    interning, every history that occurs in a system resolves to a single
-    canonical :class:`History` node, so equality degrades to an ``is``
-    check (the fast path at the top of :meth:`History.__eq__`) and dict
-    probes on canonical keys never walk event chains.
-
-    Invariant: for histories ``a``, ``b`` interned through the *same*
-    table, ``a == b`` iff ``intern(a) is intern(b)``.  Tables are
-    per-system (shared with subsystems built by ``restrict``/``union``);
-    interning through unrelated tables gives no identity guarantee.
-    """
-
-    __slots__ = ("_table", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._table: dict[History, History] = {EMPTY_HISTORY: EMPTY_HISTORY}
-        self.hits = 0
-        self.misses = 0
-
-    def intern(self, history: History) -> History:
-        """The canonical representative of ``history`` (first one wins)."""
-        canonical = self._table.get(history)
-        if canonical is None:
-            self._table[history] = history
-            self.misses += 1
-            return history
-        self.hits += 1
-        return canonical
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, history: History) -> bool:
-        return history in self._table
-
-
 class Cut:
     """A tuple of finite process histories, one per process (Section 2.1).
 

@@ -1,4 +1,4 @@
-"""Systems: sets of runs, with the class-based indistinguishability kernel.
+"""Systems: sets of runs, with the columnar indistinguishability kernel.
 
 A *system* is a set of runs, typically generated by executing a joint
 protocol in a context under many adversary schedules.  The knowledge
@@ -7,69 +7,35 @@ holds at every point (r', m') of the system with the same local history
 for p.
 
 Following Halpern-Moses, the ~_p relation is an equivalence, so the
-kernel's unit of work is the *equivalence class*, not the point: every
-process's points are bucketed once by (interned) local history into
-:class:`EquivClass` objects, each carrying its point list, a per-point
-crash bitmask, and the AND of those masks (= the class's known-crashed
-set).  Knowledge queries then cost one dict probe plus O(1) bit work per
-class instead of a fresh scan per point, and common knowledge becomes a
-bitset fixpoint over the integer-indexed class graph (see
+kernel's unit of work is the *equivalence class*, not the point.  The
+classes live in one :class:`~repro.columnar.kernel.ColumnarKernel`,
+built lazily on the first knowledge query: every point gets a global
+integer id (point ``(runs[i], m)`` is ``base[i] + m``), every process's
+points are grouped by hash-consed local history into CSR class rows, and
+each class carries the AND of its members' crash bitmasks (= its
+known-crashed set).  Knowledge queries then cost one row lookup plus
+O(1) bit work per class instead of a fresh scan per point, and common
+knowledge becomes an array fixpoint over the class rows (see
 :mod:`repro.knowledge.group`).
 
-Complexity model: with P points, C_p classes for process p, and n
-processes, the index build is O(P) amortized per process (histories
-hash in O(1) and intern to canonical nodes), ``known_crashed_set`` is
-O(1) per class after the build, and the C_G fixpoint is
-O(iterations x sum_p C_p) big-int AND/OR operations over P-bit sets --
-never O(points x candidates x formula) again.
+Complexity model: with P points and n processes, the index build is
+O(n x P) over the arena's int columns, ``known_crashed_set`` is O(1) per
+class after the first query, and one E_G step is a constant number of
+whole-array operations over P points.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.model.context import Context
 from repro.model.events import ProcessId
-from repro.model.history import History, HistoryInterner
 from repro.model.run import Point, Run
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.columnar.kernel import ColumnarKernel
-
-#: Valid values for ``System(kernel=...)`` / ``REPRO_KERNEL``.
-KERNEL_CHOICES = ("columnar", "class")
-
-_default_kernel: str | None = None
-
-
-def default_kernel() -> str:
-    """The kernel new systems use when none is given.
-
-    ``columnar`` unless overridden by :func:`set_default_kernel` or the
-    ``REPRO_KERNEL`` environment variable.
-    """
-    # driver-side singleton: only System construction consults it
-    global _default_kernel  # repro: lint-ok[POOL002]
-    if _default_kernel is None:
-        name = os.environ.get("REPRO_KERNEL", "columnar").strip().lower()
-        if name not in KERNEL_CHOICES:
-            raise ValueError(
-                f"REPRO_KERNEL={name!r}: expected one of {KERNEL_CHOICES}"
-            )
-        _default_kernel = name
-    return _default_kernel
-
-
-def set_default_kernel(kernel: str | None) -> None:
-    """Override the process-wide default kernel (None resets to env)."""
-    # driver-side singleton: only System construction consults it
-    global _default_kernel  # repro: lint-ok[POOL002]
-    if kernel is not None and kernel not in KERNEL_CHOICES:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-    _default_kernel = kernel
 
 
 class IncompleteSystemWarning(UserWarning):
@@ -95,14 +61,6 @@ class KernelStats:
 
     Fields:
 
-    * ``index_builds`` -- per-process class tables built from scratch;
-    * ``index_derivations`` -- tables inherited from a parent system by
-      ``restrict``/``union`` (filtered or merged, never re-hashed);
-    * ``points_indexed`` / ``classes_built`` / ``max_class_size`` --
-      size of the class tables this system built itself;
-    * ``intern_hits`` / ``intern_misses`` -- canonicalization-table
-      traffic (shared with parent/child systems, see
-      :class:`~repro.model.history.HistoryInterner`);
     * ``knows_class_evals`` / ``knows_point_evals`` -- K_p evaluations
       at class granularity vs. candidate points visited inside them;
     * ``local_cache_*`` / ``point_cache_*`` / ``temporal_cache_*`` --
@@ -111,22 +69,12 @@ class KernelStats:
       greatest-fixpoint computation;
     * ``arena_builds`` / ``arena_classes`` / ``arena_bytes`` -- columnar
       kernels built (:mod:`repro.columnar`), their total class count,
-      and the byte size of their arena buffers.  Independent of the
-      ``index_*`` counters: a system answering queries through the
-      columnar kernel never builds the object-level class tables unless
-      an EquivClass-consuming API asks for them;
+      and the byte size of their arena buffers;
     * ``arena_refinements`` -- columnar kernels derived by incremental
       class refinement (:meth:`System.extend`) instead of a from-scratch
       build over the union.
     """
 
-    index_builds: int = 0
-    index_derivations: int = 0
-    points_indexed: int = 0
-    classes_built: int = 0
-    max_class_size: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
     knows_class_evals: int = 0
     knows_point_evals: int = 0
     local_cache_hits: int = 0
@@ -145,96 +93,19 @@ class KernelStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def merge(self, other: "KernelStats") -> "KernelStats":
-        """Accumulate ``other`` into self (max for sizes, sum otherwise)."""
+        """Accumulate ``other`` into self (every field is a sum)."""
         for f in fields(self):
-            if f.name == "max_class_size":
-                self.max_class_size = max(self.max_class_size, other.max_class_size)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
-
-    def render(self) -> str:
-        """One readable line of the headline counters."""
-        line = (
-            f"kernel: {self.index_builds} index builds "
-            f"(+{self.index_derivations} derived), "
-            f"{self.classes_built} classes over {self.points_indexed} points "
-            f"(max class {self.max_class_size}); "
-            f"knows {self.knows_class_evals} class evals / "
-            f"{self.knows_point_evals} point visits; "
-            f"ck {self.ck_fixpoint_iterations} fixpoint rounds"
-        )
-        if self.arena_builds or self.arena_refinements:
-            line += (
-                f"; columnar {self.arena_builds} arenas "
-                f"(+{self.arena_refinements} refined) / "
-                f"{self.arena_classes} classes / {self.arena_bytes} B"
-            )
-        return line
-
-
-class EquivClass:
-    """One ~_p equivalence class: all points where ``process`` has ``history``.
-
-    ``history`` is the canonical (interned) representative.  ``points``
-    and ``point_masks`` run in parallel: ``point_masks[i]`` is the crash
-    bitmask of ``points[i]`` (bit j set iff the j-th process of the
-    system's process tuple has crashed by that point).
-    ``known_crashed_mask`` is the AND of the point masks -- exactly
-    {q : K_p(crash(q))} for every point of the class.
-    """
-
-    __slots__ = (
-        "process",
-        "history",
-        "points",
-        "point_masks",
-        "known_crashed_mask",
-        "_known_set",
-        "_count_cache",
-    )
-
-    def __init__(self, process: ProcessId, history: History) -> None:
-        self.process = process
-        self.history = history
-        self.points: list[Point] = []
-        self.point_masks: list[int] = []
-        self.known_crashed_mask = -1  # AND identity over arbitrary-width masks
-        self._known_set: frozenset[ProcessId] | None = None
-        self._count_cache: dict[frozenset[ProcessId], int] = {}
-
-    def _add(self, point: Point, crash_mask: int) -> None:
-        self.points.append(point)
-        self.point_masks.append(crash_mask)
-        self.known_crashed_mask &= crash_mask
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def representative(self) -> Point:
-        """The first point of the class in run-major, time-minor order."""
-        return self.points[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EquivClass({self.process}, |history|={len(self.history)}, "
-            f"{len(self.points)} points)"
-        )
 
 
 class System:
-    """An immutable collection of runs plus the class-based ~_p kernel.
+    """An immutable collection of runs plus its columnar ~_p kernel.
 
-    Class tables are built lazily per process on first use and cover
+    The kernel is built lazily on the first knowledge query and covers
     every point (r, m) with 0 <= m <= r.duration.  Because the final cut
     of a finite run is taken to repeat forever, querying a time beyond a
     run's duration resolves to the final point of that run.
-
-    ``restrict`` and ``union`` hand the child system the parent's
-    interner and derive the already-built class tables instead of
-    re-indexing (see ``stats.index_derivations``).
     """
 
     def __init__(
@@ -242,18 +113,9 @@ class System:
         runs: Iterable[Run],
         context: Context | None = None,
         *,
-        interner: HistoryInterner | None = None,
         complete: bool = False,
         missing_runs: int = 0,
-        kernel: str | None = None,
     ) -> None:
-        if kernel is None:
-            kernel = default_kernel()
-        elif kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
-        self._kernel_choice = kernel
         self._columnar: "ColumnarKernel | None" = None
         self._runs: tuple[Run, ...] = tuple(runs)
         self._complete = bool(complete)
@@ -267,13 +129,8 @@ class System:
                 raise ValueError("all runs in a system must share a process set")
         self._processes = procs
         self.context = context
-        self._interner = interner if interner is not None else HistoryInterner()
         self._stats = KernelStats()
         self._proc_bit = {p: i for i, p in enumerate(procs)}
-        # Per-process class tables, keyed by canonical history.
-        self._classes: dict[ProcessId, dict[History, EquivClass]] = {}
-        # Per-process class bitsets over the global point numbering.
-        self._class_bits: dict[ProcessId, dict[History, int]] = {}
         # Global point numbering: point (runs[i], m) has id base[i] + m.
         bases: list[int] = []
         total = 0
@@ -307,10 +164,6 @@ class System:
     @property
     def processes(self) -> tuple[ProcessId, ...]:
         return self._processes
-
-    @property
-    def interner(self) -> HistoryInterner:
-        return self._interner
 
     @property
     def missing_runs(self) -> int:
@@ -360,26 +213,11 @@ class System:
 
     @property
     def stats(self) -> KernelStats:
-        """The kernel counters (live object; interner totals synced in)."""
-        st = self._stats
-        st.intern_hits = self._interner.hits
-        st.intern_misses = self._interner.misses
-        return st
+        """The kernel counters (a live object)."""
+        return self._stats
 
-    @property
-    def kernel(self) -> str:
-        """Which kernel serves the knowledge hot paths (``columnar``/``class``)."""
-        return self._kernel_choice
-
-    def columnar_kernel(self) -> "ColumnarKernel | None":
-        """The columnar kernel, built on first use; None in ``class`` mode.
-
-        The object-level class tables (``classes`` / ``class_of`` /
-        ``class_bitsets``) remain available either way -- they are built
-        lazily only when an EquivClass-consuming API asks.
-        """
-        if self._kernel_choice != "columnar":
-            return None
+    def columnar_kernel(self) -> "ColumnarKernel":
+        """The ~_p kernel of this system, built on first use."""
         kernel = self._columnar
         if kernel is None:
             from repro.columnar.kernel import build_kernel
@@ -388,12 +226,6 @@ class System:
             self._columnar = kernel
         return kernel
 
-    def build_index(self) -> None:
-        """Force the active kernel's index for every process (benchmarks)."""
-        if self.columnar_kernel() is None:
-            for p in self._processes:
-                self._ensure_classes(p)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"System({len(self._runs)} runs, n={len(self._processes)})"
 
@@ -401,7 +233,7 @@ class System:
 
     @property
     def point_count(self) -> int:
-        """Total number of points (bit width of the kernel's bitsets)."""
+        """Total number of points (the length of the kernel's point rows)."""
         return self._point_total
 
     def run_index(self, run: Run) -> int | None:
@@ -446,79 +278,6 @@ class System:
         """The bit position of ``process`` in crash bitmasks."""
         return self._proc_bit[process]
 
-    # -- class tables --------------------------------------------------------
-
-    def _index_runs(
-        self,
-        process: ProcessId,
-        runs: Sequence[Run],
-        classes: dict[History, EquivClass],
-    ) -> None:
-        intern = self._interner.intern
-        for run in runs:
-            masks = run.crash_masks()
-            history = run.history
-            for m in range(run.duration + 1):
-                h = intern(history(process, m))
-                cls = classes.get(h)
-                if cls is None:
-                    cls = EquivClass(process, h)
-                    classes[h] = cls
-                cls._add(Point(run, m), masks[m])
-
-    def _ensure_classes(self, process: ProcessId) -> dict[History, EquivClass]:
-        classes = self._classes.get(process)
-        if classes is None:
-            classes = {}
-            self._index_runs(process, self._runs, classes)
-            self._classes[process] = classes
-            st = self._stats
-            st.index_builds += 1
-            st.classes_built += len(classes)
-            st.points_indexed += self._point_total
-            if classes:
-                st.max_class_size = max(
-                    st.max_class_size, max(c.size for c in classes.values())
-                )
-        return classes
-
-    def classes(self, process: ProcessId) -> tuple[EquivClass, ...]:
-        """All ~_p equivalence classes, in first-occurrence order."""
-        return tuple(self._ensure_classes(process).values())
-
-    def class_for_history(
-        self, process: ProcessId, history: History
-    ) -> EquivClass | None:
-        """The class whose members carry ``history``, or None."""
-        return self._ensure_classes(process).get(history)
-
-    def class_of(self, process: ProcessId, point: Point) -> EquivClass | None:
-        """The ~_process class of ``point`` (None if its history is foreign)."""
-        return self._ensure_classes(process).get(point.history(process))
-
-    def _ensure_class_bits(self, process: ProcessId) -> dict[History, int]:
-        table = self._class_bits.get(process)
-        if table is None:
-            table = {}
-            bases = self._point_bases
-            run_pos = self._run_pos
-            for h, cls in self._ensure_classes(process).items():
-                bits = 0
-                for pt in cls.points:
-                    # audited: class points only reference runs in self._runs
-                    bits |= 1 << (bases[run_pos[id(pt.run)]] + pt.time)  # repro: lint-ok[DET005]
-                table[h] = bits
-            self._class_bits[process] = table
-        return table
-
-    def class_bitsets(self, process: ProcessId) -> list[int]:
-        """Each class's point set as a bitset over the point numbering."""
-        return list(self._ensure_class_bits(process).values())
-
-    def class_bits_for_history(self, process: ProcessId, history: History) -> int:
-        """The point bitset of the class carrying ``history`` (0 if absent)."""
-        return self._ensure_class_bits(process).get(history, 0)
-
     # -- indistinguishability ------------------------------------------------
 
     def indistinguishable_points(self, process: ProcessId, point: Point) -> Sequence[Point]:
@@ -528,16 +287,8 @@ class System:
         contains only points from the system (it may be empty).
         """
         kernel = self.columnar_kernel()
-        if kernel is not None:
-            cid = kernel.class_id_at(process, point)
-            return kernel.points_of_class(cid) if cid is not None else []
-        cls = self.class_of(process, point)
-        return cls.points if cls is not None else []
-
-    def points_with_history(self, process: ProcessId, history: History) -> Sequence[Point]:
-        """All points at which ``process`` has exactly ``history``."""
-        cls = self.class_for_history(process, history)
-        return cls.points if cls is not None else []
+        cid = kernel.class_id_at(process, point)
+        return kernel.points_of_class(cid) if cid is not None else []
 
     def points(self) -> Iterator[Point]:
         """Every point of every run."""
@@ -564,23 +315,13 @@ class System:
         (or of systems it was restricted from).
         """
         self.note_knowledge_query()
-        st = self._stats
         kernel = self.columnar_kernel()
-        if kernel is not None:
-            cid = kernel.class_id_at(process, point)
-            if cid is None:
-                return True
-            st.knows_class_evals += 1
-            for candidate in kernel.points_of_class(cid):
-                st.knows_point_evals += 1
-                if not predicate(candidate):
-                    return False
+        cid = kernel.class_id_at(process, point)
+        if cid is None:
             return True
-        cls = self.class_of(process, point)
-        if cls is None:
-            return True
+        st = self._stats
         st.knows_class_evals += 1
-        for candidate in cls.points:
+        for candidate in kernel.points_of_class(cid):
             st.knows_point_evals += 1
             if not predicate(candidate):
                 return False
@@ -589,20 +330,15 @@ class System:
     def knows_crashed(self, process: ProcessId, point: Point, target: ProcessId) -> bool:
         """K_p(crash(q)) at ``point`` -- the key formula of Theorem 3.6 (P3).
 
-        O(1) after the class build: one bit of the class's AND-mask.
+        O(1) after the first query: one bit of the class's AND-mask.
         """
         self.note_knowledge_query()
         bit = self._proc_bit[target]
         kernel = self.columnar_kernel()
-        if kernel is not None:
-            cid = kernel.class_id_at(process, point)
-            if cid is None:
-                return True  # vacuous knowledge at a foreign point; see knows()
-            return bool((kernel.known_mask(cid) >> bit) & 1)
-        cls = self.class_of(process, point)
-        if cls is None:
+        cid = kernel.class_id_at(process, point)
+        if cid is None:
             return True  # vacuous knowledge at a foreign point; see knows()
-        return bool((cls.known_crashed_mask >> bit) & 1)
+        return bool((kernel.known_mask(cid) >> bit) & 1)
 
     def known_crashed_set(self, process: ProcessId, point: Point) -> frozenset[ProcessId]:
         """{q : K_p(crash(q))} at ``point`` -- the suspicion set of P3.
@@ -612,22 +348,10 @@ class System:
         """
         self.note_knowledge_query()
         kernel = self.columnar_kernel()
-        if kernel is not None:
-            cid = kernel.class_id_at(process, point)
-            if cid is None:
-                return frozenset(self._processes)  # vacuous; see knows()
-            return kernel.known_set(cid)
-        cls = self.class_of(process, point)
-        if cls is None:
+        cid = kernel.class_id_at(process, point)
+        if cid is None:
             return frozenset(self._processes)  # vacuous; see knows()
-        known = cls._known_set
-        if known is None:
-            mask = cls.known_crashed_mask
-            known = frozenset(
-                p for p, b in self._proc_bit.items() if (mask >> b) & 1
-            )
-            cls._known_set = known
-        return known
+        return kernel.known_set(cid)
 
     def known_crash_count(
         self, process: ProcessId, point: Point, subset: frozenset[ProcessId]
@@ -640,80 +364,30 @@ class System:
         """
         self.note_knowledge_query()
         kernel = self.columnar_kernel()
-        if kernel is not None:
-            cid = kernel.class_id_at(process, point)
-            if cid is None:
-                return 0
-            proc_bit = self._proc_bit
-            smask = 0
-            # bitwise OR is commutative: iteration order cannot leak
-            for q in subset:  # repro: lint-ok[DET004]
-                smask |= 1 << proc_bit[q]
-            return kernel.count_min(cid, smask)
-        cls = self.class_of(process, point)
-        if cls is None:
+        cid = kernel.class_id_at(process, point)
+        if cid is None:
             return 0
-        subset = frozenset(subset)
-        cached = cls._count_cache.get(subset)
-        if cached is None:
-            proc_bit = self._proc_bit
-            smask = 0
-            # bitwise OR is commutative: iteration order cannot leak
-            for q in subset:  # repro: lint-ok[DET004]
-                smask |= 1 << proc_bit[q]
-            cached = min((m & smask).bit_count() for m in cls.point_masks)
-            cls._count_cache[subset] = cached
-        return cached
+        proc_bit = self._proc_bit
+        smask = 0
+        # bitwise OR is commutative: iteration order cannot leak
+        for q in subset:  # repro: lint-ok[DET004]
+            smask |= 1 << proc_bit[q]
+        return kernel.count_min(cid, smask)
 
     # -- convenience ---------------------------------------------------------
 
     def restrict(self, keep: Callable[[Run], bool]) -> "System":
         """The subsystem of runs satisfying ``keep``.
 
-        The child shares this system's interner and inherits every class
-        table already built here by *filtering* it (no re-hashing, no
-        re-interning); classes untouched by the dropped runs are shared
-        outright, so their cached knowledge rides along.
-
+        The child builds its own kernel lazily, on its first query.
         Completeness is inherited: restricting a complete system yields
         the complete set of context runs satisfying ``keep``.
         """
         kept = [r for r in self._runs if keep(r)]
-        child = System(
-            kept, context=self.context, interner=self._interner,
+        return System(
+            kept, context=self.context,
             complete=self._complete, missing_runs=self._missing_runs,
-            kernel=self._kernel_choice,
         )
-        child._derive_restricted(self)
-        return child
-
-    def _derive_restricted(self, parent: "System") -> None:
-        if not parent._classes:
-            return
-        # audited: both id() sets below compare runs pinned by self._runs /
-        # parent._runs, and the child holds the parent's run objects
-        keep_ids = {id(r) for r in self._runs}  # repro: lint-ok[DET005]
-        full = len(self._runs) == len(parent._runs)
-        for process, pclasses in parent._classes.items():
-            derived: dict[History, EquivClass] = {}
-            for h, cls in pclasses.items():
-                if full:
-                    derived[h] = cls
-                    continue
-                kept_points = [
-                    i for i, pt in enumerate(cls.points) if id(pt.run) in keep_ids  # repro: lint-ok[DET005]
-                ]
-                if not kept_points:
-                    continue
-                if len(kept_points) == len(cls.points):
-                    derived[h] = cls  # untouched: share, caches included
-                else:
-                    sub = EquivClass(process, h)
-                    for i in kept_points:
-                        sub._add(cls.points[i], cls.point_masks[i])
-                    derived[h] = sub
-            self._classes[process] = derived
-            self._stats.index_derivations += 1
 
     def extend(
         self,
@@ -724,16 +398,13 @@ class System:
     ) -> "System":
         """A system over ``self.runs`` plus ``added_runs``, in append order.
 
-        The online-ingestion primitive behind :mod:`repro.serve`.  The
-        child shares this system's interner, and when this system has
-        already built its columnar kernel the child's kernel is derived
-        by *incremental class refinement*
+        The online-ingestion primitive behind :mod:`repro.serve`.  When
+        this system has already built its columnar kernel, the child's
+        kernel is derived by *incremental class refinement*
         (:meth:`repro.columnar.kernel.ColumnarKernel.refined`): the
         appended runs extend the history trie and per-process class
         tables without re-walking the shared prefix, and every answer
         is bit-identical to a from-scratch rebuild over the union.
-        Already-built object-level class tables are extended the same
-        way ``union`` extends them.
 
         Unlike :meth:`union`, no deduplication is performed -- callers
         own duplicate policy.  ``complete``/``missing_runs`` default to
@@ -747,12 +418,10 @@ class System:
         child = System(
             self._runs + added,
             context=self.context,
-            interner=self._interner,
             complete=self._complete if complete is None else complete,
             missing_runs=(
                 self._missing_runs if missing_runs is None else missing_runs
             ),
-            kernel=self._kernel_choice,
         )
         if self._columnar is not None:
             from repro.columnar.kernel import ColumnarKernel
@@ -760,8 +429,6 @@ class System:
             child.adopt_columnar_kernel(
                 ColumnarKernel.refined(self._columnar, child)
             )
-        if self._classes:
-            child._derive_union(self, added)
         return child
 
     def adopt_columnar_kernel(self, kernel: "ColumnarKernel") -> None:
@@ -772,8 +439,6 @@ class System:
         own: the kernel is part of the system's immutable identity once
         queries start flowing.
         """
-        if self._kernel_choice != "columnar":
-            raise ValueError("system does not use the columnar kernel")
         if kernel.system is not self:
             raise ValueError("kernel was built for a different system")
         if self._columnar is not None:
@@ -783,46 +448,19 @@ class System:
     def union(self, other: "System") -> "System":
         """The deduplicated union of two systems over one process set.
 
-        Class tables this system already built are reused: only the runs
-        genuinely added from ``other`` are indexed, and their points are
-        merged into copies of the affected classes.
+        Runs keep their order: this system's runs first, then the runs
+        of ``other`` not already present.
         """
         if self._processes != other._processes:
             raise ValueError("cannot union systems over different process sets")
         seen: list[Run] = list(self._runs)
         existing = set(self._runs)
-        added: list[Run] = []
         for run in other._runs:
             if run not in existing:
                 seen.append(run)
                 existing.add(run)
-                added.append(run)
-        child = System(
-            seen, context=self.context, interner=self._interner,
+        return System(
+            seen, context=self.context,
             complete=self._complete and other._complete,
             missing_runs=self._missing_runs + other._missing_runs,
-            kernel=self._kernel_choice,
         )
-        child._derive_union(self, added)
-        return child
-
-    def _derive_union(self, parent: "System", added: Sequence[Run]) -> None:
-        if not parent._classes:
-            return
-        for process, pclasses in parent._classes.items():
-            fresh: dict[History, EquivClass] = {}
-            self._index_runs(process, added, fresh)
-            merged: dict[History, EquivClass] = dict(pclasses)
-            for h, cls in fresh.items():
-                base = merged.get(h)
-                if base is None:
-                    merged[h] = cls
-                else:
-                    combo = EquivClass(process, h)
-                    for pt, mask in zip(base.points, base.point_masks):
-                        combo._add(pt, mask)
-                    for pt, mask in zip(cls.points, cls.point_masks):
-                        combo._add(pt, mask)
-                    merged[h] = combo
-            self._classes[process] = merged
-            self._stats.index_derivations += 1

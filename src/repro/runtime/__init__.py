@@ -49,37 +49,6 @@ from repro.runtime.report import (
 )
 from repro.runtime.spec import EnsembleSpec, RunSpec, spec_digest
 
-# -- moved: ExploreSpec ------------------------------------------------------
-# ExploreSpec lives in repro.explore now; the old import path re-exports
-# it for one release with a once-per-process DeprecationWarning.
-
-_explore_spec_warned = False
-
-
-def _reset_explore_spec_warning() -> None:
-    """Test hook: allow the warn-once latch to fire again."""
-    global _explore_spec_warned  # repro: lint-ok[POOL002]
-    _explore_spec_warned = False
-
-
-def __getattr__(name: str) -> object:
-    if name == "ExploreSpec":
-        global _explore_spec_warned  # repro: lint-ok[POOL002]
-        if not _explore_spec_warned:
-            _explore_spec_warned = True
-            import warnings
-
-            warnings.warn(
-                "importing ExploreSpec from repro.runtime is deprecated; "
-                "use repro.explore (or repro.explore.spec)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro.explore.spec import ExploreSpec
-
-        return ExploreSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BatchResult",
     "CacheIntegrityError",
@@ -88,7 +57,6 @@ __all__ = [
     "EnsembleSpec",
     "ExecutionBackend",
     "ExploreReport",
-    "ExploreSpec",
     "FailedRun",
     "ProcessPoolBackend",
     "RetryPolicy",

@@ -137,7 +137,7 @@ class RunCache:
     Holds two kinds of entries under one namespace: single runs keyed by
     :func:`spec_digest` (``run_ensemble``), and whole *exploration
     groups* -- the complete run set of an
-    :class:`~repro.runtime.spec.ExploreSpec` plus its
+    :class:`~repro.explore.spec.ExploreSpec` plus its
     :class:`~repro.explore.reduction.ExploreStats` -- keyed by
     ``ExploreSpec.digest()``.  Only exhaustive explorations are ever
     stored, so a group hit can never silently hide part of a run set.

@@ -130,9 +130,9 @@ class EnsembleReport:
         """The runs as a System (the knowledge machinery's input).
 
         Memoized: repeated calls return the same System, so the
-        epistemic kernel's class tables are built once per report and
-        its :class:`~repro.model.system.KernelStats` accumulate where
-        :attr:`kernel_stats` (and :meth:`summary`) can surface them.
+        epistemic kernel is built once per report and its
+        :class:`~repro.model.system.KernelStats` accumulate where
+        :attr:`kernel_stats` can surface them.
 
         A degraded report builds the System over the surviving runs;
         the System carries ``missing_runs=len(failures)`` and its
@@ -210,9 +210,6 @@ class EnsembleReport:
                 if self.wall_time > 0
                 else f"    per-run wall time sum {self.run_wall_time:.3f}s"
             )
-        stats = self.kernel_stats
-        if stats is not None and stats.index_builds + stats.index_derivations:
-            lines.append(f"    {stats.render()}")
         return "\n".join(lines)
 
 
@@ -270,7 +267,7 @@ class ExploreReport:
         return cached.stats if cached is not None else None
 
     def summary(self) -> str:
-        """One readable paragraph: exploration, violations, kernel."""
+        """One readable paragraph: exploration and violations."""
         spec = self.spec
         source = "cache" if self.cached else "search"
         lines = [
@@ -289,7 +286,4 @@ class ExploreReport:
                 lines.append(
                     f"      ... and {len(self.violations) - 3} more"
                 )
-        stats = self.kernel_stats
-        if stats is not None and stats.index_builds + stats.index_derivations:
-            lines.append(f"    {stats.render()}")
         return "\n".join(lines)

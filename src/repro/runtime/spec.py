@@ -179,37 +179,3 @@ class EnsembleSpec:
                     seed=seed,
                     context=self.context,
                 )
-
-
-# -- moved: ExploreSpec ------------------------------------------------------
-# ExploreSpec now lives in repro.explore.spec (the exploration subsystem
-# owns its own spec, mirroring how PR 1 moved legacy kwargs behind
-# deprecation shims).  The old import path keeps working for one release
-# via the module-level __getattr__ below, warning once per process.
-
-_explore_spec_warned = False
-
-
-def _reset_explore_spec_warning() -> None:
-    """Test hook: allow the warn-once latch to fire again."""
-    global _explore_spec_warned  # repro: lint-ok[POOL002]
-    _explore_spec_warned = False
-
-
-def __getattr__(name: str) -> object:
-    if name == "ExploreSpec":
-        global _explore_spec_warned  # repro: lint-ok[POOL002]
-        if not _explore_spec_warned:
-            _explore_spec_warned = True
-            import warnings
-
-            warnings.warn(
-                "importing ExploreSpec from repro.runtime.spec is "
-                "deprecated; use repro.explore (or repro.explore.spec)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro.explore.spec import ExploreSpec
-
-        return ExploreSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

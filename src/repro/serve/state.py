@@ -365,7 +365,6 @@ class SystemSession:
             "processes": list(system.processes),
             "complete": system.complete,
             "missing_runs": system.missing_runs,
-            "kernel": system.kernel,
             "generation": self.generation,
             "source": self.source,
             "queries_answered": self.queries_answered,

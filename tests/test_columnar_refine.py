@@ -91,21 +91,18 @@ def test_refined_kernel_is_bit_identical_to_rebuild(
 ) -> None:
     """One ingest round; alphabet=3 grows the event set (trie re-key)."""
     _set_backend(backend, monkeypatch)
-    base = System(
-        synthetic_system(3, 5, seed=1, duration=6).runs, kernel="columnar"
-    )
-    base.build_index()
+    base = System(synthetic_system(3, 5, seed=1, duration=6).runs)
+    base.columnar_kernel()
     rng = random.Random(99)
     extra = tuple(
         synthetic_run(base.processes, rng, duration=6, alphabet=alphabet)
         for _ in range(4)
     )
     child = base.extend(extra)
-    rebuilt = System(base.runs + extra, kernel="columnar")
-    rebuilt.build_index()
+    rebuilt = System(base.runs + extra)
+    rebuilt.columnar_kernel()
     refined_kernel = child.columnar_kernel()
     rebuilt_kernel = rebuilt.columnar_kernel()
-    assert refined_kernel is not None and rebuilt_kernel is not None
     if alphabet > 2:
         assert len(refined_kernel.arena.events) > len(
             base.columnar_kernel().arena.events
@@ -118,10 +115,8 @@ def test_refined_kernel_is_bit_identical_to_rebuild(
 def test_multiple_refinement_rounds_chain(backend, monkeypatch) -> None:
     """Refinement of a refinement still matches one big rebuild."""
     _set_backend(backend, monkeypatch)
-    base = System(
-        synthetic_system(3, 4, seed=7, duration=5).runs, kernel="columnar"
-    )
-    base.build_index()
+    base = System(synthetic_system(3, 4, seed=7, duration=5).runs)
+    base.columnar_kernel()
     rng = random.Random(5)
     current = base
     all_runs = list(base.runs)
@@ -132,8 +127,8 @@ def test_multiple_refinement_rounds_chain(backend, monkeypatch) -> None:
         )
         current = current.extend(batch)
         all_runs.extend(batch)
-    rebuilt = System(tuple(all_runs), kernel="columnar")
-    rebuilt.build_index()
+    rebuilt = System(tuple(all_runs))
+    rebuilt.columnar_kernel()
     _assert_tables_equal(current.columnar_kernel(), rebuilt.columnar_kernel())
     _assert_answers_equal(current, rebuilt)
     assert current.stats.arena_refinements == 1  # last hop's child counter
@@ -147,23 +142,19 @@ def test_extend_empty_batch_returns_self() -> None:
 
 def test_extend_before_kernel_build_defers_to_lazy_build() -> None:
     """Extending a system that never built its kernel must not refine."""
-    base = System(
-        synthetic_system(2, 3, seed=0, duration=4).runs, kernel="columnar"
-    )
+    base = System(synthetic_system(2, 3, seed=0, duration=4).runs)
     rng = random.Random(1)
     child = base.extend(
         (synthetic_run(base.processes, rng, duration=4),)
     )
     assert child.stats.arena_refinements == 0
-    rebuilt = System(child.runs, kernel="columnar")
+    rebuilt = System(child.runs)
     _assert_tables_equal(child.columnar_kernel(), rebuilt.columnar_kernel())
 
 
 def test_refinement_leaves_base_kernel_untouched() -> None:
-    base = System(
-        synthetic_system(3, 4, seed=3, duration=5).runs, kernel="columnar"
-    )
-    base.build_index()
+    base = System(synthetic_system(3, 4, seed=3, duration=5).runs)
+    base.columnar_kernel()
     kernel = base.columnar_kernel()
     before_classes = kernel.total_classes
     before_events = tuple(kernel.arena.events)
@@ -180,15 +171,13 @@ def test_refinement_leaves_base_kernel_untouched() -> None:
     # Alphabet growth forces a re-keyed *copy* of the trie; the base
     # kernel's dict must not have been rewritten underneath it.
     assert len(kernel._trie) == before_trie_len
-    _assert_answers_equal(base, System(base.runs, kernel="columnar"))
+    _assert_answers_equal(base, System(base.runs))
 
 
 def test_sibling_refinements_from_one_base_do_not_collide() -> None:
     """Two children extending the same base (shared trie) stay correct."""
-    base = System(
-        synthetic_system(3, 4, seed=4, duration=5).runs, kernel="columnar"
-    )
-    base.build_index()
+    base = System(synthetic_system(3, 4, seed=4, duration=5).runs)
+    base.columnar_kernel()
     rng = random.Random(11)
     batch_a = tuple(
         synthetic_run(base.processes, rng, duration=5) for _ in range(2)
@@ -199,16 +188,14 @@ def test_sibling_refinements_from_one_base_do_not_collide() -> None:
     child_a = base.extend(batch_a)
     child_b = base.extend(batch_b)
     for child, batch in ((child_a, batch_a), (child_b, batch_b)):
-        rebuilt = System(base.runs + batch, kernel="columnar")
-        rebuilt.build_index()
+        rebuilt = System(base.runs + batch)
+        rebuilt.columnar_kernel()
         _assert_tables_equal(child.columnar_kernel(), rebuilt.columnar_kernel())
 
 
 def test_refinement_stats_counters() -> None:
-    base = System(
-        synthetic_system(2, 3, seed=6, duration=4).runs, kernel="columnar"
-    )
-    base.build_index()
+    base = System(synthetic_system(2, 3, seed=6, duration=4).runs)
+    base.columnar_kernel()
     rng = random.Random(8)
     child = base.extend(
         (synthetic_run(base.processes, rng, duration=4),)
@@ -221,18 +208,13 @@ def test_refinement_stats_counters() -> None:
 
 
 def test_adopt_columnar_kernel_rejects_misuse() -> None:
-    base = System(
-        synthetic_system(2, 3, seed=0, duration=4).runs, kernel="columnar"
-    )
+    base = System(synthetic_system(2, 3, seed=0, duration=4).runs)
     kernel = base.columnar_kernel()
-    other = System(base.runs, kernel="columnar")
+    other = System(base.runs)
     with pytest.raises(ValueError, match="different system"):
         other.adopt_columnar_kernel(kernel)
     with pytest.raises(ValueError, match="already has"):
         base.adopt_columnar_kernel(kernel)
-    class_mode = System(base.runs, kernel="class")
-    with pytest.raises(ValueError, match="does not use"):
-        class_mode.adopt_columnar_kernel(kernel)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -8,8 +8,6 @@ answers as the unreduced ``reduction="none"`` baseline — for any worker
 count.  That is what licenses running the reductions by default.
 """
 
-import warnings
-
 import pytest
 
 from repro import (
@@ -355,35 +353,6 @@ class TestExplorerFacade:
 
 
 class TestDeprecations:
-    def test_runtime_import_warns_exactly_once(self):
-        import repro.runtime as runtime
-
-        runtime._reset_explore_spec_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = runtime.ExploreSpec
-            second = runtime.ExploreSpec
-        assert first is ExploreSpec and second is ExploreSpec
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.explore" in str(deprecations[0].message)
-
-    def test_runtime_spec_import_warns_exactly_once(self):
-        import repro.runtime.spec as runtime_spec
-
-        runtime_spec._reset_explore_spec_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = runtime_spec.ExploreSpec
-            second = runtime_spec.ExploreSpec
-        assert first is ExploreSpec and second is ExploreSpec
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
     def test_unknown_runtime_attribute_still_raises(self):
         import repro.runtime as runtime
 

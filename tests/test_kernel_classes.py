@@ -1,14 +1,14 @@
-"""Unit tests for the class-based epistemic kernel: history interning,
-equivalence classes, crash bitmasks, KernelStats, cache inheritance on
-restrict/union, and the foreign-run cache fix in the model checker."""
+"""Unit tests for the epistemic kernel's class structure: ~_p
+equivalence classes over the columnar class rows, crash bitmasks, the
+point numbering, KernelStats, restrict/union answers, and the
+foreign-run cache fix in the model checker."""
 
 import gc
 
 
 from repro.knowledge import Crashed, Knows, ModelChecker
 from repro.knowledge.formulas import Atom
-from repro.model.events import CrashEvent, DoEvent, Message, ReceiveEvent, SendEvent
-from repro.model.history import EMPTY_HISTORY, History, HistoryInterner
+from repro.model.events import CrashEvent, Message, ReceiveEvent, SendEvent
 from repro.model.run import Point, Run
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
@@ -42,41 +42,13 @@ def no_crash_run():
     )
 
 
-class TestHistoryInterner:
-    def test_equal_histories_intern_to_one_node(self):
-        interner = HistoryInterner()
-        a = History([DoEvent("p1", ("p1", "a0")), DoEvent("p1", ("p1", "a1"))])
-        b = History([DoEvent("p1", ("p1", "a0")), DoEvent("p1", ("p1", "a1"))])
-        assert a is not b and a == b
-        assert interner.intern(a) is interner.intern(b)
-
-    def test_invariant_eq_iff_identity(self):
-        interner = HistoryInterner()
-        e1 = DoEvent("p1", ("p1", "a0"))
-        e2 = DoEvent("p1", ("p1", "a1"))
-        pool = [
-            History([e1]),
-            History([e1]),
-            History([e2]),
-            History([e1, e2]),
-            History([e1, e2]),
-            History([e2, e1]),
-        ]
-        for a in pool:
-            for b in pool:
-                assert (a == b) == (interner.intern(a) is interner.intern(b))
-
-    def test_empty_history_is_preinterned(self):
-        interner = HistoryInterner()
-        assert interner.intern(History()) is EMPTY_HISTORY
-
-    def test_hit_miss_counters(self):
-        interner = HistoryInterner()
-        h = History([DoEvent("p1", ("p1", "a0"))])
-        interner.intern(h)
-        assert interner.misses == 1
-        interner.intern(History([DoEvent("p1", ("p1", "a0"))]))
-        assert interner.hits == 1
+def class_members(system, process):
+    """Each ~_process class as its member points, in class-id order."""
+    kernel = system.columnar_kernel()
+    return [
+        [system.point_at(pid) for pid in kernel.member_point_ids(cid)]
+        for cid in kernel.class_ids(system.process_bit(process))
+    ]
 
 
 class TestCrashMasks:
@@ -97,36 +69,44 @@ class TestEquivClasses:
     def test_classes_partition_points(self):
         s = System([crash_run(), no_crash_run()])
         for p in PROCS:
-            classes = s.classes(p)
-            total = sum(c.size for c in classes)
+            classes = class_members(s, p)
+            total = sum(len(members) for members in classes)
             assert total == s.point_count
-            ids = [s.point_id(pt) for c in classes for pt in c.points]
+            ids = [s.point_id(pt) for members in classes for pt in members]
             assert sorted(ids) == list(range(s.point_count))
 
     def test_class_of_consistency(self):
         s = System([crash_run(), no_crash_run()])
+        kernel = s.columnar_kernel()
         for p in PROCS:
             for run in s.runs:
                 for m in range(run.duration + 1):
                     pt = Point(run, m)
-                    cls = s.class_of(p, pt)
-                    assert pt in cls.points
-                    assert cls.history == pt.history(p)
+                    members = kernel.points_of_class(kernel.class_id_at(p, pt))
+                    assert pt in members
+                    assert all(q.history(p) == pt.history(p) for q in members)
 
     def test_known_crashed_mask_is_and_of_point_masks(self):
         s = System([crash_run(), no_crash_run()])
+        kernel = s.columnar_kernel()
         for p in PROCS:
-            for cls in s.classes(p):
+            for cid in kernel.class_ids(s.process_bit(p)):
                 acc = -1
-                for mask in cls.point_masks:
-                    acc &= mask
-                assert cls.known_crashed_mask == acc
+                for pt in kernel.points_of_class(cid):
+                    acc &= pt.run.crash_masks()[pt.time]
+                assert kernel.known_mask(cid) == acc
 
     def test_class_histories_are_canonical(self):
         s = System([crash_run(), no_crash_run()])
+        kernel = s.columnar_kernel()
         for p in PROCS:
-            for cls in s.classes(p):
-                assert s.interner.intern(cls.history) is cls.history
+            j = s.process_bit(p)
+            histories = [members[0].history(p) for members in class_members(s, p)]
+            # one class per distinct history, and the trie walk of each
+            # class's history lands back on that class
+            assert len(set(histories)) == len(histories)
+            for cid, history in zip(kernel.class_ids(j), histories):
+                assert kernel.class_of_history(j, history) == cid
 
     def test_point_id_roundtrip(self):
         s = System([crash_run(), no_crash_run()])
@@ -164,17 +144,6 @@ class TestVacuity:
 
 
 class TestKernelStats:
-    def test_index_builds_count_processes(self):
-        s = System([crash_run(), no_crash_run()])
-        assert s.stats.index_builds == 0
-        s.classes("p1")
-        s.classes("p1")
-        assert s.stats.index_builds == 1
-        s.classes("p2")
-        assert s.stats.index_builds == 2
-        assert s.stats.points_indexed == 2 * s.point_count
-        assert s.stats.classes_built >= 2
-
     def test_checker_shares_system_stats(self):
         s = System([crash_run(), no_crash_run()])
         mc = ModelChecker(s)
@@ -186,57 +155,23 @@ class TestKernelStats:
         mc.holds(phi, Point(s.runs[0], 4))
         assert mc.stats.local_cache_hits >= 1
 
-    def test_intern_counters_surface(self):
-        s = System([crash_run(), no_crash_run()])
-        s.classes("p1")
-        st = s.stats
-        assert st.intern_hits + st.intern_misses >= s.point_count
-
     def test_as_dict_and_merge(self):
         s = System([crash_run()])
-        s.classes("p1")
+        s.columnar_kernel()
         d = s.stats.as_dict()
-        assert d["index_builds"] == 1
+        assert d["arena_builds"] == 1
         other = System([no_crash_run()])
-        other.classes("p1")
+        other.columnar_kernel()
+        classes = s.stats.arena_classes + other.stats.arena_classes
         merged = s.stats.merge(other.stats)
-        assert merged.index_builds == 2
-
-    def test_render_mentions_classes(self):
-        s = System([crash_run()])
-        s.classes("p1")
-        assert "classes" in s.stats.render()
+        assert merged.arena_builds == 2
+        assert merged.arena_classes == classes
 
 
 class TestRestrictInheritance:
-    def test_no_reindex_on_restrict(self):
-        parent = System([crash_run(), no_crash_run()])
-        for p in PROCS:
-            parent.classes(p)
-        child = parent.restrict(lambda r: not r.faulty())
-        assert len(child) == 1
-        for p in PROCS:
-            child.classes(p)  # must be served from the derived tables
-        assert child.stats.index_builds == 0
-        assert child.stats.index_derivations == len(PROCS)
-
-    def test_restrict_shares_interner(self):
-        parent = System([crash_run(), no_crash_run()])
-        child = parent.restrict(lambda r: True)
-        assert child.interner is parent.interner
-
-    def test_unfiltered_classes_are_shared_objects(self):
-        parent = System([crash_run(), no_crash_run()])
-        parent.classes("p1")
-        child = parent.restrict(lambda r: True)  # keeps everything
-        parent_classes = {c.history: c for c in parent.classes("p1")}
-        for cls in child.classes("p1"):
-            assert parent_classes[cls.history] is cls
-
     def test_restricted_knowledge_matches_fresh_system(self):
         parent = System([crash_run(), no_crash_run()])
-        for p in PROCS:
-            parent.classes(p)
+        parent.columnar_kernel()
         kept = [r for r in parent.runs if r.faulty()]
         child = parent.restrict(lambda r: r.faulty())
         fresh = System(kept)
@@ -252,28 +187,19 @@ class TestRestrictInheritance:
     def test_restrict_before_any_index_stays_lazy(self):
         parent = System([crash_run(), no_crash_run()])
         child = parent.restrict(lambda r: r.faulty())
-        # Nothing was built in the parent, so the child builds its own.
-        child.classes("p1")
-        assert child.stats.index_builds == 1
+        # Restricting builds nothing; the child builds its own kernel on
+        # first use.
+        assert child.stats.arena_builds == 0
+        child.columnar_kernel()
+        assert child.stats.arena_builds == 1
+        assert parent.stats.arena_builds == 0
 
 
 class TestUnionInheritance:
-    def test_union_derives_built_tables(self):
-        a = System([crash_run()])
-        b = System([no_crash_run()])
-        for p in PROCS:
-            a.classes(p)
-        u = a.union(b)
-        for p in PROCS:
-            u.classes(p)
-        assert u.stats.index_builds == 0
-        assert u.stats.index_derivations == len(PROCS)
-
     def test_union_knowledge_matches_fresh_system(self):
         a = System([crash_run()])
         b = System([no_crash_run()])
-        for p in PROCS:
-            a.classes(p)
+        a.columnar_kernel()
         u = a.union(b)
         fresh = System([crash_run(), no_crash_run()])
         for p in PROCS:
@@ -290,13 +216,10 @@ class TestUnionInheritance:
     def test_union_point_order_matches_fresh_build(self):
         a = System([crash_run()])
         b = System([no_crash_run()])
-        a.classes("p1")
         u = a.union(b)
         fresh = System([crash_run(), no_crash_run()])
-        for cu, cf in zip(u.classes("p1"), fresh.classes("p1")):
-            assert cu.history == cf.history
-            assert cu.points == cf.points
-            assert cu.point_masks == cf.point_masks
+        for p in PROCS:
+            assert class_members(u, p) == class_members(fresh, p)
 
 
 class TestForeignRunCacheFix:
@@ -354,7 +277,9 @@ class TestSyntheticGenerator:
     def test_histories_overlap_across_runs(self):
         s = synthetic_system(4, 12, seed=1)
         # The small alphabet must actually produce shared classes.
-        assert any(cls.size > 1 for p in s.processes for cls in s.classes(p))
+        assert any(
+            len(members) > 1 for p in s.processes for members in class_members(s, p)
+        )
 
     def test_crash_is_terminal(self):
         s = synthetic_system(5, 10, seed=3, crash_prob=0.8)

@@ -1,15 +1,15 @@
-"""Three-way differential tests: naive reference vs class kernel vs
-columnar kernel.
+"""Three-way differential tests: naive reference vs the columnar kernel
+built from scratch vs the columnar kernel built by incremental refinement.
 
-PR acceptance pins *bit-identical* answers from all three evaluation
-strategies -- the retained point-scanning reference
-(:mod:`repro.knowledge.reference`), the PR-2 equivalence-class kernel
-(``System(kernel="class")``), and the struct-of-arrays kernel
-(``System(kernel="columnar")``) -- over the primitives (Knows,
-indistinguishability), the E^k ladder, and the C_G fixpoint.  The
-columnar leg runs under both buffer backends (numpy and the stdlib
-``array`` fallback), and once more on runs that made a round trip
-through the shared-memory transfer path.
+Acceptance pins *bit-identical* answers from the retained
+point-scanning reference (:mod:`repro.knowledge.reference`) and from
+both ways the one epistemic kernel is constructed -- a from-scratch
+``build_kernel`` and ``System.extend``'s class refinement of a
+half-system's kernel -- over the primitives (Knows,
+indistinguishability), the E^k ladder, and the C_G fixpoint.  Every
+case runs under both buffer backends (numpy and the stdlib ``array``
+fallback), and once more on runs that made a round trip through the
+shared-memory transfer path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.knowledge.reference import (
     naive_indistinguishable_points,
     naive_known_crashed_set,
     naive_knows_crashed,
-    naive_max_e_depth,
 )
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_system
@@ -41,7 +40,7 @@ BACKENDS = ["numpy", "no-numpy"]
 
 
 class Kernels:
-    """One run set, indexed by all three evaluation strategies."""
+    """One run set, indexed from scratch and by incremental refinement."""
 
     def __init__(self, case, backend, monkeypatch):
         if backend == "no-numpy":
@@ -51,13 +50,16 @@ class Kernels:
         n, runs, seed, duration = case
         base = synthetic_system(n, runs, seed=seed, duration=duration)
         self.runs = base.runs
-        self.class_system = System(self.runs, kernel="class")
-        self.columnar_system = System(self.runs, kernel="columnar")
-        self.columnar_system.build_index()
+        self.system = System(self.runs)
+        self.system.columnar_kernel()
+        half = len(self.runs) // 2
+        prefix = System(self.runs[:half])
+        prefix.columnar_kernel()
+        self.refined_system = prefix.extend(self.runs[half:])
 
     @property
     def systems(self):
-        return (self.class_system, self.columnar_system)
+        return (self.system, self.refined_system)
 
 
 @pytest.fixture(
@@ -78,22 +80,22 @@ def test_indistinguishable_points_three_way(kernels):
 
 
 def test_knows_crashed_three_way(kernels):
-    cls, col = kernels.systems
-    for p in cls.processes:
-        for pt in cls.points():
-            for q in cls.processes:
-                expected = naive_knows_crashed(cls, p, pt, q)
-                assert cls.knows_crashed(p, pt, q) == expected
-                assert col.knows_crashed(p, pt, q) == expected
+    fresh, refined = kernels.systems
+    for p in fresh.processes:
+        for pt in fresh.points():
+            for q in fresh.processes:
+                expected = naive_knows_crashed(fresh, p, pt, q)
+                assert fresh.knows_crashed(p, pt, q) == expected
+                assert refined.knows_crashed(p, pt, q) == expected
 
 
 def test_known_crashed_set_three_way(kernels):
-    cls, col = kernels.systems
-    for p in cls.processes:
-        for pt in cls.points():
-            expected = naive_known_crashed_set(cls, p, pt)
-            assert cls.known_crashed_set(p, pt) == expected
-            assert col.known_crashed_set(p, pt) == expected
+    fresh, refined = kernels.systems
+    for p in fresh.processes:
+        for pt in fresh.points():
+            expected = naive_known_crashed_set(fresh, p, pt)
+            assert fresh.known_crashed_set(p, pt) == expected
+            assert refined.known_crashed_set(p, pt) == expected
 
 
 def _naive_e_level_sets(system, group, victim, depth):
@@ -125,83 +127,89 @@ def _naive_e_level_sets(system, group, victim, depth):
 
 
 def test_e_level_sets_three_way(kernels):
-    cls, col = kernels.systems
-    group = tuple(cls.processes)
-    victim = cls.processes[-1]
+    fresh, refined = kernels.systems
+    group = tuple(fresh.processes)
+    victim = fresh.processes[-1]
     depth = 3
-    levels = _naive_e_level_sets(cls, group, victim, depth)
-    mc_cls, mc_col = ModelChecker(cls), ModelChecker(col)
+    levels = _naive_e_level_sets(fresh, group, victim, depth)
+    mc_fresh, mc_refined = ModelChecker(fresh), ModelChecker(refined)
     for k in range(depth + 1):
         phi_k = e_iterated(group, Crashed(victim), k)
-        for pt in cls.points():
+        for pt in fresh.points():
             expected = pt in levels[k]
-            assert mc_cls.holds(phi_k, pt) == expected, (k, pt.time)
-            assert mc_col.holds(phi_k, pt) == expected, (k, pt.time)
+            assert mc_fresh.holds(phi_k, pt) == expected, (k, pt.time)
+            assert mc_refined.holds(phi_k, pt) == expected, (k, pt.time)
 
 
 def test_common_knowledge_points_three_way(kernels):
-    cls, col = kernels.systems
-    victim = cls.processes[-1]
-    groups = [tuple(cls.processes), tuple(cls.processes[:2])]
-    mc_cls, mc_col = ModelChecker(cls), ModelChecker(col)
-    gc_cls, gc_col = GroupChecker(mc_cls), GroupChecker(mc_col)
+    fresh, refined = kernels.systems
+    victim = fresh.processes[-1]
+    groups = [tuple(fresh.processes), tuple(fresh.processes[:2])]
+    mc_fresh, mc_refined = ModelChecker(fresh), ModelChecker(refined)
+    gc_fresh, gc_refined = GroupChecker(mc_fresh), GroupChecker(mc_refined)
     for phi in (Crashed(victim), Not(Crashed(victim))):
         for group in groups:
-            expected = naive_common_knowledge_points(mc_cls, group, phi)
-            assert gc_cls.common_knowledge_points(group, phi) == expected
-            assert gc_col.common_knowledge_points(group, phi) == expected
+            expected = naive_common_knowledge_points(mc_fresh, group, phi)
+            assert gc_fresh.common_knowledge_points(group, phi) == expected
+            assert gc_refined.common_knowledge_points(group, phi) == expected
 
 
 def test_max_e_depth_three_way(kernels):
-    cls, col = kernels.systems
-    victim = cls.processes[-1]
-    group = tuple(cls.processes)
+    fresh, refined = kernels.systems
+    victim = fresh.processes[-1]
+    group = tuple(fresh.processes)
     phi = Crashed(victim)
-    mc_cls, mc_col = ModelChecker(cls), ModelChecker(col)
-    gc_cls, gc_col = GroupChecker(mc_cls), GroupChecker(mc_col)
-    for run in cls.runs[:3]:
+    cap = 4
+    levels = _naive_e_level_sets(fresh, group, victim, cap)
+    gc_fresh = GroupChecker(ModelChecker(fresh))
+    gc_refined = GroupChecker(ModelChecker(refined))
+    for run in fresh.runs[:3]:
         for m in (0, run.duration // 2, run.duration):
             pt = Point(run, m)
-            expected = naive_max_e_depth(mc_cls, group, phi, pt, cap=4)
-            assert gc_cls.max_e_depth(group, phi, pt, cap=4) == expected
-            assert gc_col.max_e_depth(group, phi, pt, cap=4) == expected
+            # E^k phi holds iff pt is in the k-th level set; the ladder
+            # stops at the first level that fails.
+            expected = next(
+                (k for k in range(cap) if pt not in levels[k + 1]), cap
+            )
+            assert gc_fresh.max_e_depth(group, phi, pt, cap=cap) == expected
+            assert gc_refined.max_e_depth(group, phi, pt, cap=cap) == expected
 
 
 def test_foreign_points_agree(kernels):
     """A point whose run is outside the system has no candidates, so
     Knows is vacuously true -- identically in all three strategies."""
-    cls, col = kernels.systems
-    foreign = synthetic_system(len(cls.processes), 2, seed=777).runs
+    fresh, refined = kernels.systems
+    foreign = synthetic_system(len(fresh.processes), 2, seed=777).runs
     for run in foreign:
-        if run in cls.runs:  # pragma: no cover - seed collision guard
+        if run in fresh.runs:  # pragma: no cover - seed collision guard
             continue
         pt = Point(run, 0)
-        for p in cls.processes:
-            for q in cls.processes:
-                expected = naive_knows_crashed(cls, p, pt, q)
-                assert cls.knows_crashed(p, pt, q) == expected
-                assert col.knows_crashed(p, pt, q) == expected
+        for p in fresh.processes:
+            for q in fresh.processes:
+                expected = naive_knows_crashed(fresh, p, pt, q)
+                assert fresh.knows_crashed(p, pt, q) == expected
+                assert refined.knows_crashed(p, pt, q) == expected
 
 
 def test_transfer_roundtrip_preserves_answers(kernels):
-    """Runs received over the shared-memory path index into a columnar
-    system that answers identically to the original."""
+    """Runs received over the shared-memory path index into a system
+    that answers identically to the original."""
     try:
         received = receive_runs(ship_runs(kernels.runs))
     except Exception:  # pragma: no cover - /dev/shm-less environments
         pytest.skip("shared memory unavailable")
     assert received == kernels.runs
-    shipped_system = System(received, kernel="columnar")
-    cls = kernels.class_system
-    victim = cls.processes[-1]
-    group = tuple(cls.processes)
-    for p in cls.processes:
+    shipped_system = System(received)
+    original = kernels.system
+    victim = original.processes[-1]
+    group = tuple(original.processes)
+    for p in original.processes:
         for pt in shipped_system.points():
-            for q in cls.processes:
-                assert shipped_system.knows_crashed(p, pt, q) == cls.knows_crashed(
-                    p, Point(cls.runs[cls.run_index(pt.run)], pt.time), q
+            for q in original.processes:
+                assert shipped_system.knows_crashed(p, pt, q) == original.knows_crashed(
+                    p, Point(original.runs[original.run_index(pt.run)], pt.time), q
                 )
-    gc_orig = GroupChecker(ModelChecker(cls))
+    gc_orig = GroupChecker(ModelChecker(original))
     gc_ship = GroupChecker(ModelChecker(shipped_system))
     phi = Crashed(victim)
     assert gc_ship.common_knowledge_points(group, phi) == (
@@ -210,7 +218,9 @@ def test_transfer_roundtrip_preserves_answers(kernels):
 
 
 def test_kernel_choice_is_visible(kernels):
-    assert kernels.class_system.kernel == "class"
-    assert kernels.columnar_system.kernel == "columnar"
-    assert kernels.class_system.columnar_kernel() is None
-    assert kernels.columnar_system.columnar_kernel() is not None
+    """Each leg's kernel construction shows in its stats, so the
+    refinement leg can never silently fall back to a fresh build."""
+    fresh, refined = kernels.systems
+    assert (fresh.stats.arena_builds, fresh.stats.arena_refinements) == (1, 0)
+    assert (refined.stats.arena_builds, refined.stats.arena_refinements) == (0, 1)
+    assert refined.columnar_kernel() is refined.columnar_kernel()

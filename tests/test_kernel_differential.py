@@ -1,4 +1,4 @@
-"""Differential tests: class-based kernel vs the naive point-scanning
+"""Differential tests: the columnar kernel vs the naive point-scanning
 reference (:mod:`repro.knowledge.reference`) on randomized small systems.
 
 Every knowledge primitive and both group-knowledge fixpoints must agree

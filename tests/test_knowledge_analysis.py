@@ -1,5 +1,7 @@
 """Tests for locality / stability / failure-insensitivity / A4 analyses."""
 
+import pytest
+
 from repro.knowledge.analysis import (
     a4_instance_holds,
     insensitive_to_failure,
@@ -25,6 +27,7 @@ from repro.model.events import (
     SendEvent,
 )
 from repro.model.run import Point, Run
+from repro.model.synthetic import synthetic_system
 from repro.model.system import System
 
 PROCS = ("p1", "p2", "p3")
@@ -114,6 +117,49 @@ class TestInsensitivity:
         # crash(p3) itself flips exactly when crash_p3 is appended.
         mc = ModelChecker(system())
         assert not insensitive_to_failure(mc, Crashed("p3"), "p3")
+
+    @pytest.mark.parametrize("backend", ["numpy", "no-numpy"])
+    def test_agrees_with_naive_scan(self, backend, monkeypatch):
+        """The kernel's class rows give the same verdict as scanning every
+        point for the first occurrence of each history."""
+        if backend == "no-numpy":
+            monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
+        else:
+            monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+        verdicts = set()
+        for seed in range(4):
+            s = synthetic_system(3, 8, seed=seed, duration=5, crash_prob=0.5)
+            mc = ModelChecker(s)
+            for q in s.processes:
+                other = s.processes[0] if q != s.processes[0] else s.processes[1]
+                for phi in (
+                    Crashed(q),
+                    Knows(q, Crashed(other)),
+                    Knows(q, Not(Crashed(other))),
+                    Diamond(Crashed(other)),
+                ):
+                    expected = _naive_insensitive(mc, phi, q)
+                    assert insensitive_to_failure(mc, phi, q) == expected, (seed, q, phi)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def _naive_insensitive(checker, formula, process):
+    """Definition 3.3 by a full point scan: the first point carrying each
+    history of ``process`` stands for it, and every h + crash history must
+    agree with h."""
+    first = {}
+    for pt in checker.system.points():
+        first.setdefault(pt.history(process), pt)
+    for history, point in first.items():
+        if not history.crashed:
+            continue
+        parent = first.get(history.prefix(len(history) - 1))
+        if parent is not None and (
+            checker.holds(formula, point) != checker.holds(formula, parent)
+        ):
+            return False
+    return True
 
 
 class TestA4Instance:

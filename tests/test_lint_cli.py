@@ -7,9 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 from repro.lint.cli import main
+from repro.lint.engine import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 CLEAN = FIXTURES / "clean"
@@ -76,9 +78,18 @@ def test_select_empty_spec_is_usage_error(capsys) -> None:
     assert "no rule ids" in err and "DET001" in err
 
 
-def test_bad_jobs_is_usage_error(capsys) -> None:
-    assert main([str(FIXTURES), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
+def test_cold_lint_never_starts_a_thread(monkeypatch) -> None:
+    """Phase 1 parses on the calling thread: concurrent ``ast.parse``
+    races CPython 3.11's AST recursion-depth bookkeeping."""
+
+    def refuse(self) -> None:
+        raise AssertionError(f"lint started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = lint_paths([REPO / "src" / "repro"])
+    assert report.files_scanned > 1
+    assert report.cache_hits == 0 and not report.parse_errors
+    assert not report.failed
 
 
 def test_update_baseline_without_baseline_is_usage_error(capsys) -> None:

@@ -21,13 +21,12 @@ The gate dispatches on the ``benchmark`` field of the committed file
     gate, but a reduction regression does.
 
 ``epistemic-kernel`` (BENCH_kernel.json)
-    Compares the columnar kernel's speedups over the class kernel at
-    n=20 plus the pool-transfer byte ratio.  Speedup ratios are
-    machine-normalized by construction (class and columnar rounds are
-    interleaved on the same machine), so the 15% rule applies to the
-    ratios directly, on top of the absolute acceptance floors:
-    index build >= 5x, C_G fixpoint >= 3x, transfer header <= 10% of
-    the pickled run batch.
+    Compares the columnar kernel's speedups over the naive reference at
+    n=10 (``knows_speedup``, ``ck_speedup``) plus the pool-transfer byte
+    ratio.  Speedup ratios are machine-normalized by construction (naive
+    and columnar rounds are interleaved on the same machine), so the 15%
+    rule applies to the ratios directly; the transfer header must also
+    stay <= 10% of the pickled run batch.
 
 ``serve-latency`` (BENCH_serve.json)
     Compares the query service's throughput (qps floor) and p95 latency
@@ -62,13 +61,10 @@ import sys
 from pathlib import Path
 
 EXPLORE_KEY = "n=4"
-KERNEL_KEY = "n=20"
+KERNEL_KEY = "n=10"
 
-#: Absolute acceptance floors for the kernel baseline (issue criteria).
-KERNEL_FLOORS = {
-    "index_speedup_vs_class": 5.0,
-    "ck_speedup_vs_class": 3.0,
-}
+#: Columnar-over-naive speedup ratios gated by the 15% rule.
+KERNEL_GATED = ("knows_speedup", "ck_speedup")
 TRANSFER_RATIO_CEILING = 0.10
 
 
@@ -127,11 +123,11 @@ def check_kernel(committed: dict, fresh: dict, args: argparse.Namespace) -> int:
     fresh_e = _entry(fresh, args.fresh, KERNEL_KEY)
     failed = False
 
-    for field, absolute_floor in KERNEL_FLOORS.items():
+    for field in KERNEL_GATED:
         for name, e in (("committed", committed_e), ("fresh", fresh_e)):
             if not e.get(field):
                 sys.exit(f"{name} entry lacks a nonzero {field!r}")
-        floor = max(absolute_floor, committed_e[field] * (1.0 - args.tolerance))
+        floor = committed_e[field] * (1.0 - args.tolerance)
         actual = fresh_e[field]
         print(
             f"kernel {field} at {KERNEL_KEY}: fresh {actual:.2f}x, "
