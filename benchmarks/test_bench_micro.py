@@ -32,7 +32,7 @@ from repro.model.context import make_process_ids
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, run_ensemble
 from repro.sim.executor import Executor
 from repro.sim.failures import CrashPlan
 from repro.sim.process import uniform_protocol
@@ -57,14 +57,17 @@ def one_run(seed=0):
 
 
 def small_system():
-    return a5t_ensemble(
-        PROCS,
-        uniform_protocol(StrongFDUDCProcess),
-        t=2,
-        workload=lambda plan: post_crash_workload(PROCS, plan, actions_per_survivor=1),
-        detector=PerfectOracle(),
-        seeds=(0,),
-    )
+    return run_ensemble(
+        EnsembleSpec.a5t(
+            PROCS,
+            uniform_protocol(StrongFDUDCProcess),
+            t=2,
+            workload=lambda plan: post_crash_workload(PROCS, plan, actions_per_survivor=1),
+            detector=PerfectOracle(),
+            seeds=(0,),
+        ),
+        cache=None,
+    ).system()
 
 
 def test_bench_executor_single_run(benchmark):

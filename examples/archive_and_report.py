@@ -14,8 +14,9 @@ import os
 import tempfile
 
 from repro import (
-    a5t_ensemble,
+    EnsembleSpec,
     make_process_ids,
+    run_ensemble,
     simulate_perfect_detectors,
     uniform_protocol,
 )
@@ -29,14 +30,17 @@ from repro.workloads.generators import post_crash_workload
 
 def main() -> None:
     processes = make_process_ids(4)
-    system = a5t_ensemble(
-        processes,
-        uniform_protocol(StrongFDUDCProcess),
-        t=3,
-        workload=lambda plan: post_crash_workload(processes, plan),
-        detector=PerfectOracle(),
-        seeds=(0, 1),
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            processes,
+            uniform_protocol(StrongFDUDCProcess),
+            t=3,
+            workload=lambda plan: post_crash_workload(processes, plan),
+            detector=PerfectOracle(),
+            seeds=(0, 1),
+        ),
+        cache=None,
+    ).system()
     print(f"built ensemble: {len(system)} runs")
 
     with tempfile.TemporaryDirectory() as tmp:

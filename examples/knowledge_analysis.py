@@ -17,7 +17,7 @@ from repro.detectors.standard import PerfectOracle
 from repro.knowledge import Crashed, Knows, ModelChecker
 from repro.model.context import make_process_ids
 from repro.model.run import Point
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, run_ensemble
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import post_crash_workload
 
@@ -28,16 +28,19 @@ def main() -> None:
     # 1. A system: runs of the Prop 3.1 protocol under every failure
     #    pattern of size <= 3, with actions initiated after each crash
     #    (the theorem's "infinitely many initiations", finitely sampled).
-    system = a5t_ensemble(
-        processes,
-        uniform_protocol(StrongFDUDCProcess),
-        t=3,
-        workload=lambda plan: post_crash_workload(
-            processes, plan, actions_per_survivor=2
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            processes,
+            uniform_protocol(StrongFDUDCProcess),
+            t=3,
+            workload=lambda plan: post_crash_workload(
+                processes, plan, actions_per_survivor=2
+            ),
+            detector=PerfectOracle(),
+            seeds=(0, 1),
         ),
-        detector=PerfectOracle(),
-        seeds=(0, 1),
-    )
+        cache=None,
+    ).system()
     print(f"system: {len(system)} runs over {len(processes)} processes")
     print(f"UDC holds in every run: {all(bool(udc_holds(r)) for r in system)}")
     print()

@@ -64,9 +64,7 @@ from repro.detectors.standard import (
     WeakOracle,
 )
 from repro.explore import (
-    Explorer,
     ExploreSpec,
-    ReductionConfig,
     ShrinkResult,
     UniformityMonitor,
     Violation,
@@ -90,7 +88,6 @@ from repro.runtime import (
     run_ensemble,
     run_spec,
 )
-from repro.sim.ensembles import a5t_ensemble, build_ensemble
 from repro.sim.executor import ExecutionConfig, Executor, execute
 from repro.sim.failures import CrashPlan
 from repro.sim.process import ProtocolProcess, uniform_protocol
@@ -109,7 +106,6 @@ __all__ = [
     "ExecutionConfig",
     "Executor",
     "ExploreReport",
-    "Explorer",
     "ExploreSpec",
     "ExploreStats",
     "GeneralizedFDUDCProcess",
@@ -122,7 +118,6 @@ __all__ = [
     "Point",
     "ProcessPoolBackend",
     "ProtocolProcess",
-    "ReductionConfig",
     "ReliableUDCProcess",
     "Run",
     "RunCache",
@@ -136,9 +131,7 @@ __all__ = [
     "UniformityMonitor",
     "Violation",
     "WeakOracle",
-    "a5t_ensemble",
     "action_id",
-    "build_ensemble",
     "execute",
     "explore",
     "replay_exploration",

@@ -5,10 +5,10 @@ a list of per-run timeline dicts: the int64 buffers travel as
 zlib-compressed base64 of their little-endian bytes, the event alphabet
 is encoded *once* through the model's tagged event codec, and metas go
 through the same JSON meta contract as :func:`repro.model.serialize
-.run_to_dict` (scalars, crash plans, traces, renamings survive; other
-values drop).  Timelines repeat events heavily, so encoding each
-distinct event once -- and every occurrence as a packed integer --
-shrinks entries by an order of magnitude at equal fidelity.
+.run_to_dict` (scalars, crash plans and traces survive; other values
+drop).  Timelines repeat events heavily, so encoding each distinct
+event once -- and every occurrence as a packed integer -- shrinks
+entries by an order of magnitude at equal fidelity.
 
 The codec is numpy-agnostic: buffers serialize to the same bytes from
 either backing representation, and load into whichever backend the

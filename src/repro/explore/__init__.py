@@ -9,13 +9,13 @@ are sound by construction rather than sample-dependent.
 
 Entry points:
 
-* :class:`Explorer` -- the documented facade:
-  ``Explorer.from_spec(spec, monitors=...).run()``;
-* :class:`ExploreSpec` / :class:`ReductionConfig` -- what to enumerate
-  and which state-space reductions to apply (``"none"``, ``"dpor"``,
-  ``"dpor+symmetry"``);
-* :func:`explore` / :func:`replay` -- the functional layer underneath:
-  enumerate a spec, or re-execute one branch from its
+* :class:`ExploreSpec` -- what to enumerate, and whether to reduce it
+  (``reduction="dpor"``, the default, or the unreduced reference
+  ``reduction="none"``; both yield the same run set);
+* :func:`explore` -- enumerate a spec into an
+  :class:`~repro.runtime.report.ExploreReport`, optionally sharding the
+  frontier across ``workers`` processes;
+* :func:`replay` -- re-execute one branch from its
   ``(crash_plan, trace)`` coordinates;
 * :mod:`~repro.explore.monitors` -- per-run property monitors
   (UDC/uniformity, detector properties) that can short-circuit the
@@ -24,7 +24,6 @@ Entry points:
   minimization of a violating run.
 """
 
-from repro.explore.api import Explorer
 from repro.explore.monitors import (
     DetectorPropertyMonitor,
     PredicateMonitor,
@@ -37,17 +36,15 @@ from repro.explore.monitors import (
 from repro.explore.reduction import ExploreStats
 from repro.explore.scheduler import ExecutionResult, explore, replay
 from repro.explore.shrink import ShrinkResult, shrink_violation
-from repro.explore.spec import REDUCTION_MODES, ExploreSpec, ReductionConfig
+from repro.explore.spec import REDUCTION_MODES, ExploreSpec
 
 __all__ = [
     "DetectorPropertyMonitor",
     "ExecutionResult",
-    "Explorer",
     "ExploreSpec",
     "ExploreStats",
     "PredicateMonitor",
     "REDUCTION_MODES",
-    "ReductionConfig",
     "RunMonitor",
     "ShrinkResult",
     "UniformityMonitor",

@@ -3,9 +3,9 @@
 The explorer's branch structure has two sources of nondeterminism per
 reachable configuration: which deliverable copy a process consumes (or
 whether it defers them all), and -- on lossy channels -- whether a
-submitted copy is dropped.  :mod:`repro.explore.scheduler` applies two
-dynamic partial-order reductions over that structure, both
-run-set-preserving:
+submitted copy is dropped.  Under ``reduction="dpor"``,
+:mod:`repro.explore.scheduler` always applies two dynamic partial-order
+reductions over that structure, both run-set-preserving:
 
 * **Delivery grouping (persistent/source sets)** -- in-flight copies of
   the same ``(sender, message)`` pair are interchangeable: consuming
@@ -61,22 +61,13 @@ class ExploreStats:
       grouping interchangeable copies (persistent-set reduction);
     * ``drops_elided`` -- drop/accept branches never scheduled because
       the drop branch sleeps (sleep-set reduction);
-    * ``symmetry_plans_folded`` -- crash plans folded into orbit
-      representatives by the process-renaming quotient;
-    * ``symmetry_runs_mirrored`` -- runs reconstructed for folded plans
-      by renaming a representative's runs;
-    * ``seeded_from_horizon`` -- nonzero T' when the frontier was seeded
-      from a cached horizon-T' exploration (incremental extension);
-    * ``fixpoint_leaves_reused`` -- quiescent cached leaves extended to
-      the new horizon without re-execution;
     * ``runs_enumerated`` / ``runs_unique`` -- leaves reached vs.
       distinct runs kept after value-level deduplication;
     * ``monitor_checks`` / ``violations`` -- property-monitor activity;
     * ``truncated`` -- the ``max_executions`` budget stopped exploration
       early (the resulting system is *not* complete);
     * ``stopped_on_violation`` -- a monitor short-circuited exploration;
-    * ``reduction`` / ``symmetry_active`` / ``workers`` -- the mode that
-      actually ran (symmetry auto-disables on asymmetric specs).
+    * ``reduction`` / ``workers`` -- the mode and worker count that ran.
     """
 
     executions: int = 0
@@ -85,10 +76,6 @@ class ExploreStats:
     branches_scheduled: int = 0
     deliveries_collapsed: int = 0
     drops_elided: int = 0
-    symmetry_plans_folded: int = 0
-    symmetry_runs_mirrored: int = 0
-    seeded_from_horizon: int = 0
-    fixpoint_leaves_reused: int = 0
     runs_enumerated: int = 0
     runs_unique: int = 0
     monitor_checks: int = 0
@@ -97,7 +84,6 @@ class ExploreStats:
     truncated: bool = False
     stopped_on_violation: bool = False
     reduction: str = "dpor"
-    symmetry_active: bool = False
     workers: int = 1
 
     @property
@@ -124,19 +110,11 @@ class ExploreStats:
 
     def render(self) -> str:
         """One readable line of the headline counters."""
-        mode = self.reduction
-        if self.reduction == "dpor+symmetry" and not self.symmetry_active:
-            mode = "dpor (symmetry auto-disabled)"
         tail = ""
         if self.truncated:
             tail = "; TRUNCATED (budget)"
         elif self.stopped_on_violation:
             tail = "; stopped on violation"
-        if self.seeded_from_horizon:
-            tail += (
-                f"; seeded from T={self.seeded_from_horizon} "
-                f"({self.fixpoint_leaves_reused} fixpoint leaves reused)"
-            )
         if self.workers > 1:
             tail += f"; {self.workers} workers"
         return (
@@ -146,9 +124,8 @@ class ExploreStats:
             f"{self.choice_points} choice points, "
             f"{self.branches_scheduled} branches, "
             f"{self.deliveries_collapsed} deliveries collapsed, "
-            f"{self.drops_elided} drops elided, "
-            f"{self.symmetry_plans_folded} plans folded "
-            f"[reduction: {mode}]{tail}"
+            f"{self.drops_elided} drops elided "
+            f"[reduction: {self.reduction}]{tail}"
         )
 
 

@@ -23,6 +23,12 @@ an explicit **choice**:
   cut's quiescence is recovered by synthesizing an R5-feasible drop
   schedule (:func:`repro.explore.reduction.drop_schedule_feasible`).
 
+The two ``reduction`` modes differ only in how many options those
+choice points offer: ``"none"`` branches once per deliverable copy and
+once per drop/accept, ``"dpor"`` once per distinct ``(sender, message)``
+class of deliverable copies and never on drops
+(:mod:`repro.explore.reduction`).  Both enumerate the same run set.
+
 Executions are *stateless-model-checking* style: a frontier entry is a
 ``(crash_plan, choice-prefix)`` pair; replaying the prefix and then
 greedily taking option 0 (the most cooperative alternative: deliver the
@@ -48,7 +54,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Deque, Iterable, Iterator, Optional, Sequence
+from typing import Deque, Iterable, Iterator, Sequence
 
 from repro.detectors.base import GroundTruthView, NoDetector
 from repro.explore.monitors import RunMonitor, Violation
@@ -58,14 +64,6 @@ from repro.explore.reduction import (
     group_deliverable,
 )
 from repro.explore.spec import ExploreSpec
-from repro.explore.symmetry import (
-    Renaming,
-    SymmetryQuotient,
-    rename_plan,
-    rename_run,
-    run_respects_quotient,
-    symmetry_quotient,
-)
 from repro.model.events import (
     ActionId,
     CrashEvent,
@@ -90,9 +88,8 @@ __all__ = ["ExecutionResult", "Leaf", "drain_frontier", "explore", "replay"]
 #: encounter order.  The empty trace is the all-cooperative run.
 Trace = tuple[int, ...]
 
-#: One search leaf: its coordinates, the run it produced, and whether
-#: the final cut is a strict fixpoint (reusable for horizon extension).
-Leaf = tuple[CrashPlan, Trace, Run, bool]
+#: One search leaf: its coordinates and the run it produced.
+Leaf = tuple[CrashPlan, Trace, Run]
 
 _CACHE_DEFAULT = object()  # sentinel: "use the process-wide default cache"
 
@@ -104,19 +101,14 @@ _WIDEN_FACTOR = 8
 class ExecutionResult:
     """What one deterministic bounded execution produced."""
 
-    __slots__ = ("run", "taken", "option_counts", "fixpoint")
+    __slots__ = ("run", "taken", "option_counts")
 
     def __init__(
-        self,
-        run: Run,
-        taken: Trace,
-        option_counts: tuple[int, ...],
-        fixpoint: bool,
+        self, run: Run, taken: Trace, option_counts: tuple[int, ...]
     ) -> None:
         self.run = run
         self.taken = taken
         self.option_counts = option_counts
-        self.fixpoint = fixpoint
 
 
 class _BoundedExecution:
@@ -139,11 +131,8 @@ class _BoundedExecution:
         self.plan = plan
         self.prefix = prefix
         self.stats = stats
-        reduced = spec.reduction != "none"
-        self._group = reduced and spec.reduction_config.delivery_grouping
-        self._elide = (
-            reduced and spec.reduction_config.drop_elision and spec.lossy
-        )
+        self._group = spec.reduction == "dpor"
+        self._elide = self._group and spec.lossy
         self.processes = spec.processes
         self.envs = {p: ProcessEnv(p, self.processes) for p in self.processes}
         self.protocols = {
@@ -335,19 +324,14 @@ class _BoundedExecution:
         else:  # pragma: no cover - crash events never reach here
             raise AssertionError(f"unexpected event {event!r}")
 
-    def _final_flags(self) -> tuple[bool, bool, int]:
-        """Classify the final cut: (quiescent, fixpoint, synthesized drops).
+    def _final_flags(self) -> tuple[bool, int]:
+        """Classify the final cut: (quiescent, synthesized drops).
 
         *Quiescent*: some continuation of the adversary's choices keeps
         the run silent forever.  With drop elision, copies still in
         flight within the horizon do not refute quiescence if an
         R5-feasible schedule drops them all -- the leaf then stands for
         the old drop-branch leaf with identical timelines.
-
-        *Fixpoint* is strictly stronger: the very next tick appends no
-        event and opens no choice point (channels empty, no detector),
-        so the horizon-(T+1) subtree of this leaf is this leaf.  That is
-        what licenses incremental horizon extension.
         """
         horizon = self.spec.horizon
         live = [p for p in self.processes if p not in self._crashed]
@@ -361,11 +345,11 @@ class _BoundedExecution:
             and all(not self.protocols[p].wants_to_act() for p in live)
         )
         if not base:
-            return False, False, 0
+            return False, 0
         if all(not self._in_flight.get(p) for p in live):
-            return True, not self._poll, 0
+            return True, 0
         if not self._elide:
-            return False, False, 0
+            return False, 0
         synthesized = 0
         for p in live:
             for env in self._in_flight.get(p, ()):
@@ -373,7 +357,7 @@ class _BoundedExecution:
                     # Matches the unreduced semantics: beyond-horizon
                     # copies never get a drop branch, so they always
                     # stand as obligations against quiescence.
-                    return False, False, 0
+                    return False, 0
                 synthesized += 1
         budget = self.spec.max_consecutive_drops
         for key, uids in self._submission_log.items():
@@ -381,8 +365,8 @@ class _BoundedExecution:
                 continue  # popped at the crash; nothing to synthesize
             flags = [uid in self._delivered_uids for uid in uids]
             if not drop_schedule_feasible(flags, budget):
-                return False, False, 0
-        return True, False, synthesized
+                return False, 0
+        return True, synthesized
 
     def execute(self) -> ExecutionResult:
         spec = self.spec
@@ -408,7 +392,7 @@ class _BoundedExecution:
                 self._timelines[pid].append((tick, event))
                 self._dispatch(pid, event, tick)
             stats.states_expanded += 1
-        quiescent, fixpoint, synthesized = self._final_flags()
+        quiescent, synthesized = self._final_flags()
         run = Run(
             self.processes,
             self._timelines,
@@ -431,35 +415,15 @@ class _BoundedExecution:
             spec.max_consecutive_drops + 2 if quiescent else horizon + 2
         )
         validate_run(run, r5_send_threshold=threshold)
-        return ExecutionResult(
-            run, tuple(self._taken), tuple(self._counts), fixpoint
-        )
+        return ExecutionResult(run, tuple(self._taken), tuple(self._counts))
 
 
-def replay(
-    spec: ExploreSpec,
-    plan: CrashPlan,
-    trace: Trace,
-    renaming: Renaming | None = None,
-) -> Run:
+def replay(spec: ExploreSpec, plan: CrashPlan, trace: Trace) -> Run:
     """Re-execute one explored branch: the run is a pure function of
     ``(spec, plan, trace)``.  Out-of-range choices clamp to the last
     option, so any int tuple is a valid (if redundant) trace -- the
     property :mod:`repro.explore.shrink` relies on.
-
-    ``renaming`` replays a symmetry-mirrored run (``meta["renaming"]``):
-    the canonical preimage of ``plan`` is executed and the result is
-    renamed back, so mirrored runs round-trip exactly like explored
-    ones.
     """
-    if renaming:
-        inverse = {actual: canonical for canonical, actual in renaming}
-        canonical_plan = rename_plan(plan, inverse)
-        canonical = _BoundedExecution(
-            spec, canonical_plan, tuple(trace), ExploreStats()
-        ).execute()
-        forward = {canonical_pid: actual for canonical_pid, actual in renaming}
-        return rename_run(canonical.run, forward, plan=plan)
     return _BoundedExecution(spec, plan, tuple(trace), ExploreStats()).execute().run
 
 
@@ -489,7 +453,7 @@ def drain_frontier(
             for alternative in range(1, options):
                 frontier.append((plan, result.taken[:i] + (alternative,)))
                 stats.branches_scheduled += 1
-        leaves.append((plan, result.taken, result.run, result.fixpoint))
+        leaves.append((plan, result.taken, result.run))
     return leaves, stats
 
 
@@ -499,7 +463,7 @@ def _rep_key(run: Run, plan_order: dict[CrashPlan, int]) -> tuple[int, int, Trac
     Quiescent variants win (their final cut is a fixpoint, so liveness
     verdicts are exact), then the smallest ``(plan, trace)`` coordinate.
     Being discovery-order-independent is what makes the final run list
-    identical across worker counts and seeding paths.
+    identical across worker counts.
     """
     meta = run.meta
     return (
@@ -507,17 +471,6 @@ def _rep_key(run: Run, plan_order: dict[CrashPlan, int]) -> tuple[int, int, Trac
         plan_order.get(meta["crash_plan"], len(plan_order)),
         tuple(meta["trace"]),
     )
-
-
-def _extend_fixpoint(
-    run: Run, plan: CrashPlan, trace: Trace, horizon: int
-) -> Run:
-    """A fixpoint leaf one horizon later: same timelines, one silent tick."""
-    timelines = {p: list(run.timeline(p)) for p in run.processes}
-    meta = dict(run.meta)
-    meta["crash_plan"] = plan
-    meta["trace"] = trace
-    return Run(run.processes, timelines, duration=horizon, meta=meta)
 
 
 def explore(
@@ -576,99 +529,25 @@ def explore(
 
     plans = spec.crash_plans()
     plan_order = {plan: i for i, plan in enumerate(plans)}
-    quotient: SymmetryQuotient | None = None
-    if spec.reduction == "dpor+symmetry":
-        quotient = symmetry_quotient(spec, plans)
     workers = max(1, workers)
     if spec.max_executions is not None or digest is None:
         workers = 1  # budgeted search is inherently serial; pools need pickling
-    stats = ExploreStats(
-        reduction=spec.reduction,
-        symmetry_active=quotient is not None,
-        workers=workers,
-    )
-    roots: tuple[CrashPlan, ...]
-    if quotient is not None:
-        roots = quotient.canonical_plans
-        stats.symmetry_plans_folded = len(plans) - len(roots)
-    else:
-        roots = plans
-
-    # -- incremental horizon extension --------------------------------------
-    # Under DPOR the choice structure of the first T-1 ticks is
-    # horizon-independent (drop branches, the only horizon-gated choice,
-    # are elided), so a cached horizon-(T-1) leaf set *is* the depth-
-    # (T-1) frontier: fixpoint leaves extend to T without re-execution,
-    # the rest re-execute with their leaf trace as prefix.
-    entries: list[tuple[CrashPlan, Trace]] = [(plan, ()) for plan in roots]
-    extended: list[Leaf] = []
-    if (
-        resolved_cache is not None
-        and digest is not None
-        and spec.reduction != "none"
-        and spec.reduction_config.incremental
-        and (not spec.lossy or spec.reduction_config.drop_elision)
-        and spec.horizon > 1
-        and spec.max_executions is None
-    ):
-        prev_digest = spec.with_(horizon=spec.horizon - 1).digest()
-        prev = (
-            resolved_cache.get_exploration_entry(prev_digest)
-            if prev_digest is not None
-            else None
-        )
-        if prev is not None and prev.leaves is not None:
-            seeded: list[tuple[CrashPlan, Trace]] = []
-            for plan, trace, fixpoint, run_index in prev.leaves:
-                if fixpoint:
-                    extended.append(
-                        (
-                            plan,
-                            trace,
-                            _extend_fixpoint(
-                                prev.runs[run_index], plan, trace, spec.horizon
-                            ),
-                            True,
-                        )
-                    )
-                else:
-                    seeded.append((plan, trace))
-            entries = seeded
-            stats.seeded_from_horizon = spec.horizon - 1
-            stats.fixpoint_leaves_reused = len(extended)
+    stats = ExploreStats(reduction=spec.reduction, workers=workers)
 
     # -- the search ----------------------------------------------------------
     dfs = spec.strategy == "dfs"
-    collect_leaves = resolved_cache is not None and digest is not None
-    leaf_records: list[tuple[CrashPlan, Trace, bool, Run]] = []
-    plan_runs: dict[CrashPlan, dict[Run, Run]] = {}
+    unique: dict[Run, Run] = {}
     violations: list[Violation] = []
     reported: set[tuple[str, Run]] = set()
-    refold: list[CrashPlan] = []
 
-    def consume(plan: CrashPlan, trace: Trace, run: Run, fixpoint: bool) -> None:
-        nonlocal quotient
+    def consume(plan: CrashPlan, trace: Trace, run: Run) -> None:
         stats.runs_enumerated += 1
-        if collect_leaves:
-            leaf_records.append((plan, trace, fixpoint, run))
-        if quotient is not None and not run_respects_quotient(
-            run, quotient.movable
-        ):
-            # The dynamic asymmetry detector fired: this run's traffic
-            # touches a movable process, so renaming is not sound for
-            # this spec after all.  Fold back safely -- the folded plans
-            # will be explored directly, and no mirroring happens.
-            refold.extend(quotient.folded_plans())
-            stats.symmetry_active = False
-            stats.symmetry_plans_folded = 0
-            quotient = None
-        bucket = plan_runs.setdefault(plan, {})
-        stored = bucket.get(run)
+        stored = unique.get(run)
         if stored is not None and _rep_key(stored, plan_order) <= _rep_key(
             run, plan_order
         ):
             return
-        bucket[run] = run
+        unique[run] = run
         if stop_on_violation:
             for monitor in monitors:
                 key = (monitor.name, run)
@@ -691,11 +570,13 @@ def explore(
                     stats.stopped_on_violation = True
                     return
 
-    frontier: Deque[tuple[CrashPlan, Trace]] = deque(entries)
+    frontier: Deque[tuple[CrashPlan, Trace]] = deque(
+        (plan, ()) for plan in plans
+    )
 
-    def drain(shardable: bool) -> None:
+    def drain() -> None:
         """Exhaust the frontier: serial expansion, then shards if wide."""
-        widen = workers * _WIDEN_FACTOR if shardable and workers > 1 else 0
+        widen = workers * _WIDEN_FACTOR if workers > 1 else 0
         while frontier and not stats.stopped_on_violation:
             if (
                 spec.max_executions is not None
@@ -719,7 +600,7 @@ def explore(
                 for alternative in range(1, options):
                     frontier.append((plan, result.taken[:i] + (alternative,)))
                     stats.branches_scheduled += 1
-            consume(plan, result.taken, result.run, result.fixpoint)
+            consume(plan, result.taken, result.run)
         if not frontier or stats.stopped_on_violation:
             return
         from repro.explore.sharding import run_sharded
@@ -736,47 +617,9 @@ def explore(
         finally:
             shard_results.close()
 
-    for leaf in extended:
-        if stats.stopped_on_violation:
-            break
-        consume(*leaf)
-    if not stats.stopped_on_violation:
-        drain(shardable=True)
-    while refold and not stats.stopped_on_violation and not stats.truncated:
-        batch = refold[:]
-        refold.clear()
-        frontier.extend((plan, ()) for plan in batch)
-        drain(shardable=False)
+    drain()
 
-    # -- symmetry mirroring ---------------------------------------------------
-    if quotient is not None and not stats.stopped_on_violation:
-        for plan in quotient.canonical_plans:
-            bucket = plan_runs.get(plan)
-            if not bucket:
-                continue
-            for mirrored_plan, mapping in quotient.mirrors_of(plan):
-                target = plan_runs.setdefault(mirrored_plan, {})
-                for source in bucket.values():
-                    image = rename_run(source, mapping, plan=mirrored_plan)
-                    stats.symmetry_runs_mirrored += 1
-                    stored = target.get(image)
-                    if stored is None or _rep_key(
-                        image, plan_order
-                    ) < _rep_key(stored, plan_order):
-                        target[image] = image
-
-    # -- canonical merge and ordering ----------------------------------------
-    unique: dict[Run, Run] = {}
-    for plan in plans:
-        bucket = plan_runs.get(plan)
-        if not bucket:
-            continue
-        for run in bucket.values():
-            stored = unique.get(run)
-            if stored is None or _rep_key(run, plan_order) < _rep_key(
-                stored, plan_order
-            ):
-                unique[run] = run
+    # -- canonical ordering --------------------------------------------------
     runs_final = tuple(
         sorted(
             unique.values(),
@@ -801,16 +644,7 @@ def explore(
         and stats.exhaustive
         and runs_final
     ):
-        index_of = {run: i for i, run in enumerate(runs_final)}
-        resolved_cache.put_exploration(
-            digest,
-            runs_final,
-            stats,
-            leaves=tuple(
-                (plan, trace, fixpoint, index_of[run])
-                for plan, trace, fixpoint, run in leaf_records
-            ),
-        )
+        resolved_cache.put_exploration(digest, runs_final, stats)
     return ExploreReport(
         spec=spec,
         runs=runs_final,

@@ -39,7 +39,6 @@ result exactly at the cost of the parallelism.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -74,16 +73,15 @@ def _explore_chunk_shipped(
     """Worker entry point with arena transfer.
 
     Leaf runs are parked in one shared-memory arena
-    (:func:`repro.columnar.ship_runs`); only the (plan, trace,
-    fixpoint) coordinates, per-shard stats, and the arena header cross
-    the result pipe.  Falls back to plain pickling when
-    ``REPRO_POOL_TRANSFER=pickle``, on mixed process tuples, or when
+    (:func:`repro.columnar.ship_runs`); only the (plan, trace)
+    coordinates, per-shard stats, and the arena header cross the result
+    pipe.  Falls back to plain pickling on mixed process tuples or when
     shared memory is unavailable -- the driver detects the form.
     """
     leaves, stats = _explore_chunk(spec, entries)
-    if os.environ.get("REPRO_POOL_TRANSFER", "arena") == "pickle" or not leaves:
+    if not leaves:
         return ("plain", (leaves, stats))
-    runs = [run for _plan, _trace, run, _fix in leaves]
+    runs = [run for _plan, _trace, run in leaves]
     procs = runs[0].processes
     if any(run.processes != procs for run in runs):
         return ("plain", (leaves, stats))
@@ -93,7 +91,7 @@ def _explore_chunk_shipped(
         shipped = ship_runs(runs)
     except Exception:  # pragma: no cover - environmental
         return ("plain", (leaves, stats))
-    coords = [(plan, trace, fix) for plan, trace, _run, fix in leaves]
+    coords = [(plan, trace) for plan, trace, _run in leaves]
     return ("shipped", (coords, stats, shipped))
 
 
@@ -114,8 +112,7 @@ def _unship_result(
 
     runs = receive_runs(shipped)
     leaves: list["Leaf"] = [
-        (plan, trace, run, fix)
-        for (plan, trace, fix), run in zip(coords, runs)
+        (plan, trace, run) for (plan, trace), run in zip(coords, runs)
     ]
     return leaves, stats
 

@@ -31,7 +31,6 @@ from repro.detectors.properties import PropertyVerdict
 from repro.explore.monitors import RunMonitor, Violation
 from repro.explore.scheduler import Trace, replay
 from repro.explore.spec import ExploreSpec
-from repro.explore.symmetry import Renaming
 from repro.model.run import Run
 from repro.sim.failures import CrashPlan
 
@@ -48,7 +47,6 @@ class ShrinkResult:
     verdict: PropertyVerdict
     attempts: int  # candidate replays tried
     reductions: int  # candidates accepted (strictly simplifying steps)
-    renaming: Renaming = ()  # non-empty for symmetry-mirrored witnesses
 
     @property
     def crashes(self) -> dict[str, int]:
@@ -60,10 +58,9 @@ def _violates(
     monitor: RunMonitor,
     plan: CrashPlan,
     trace: Trace,
-    renaming: Renaming,
 ) -> tuple[Run, PropertyVerdict] | None:
     """Replay a candidate; return it iff the monitor still fails."""
-    run = replay(spec, plan, trace, renaming=renaming or None)
+    run = replay(spec, plan, trace)
     verdict = monitor.check(run)
     return None if verdict else (run, verdict)
 
@@ -88,15 +85,10 @@ def shrink_violation(
 
     ``monitor`` must be the monitor object whose check produced the
     violation (a :class:`Violation` carries only the monitor's *name*).
-
-    Symmetry-mirrored violations carry ``meta["renaming"]``; every
-    candidate replays the canonical preimage and is renamed back, so the
-    shrunk witness lives under the *original* (mirrored) crash plan.
     """
     plan = violation.crash_plan
     trace = _normalize(violation.trace)
-    renaming: Renaming = tuple(violation.run.meta.get("renaming", ()))
-    current = _violates(spec, monitor, plan, trace, renaming)
+    current = _violates(spec, monitor, plan, trace)
     attempts = 1
     if current is None:
         raise ValueError(
@@ -115,7 +107,7 @@ def shrink_violation(
             candidate_plan = CrashPlan(
                 tuple((p, t) for p, t in plan.crashes if p != pid)
             )
-            attempt = _violates(spec, monitor, candidate_plan, trace, renaming)
+            attempt = _violates(spec, monitor, candidate_plan, trace)
             attempts += 1
             if attempt is not None:
                 plan, current = candidate_plan, attempt
@@ -129,7 +121,7 @@ def shrink_violation(
             if candidate_trace == trace:
                 cut //= 2
                 continue
-            attempt = _violates(spec, monitor, plan, candidate_trace, renaming)
+            attempt = _violates(spec, monitor, plan, candidate_trace)
             attempts += 1
             if attempt is not None:
                 trace, current = candidate_trace, attempt
@@ -147,7 +139,7 @@ def shrink_violation(
             candidate_trace = _normalize(
                 trace[:index] + (0,) + trace[index + 1 :]
             )
-            attempt = _violates(spec, monitor, plan, candidate_trace, renaming)
+            attempt = _violates(spec, monitor, plan, candidate_trace)
             attempts += 1
             if attempt is not None:
                 trace, current = candidate_trace, attempt
@@ -166,5 +158,4 @@ def shrink_violation(
         verdict=verdict,
         attempts=attempts,
         reductions=reductions,
-        renaming=renaming,
     )

@@ -1,10 +1,7 @@
-"""The exploration specification: what to enumerate, and how hard to reduce.
+"""The exploration specification: what to enumerate, and how to reduce it.
 
-This is the home of :class:`ExploreSpec` (moved here from
-``repro.runtime.spec``; the old import path re-exports it with a
-``DeprecationWarning``).  The old boolean ``por``/``fingerprints``
-toggles are replaced by one ``reduction`` mode plus a
-:class:`ReductionConfig` of per-technique switches:
+:class:`ExploreSpec` names the whole bounded nondeterminism space of a
+context.  Its ``reduction`` field picks one of two modes:
 
 * ``reduction="none"`` -- the unreduced reference semantics: one branch
   per deliverable copy, one drop/accept branch per lossy submission.
@@ -17,17 +14,9 @@ toggles are replaced by one ``reduction`` mode plus a
   the drop branch sleeps (sleep sets from observed conflicts), and
   quiescence is recovered by synthesizing an R5-feasible drop schedule
   for the copies left in flight (see DESIGN.md section 12).
-* ``reduction="dpor+symmetry"`` -- additionally quotient the crash-plan
-  space by the process-renaming group when the configuration is
-  symmetric (assumption A1: failures do not depend on process identity);
-  an automatic asymmetry detector (pinned workload initiators, pid-
-  mentioning protocol kwargs, attached detectors) disables the quotient
-  safely, never unsoundly.
 
-The legacy keyword arguments still work for one release::
-
-    ExploreSpec(..., por=False)        # DeprecationWarning -> reduction="none"
-    ExploreSpec(..., fingerprints=...) # DeprecationWarning -> ignored (retired)
+Both modes enumerate the same run set; ``dpor`` just executes fewer
+branches to get there.
 """
 
 from __future__ import annotations
@@ -35,9 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import pickle
-import warnings
-from dataclasses import InitVar, dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from repro.detectors.base import DetectorOracle
 from repro.model.context import Context
@@ -45,65 +32,10 @@ from repro.model.events import ActionId, ProcessId
 from repro.sim.executor import ProtocolFactory
 from repro.sim.failures import CrashPlan
 
-__all__ = ["ExploreSpec", "ReductionConfig", "REDUCTION_MODES"]
+__all__ = ["ExploreSpec", "REDUCTION_MODES"]
 
 #: The legal ``ExploreSpec.reduction`` values.
-REDUCTION_MODES = ("none", "dpor", "dpor+symmetry")
-
-
-@dataclass(frozen=True)
-class ReductionConfig:
-    """Per-technique switches inside a reduction mode.
-
-    All techniques are run-set-preserving (the differential tests in
-    ``tests/test_explore_reduction_api.py`` assert bit-identical
-    ``Knows``/``C_G`` answers against ``reduction="none"``), so the
-    switches exist for debugging and ablation, not for soundness.
-
-    * ``delivery_grouping`` -- branch once per distinct ``(sender,
-      message)`` class of deliverable copies instead of once per copy;
-    * ``drop_elision`` -- never branch on drop/accept: dropped-copy runs
-      are reproduced by defer schedules and quiescence is synthesized;
-    * ``symmetry`` -- ``"auto"`` quotients crash plans by process
-      renaming when the spec passes the asymmetry detector, ``"on"``
-      forces the quotient (caller asserts symmetry), ``"off"`` disables
-      it; only consulted under ``reduction="dpor+symmetry"``;
-    * ``incremental`` -- seed the horizon-T frontier from a cached
-      horizon-(T-1) exploration of the otherwise-identical spec.
-    """
-
-    delivery_grouping: bool = True
-    drop_elision: bool = True
-    symmetry: str = "auto"
-    incremental: bool = True
-
-    def __post_init__(self) -> None:
-        if self.symmetry not in ("auto", "on", "off"):
-            raise ValueError("symmetry must be 'auto', 'on', or 'off'")
-
-
-def _legacy_reduction(
-    por: Optional[bool], fingerprints: Optional[bool]
-) -> Optional[str]:
-    """Map the retired boolean toggles onto a reduction mode (warning)."""
-    mode: Optional[str] = None
-    if por is not None:
-        warnings.warn(
-            "ExploreSpec(por=...) is deprecated; use "
-            "reduction='dpor' / reduction='none' instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        mode = "dpor" if por else "none"
-    if fingerprints is not None:
-        warnings.warn(
-            "ExploreSpec(fingerprints=...) is deprecated and ignored: "
-            "fingerprint pruning was retired in favour of dynamic "
-            "partial-order reduction (reduction='dpor')",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-    return mode
+REDUCTION_MODES = ("none", "dpor")
 
 
 @dataclass(frozen=True)
@@ -122,10 +54,9 @@ class ExploreSpec:
     makes the epistemic kernel's answers sound.
 
     ``reduction`` selects the state-space reduction mode (see module
-    docstring); ``reduction_config`` tunes the individual techniques.
-    ``max_executions`` is a safety valve: when hit, exploration stops
-    early and the resulting system is marked *incomplete*
-    (``ExploreStats.truncated``).
+    docstring).  ``max_executions`` is a safety valve: when hit,
+    exploration stops early and the resulting system is marked
+    *incomplete* (``ExploreStats.truncated``).
     """
 
     processes: tuple[ProcessId, ...]
@@ -138,20 +69,11 @@ class ExploreSpec:
     lossy: bool = False
     max_consecutive_drops: int = 2
     reduction: str = "dpor"
-    reduction_config: ReductionConfig = ReductionConfig()
     strategy: str = "dfs"
     max_executions: int | None = None
     context: Context | None = None
-    #: Retired boolean toggles, accepted for one release with a warning.
-    por: InitVar[Optional[bool]] = None
-    fingerprints: InitVar[Optional[bool]] = None
 
-    def __post_init__(
-        self, por: Optional[bool], fingerprints: Optional[bool]
-    ) -> None:
-        legacy = _legacy_reduction(por, fingerprints)
-        if legacy is not None:
-            object.__setattr__(self, "reduction", legacy)
+    def __post_init__(self) -> None:
         object.__setattr__(self, "processes", tuple(self.processes))
         object.__setattr__(self, "crash_ticks", tuple(self.crash_ticks))
         object.__setattr__(self, "workload", tuple(sorted(self.workload)))
@@ -174,17 +96,7 @@ class ExploreSpec:
             raise ValueError("strategy must be 'dfs' or 'bfs'")
 
     def with_(self, **changes: object) -> "ExploreSpec":
-        """A copy with the given fields replaced (sweep helper).
-
-        Accepts the retired ``por``/``fingerprints`` keys for one
-        release, mapping them onto ``reduction`` with a warning.
-        """
-        legacy = _legacy_reduction(
-            changes.pop("por", None),  # type: ignore[arg-type]
-            changes.pop("fingerprints", None),  # type: ignore[arg-type]
-        )
-        if legacy is not None:
-            changes.setdefault("reduction", legacy)
+        """A copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)  # type: ignore[arg-type]
 
     def crash_plans(self) -> tuple[CrashPlan, ...]:
@@ -223,7 +135,6 @@ class ExploreSpec:
                     self.lossy,
                     self.max_consecutive_drops,
                     self.reduction,
-                    self.reduction_config,
                     self.strategy,
                     self.max_executions,
                     self.context,

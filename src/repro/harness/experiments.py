@@ -65,8 +65,7 @@ from repro.model.context import ChannelSemantics, make_process_ids
 from repro.model.events import Message, StandardSuspicion
 from repro.model.run import r5_violations
 from repro.model.system import System
-from repro.runtime import RunSpec, run_ensemble, run_spec
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, RunSpec, run_ensemble, run_spec
 from repro.sim.executor import ExecutionConfig, Executor
 from repro.sim.failures import CrashPlan, all_crash_plans, staggered_plan
 from repro.sim.network import ChannelConfig
@@ -102,13 +101,16 @@ def run_e01(n: int = 4, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(NUDCProcess),
-        t=n,  # unbounded: every subset may fail
-        workload=single_action("p1", tick=1),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(NUDCProcess),
+            t=n,  # unbounded: every subset may fail
+            workload=single_action("p1", tick=1),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     ok = sum(1 for r in system if nudc_holds(r))
     result.row("runs", len(system))
     result.require(ok == len(system), f"DC1 & DC2' & DC3 in all runs ({ok}/{len(system)})")
@@ -152,14 +154,17 @@ def run_e02(n: int = 4, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(ReliableUDCProcess),
-        t=n,
-        workload=single_action("p1", tick=1),
-        seeds=seeds,
-        config=RELIABLE,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(ReliableUDCProcess),
+            t=n,
+            workload=single_action("p1", tick=1),
+            seeds=seeds,
+            config=RELIABLE,
+        ),
+        cache=None,
+    ).system()
     ok = sum(1 for r in system if udc_holds(r))
     result.row("runs (reliable)", len(system))
     result.require(ok == len(system), f"DC1-DC3 in all runs ({ok}/{len(system)})")
@@ -198,15 +203,18 @@ def run_e03(n: int = 4, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(StrongFDUDCProcess),
-        t=n,
-        workload=lambda plan: single_action("p1", tick=1)
-        + post_crash_workload(procs, plan, actions_per_survivor=1),
-        detector=StrongOracle(),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(StrongFDUDCProcess),
+            t=n,
+            workload=lambda plan: single_action("p1", tick=1)
+            + post_crash_workload(procs, plan, actions_per_survivor=1),
+            detector=StrongOracle(),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     ok = sum(1 for r in system if udc_holds(r))
     result.row("runs", len(system))
     result.require(ok == len(system), f"DC1-DC3 in all runs ({ok}/{len(system)})")
@@ -238,15 +246,18 @@ def run_e04(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        with_gossip(uniform_protocol(StrongFDUDCProcess)),
-        t=n - 1,
-        workload=lambda plan: single_action("p1", tick=1)
-        + post_crash_workload(procs, plan, actions_per_survivor=1),
-        detector=ImpermanentWeakOracle(),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            with_gossip(uniform_protocol(StrongFDUDCProcess)),
+            t=n - 1,
+            workload=lambda plan: single_action("p1", tick=1)
+            + post_crash_workload(procs, plan, actions_per_survivor=1),
+            detector=ImpermanentWeakOracle(),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     result.row("runs", len(system))
     ok = sum(1 for r in system if udc_holds(r))
     result.require(
@@ -354,14 +365,17 @@ def run_e05(n: int = 4) -> ExperimentResult:
 
     # 3. Control: a perfect oracle has no false suspicions, so weak and
     #    strong accuracy coincide over the whole A5 ensemble.
-    ensemble = a5t_ensemble(
-        procs,
-        uniform_protocol(StrongFDUDCProcess),
-        t=n - 1,
-        workload=workload,
-        detector=PerfectOracle(),
-        seeds=(0, 1),
-    )
+    ensemble = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(StrongFDUDCProcess),
+            t=n - 1,
+            workload=workload,
+            detector=PerfectOracle(),
+            seeds=(0, 1),
+        ),
+        cache=None,
+    ).system()
     equivalence = all(
         bool(weak_accuracy(r)) == bool(strong_accuracy(r)) for r in ensemble
     )
@@ -389,14 +403,17 @@ def run_e06(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(StrongFDUDCProcess),
-        t=n - 1,
-        workload=lambda plan: post_crash_workload(procs, plan, actions_per_survivor=2),
-        detector=PerfectOracle(),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(StrongFDUDCProcess),
+            t=n - 1,
+            workload=lambda plan: post_crash_workload(procs, plan, actions_per_survivor=2),
+            detector=PerfectOracle(),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     result.row("ensemble size", len(system))
     result.require(
         all(udc_holds(r) for r in system), "the ensemble attains UDC"
@@ -473,14 +490,17 @@ def run_e07(n: int = 5, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
     workload = single_action("p1", tick=1) + single_action("p3", tick=10, name="c0")
 
     for t in range(0, n):
-        system = a5t_ensemble(
-            procs,
-            uniform_protocol(GeneralizedFDUDCProcess, t=t),
-            t=t,
-            workload=workload,
-            detector=GeneralizedOracle(t, padding=1),
-            seeds=seeds,
-        )
+        system = run_ensemble(
+            EnsembleSpec.a5t(
+                procs,
+                uniform_protocol(GeneralizedFDUDCProcess, t=t),
+                t=t,
+                workload=workload,
+                detector=GeneralizedOracle(t, padding=1),
+                seeds=seeds,
+            ),
+            cache=None,
+        ).system()
         ok = sum(1 for r in system if udc_holds(r))
         useful = all(
             generalized_strong_accuracy(r)
@@ -494,14 +514,17 @@ def run_e07(n: int = 5, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
 
     # Gopal-Toueg: the trivial subset detector for t < n/2.
     t_small = (n - 1) // 2
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(GeneralizedFDUDCProcess, t=t_small),
-        t=t_small,
-        workload=workload,
-        detector=TrivialSubsetOracle(t_small),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(GeneralizedFDUDCProcess, t=t_small),
+            t=t_small,
+            workload=workload,
+            detector=TrivialSubsetOracle(t_small),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     ok = sum(1 for r in system if udc_holds(r))
     result.require(
         ok == len(system),
@@ -544,16 +567,19 @@ def run_e08(n: int = 4, t: int = 2, seeds: Sequence[int] = (0, 1)) -> Experiment
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(GeneralizedFDUDCProcess, t=t),
-        t=t,
-        workload=lambda plan: post_crash_workload(
-            procs, plan, actions_per_survivor=3
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(GeneralizedFDUDCProcess, t=t),
+            t=t,
+            workload=lambda plan: post_crash_workload(
+                procs, plan, actions_per_survivor=3
+            ),
+            detector=GeneralizedOracle(t),
+            seeds=seeds,
         ),
-        detector=GeneralizedOracle(t),
-        seeds=seeds,
-    )
+        cache=None,
+    ).system()
     result.row("ensemble size", len(system))
     result.require(all(udc_holds(r) for r in system), "the ensemble attains UDC")
     rfp = simulate_generalized_detectors(system)
@@ -586,15 +612,18 @@ def run_e10(n: int = 5, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
     )
     procs = make_process_ids(n)
     oracle = AtdRotatingOracle(rotation_period=12)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(AtdUDCProcess),
-        t=n - 2,
-        workload=lambda plan: single_action("p1", tick=1)
-        + post_crash_workload(procs, plan, actions_per_survivor=1),
-        detector=oracle,
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(AtdUDCProcess),
+            t=n - 2,
+            workload=lambda plan: single_action("p1", tick=1)
+            + post_crash_workload(procs, plan, actions_per_survivor=1),
+            detector=oracle,
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     result.row("runs", len(system))
     ok = sum(1 for r in system if udc_holds(r))
     result.require(ok == len(system), f"UDC in all runs ({ok}/{len(system)})")
@@ -624,14 +653,17 @@ def run_e11(n: int = 4, seeds: Sequence[int] = (0,)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
-    system = a5t_ensemble(
-        procs,
-        uniform_protocol(StrongFDUDCProcess),
-        t=n - 1,
-        workload=lambda plan: post_crash_workload(procs, plan, actions_per_survivor=1),
-        detector=PerfectOracle(),
-        seeds=seeds,
-    )
+    system = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(StrongFDUDCProcess),
+            t=n - 1,
+            workload=lambda plan: post_crash_workload(procs, plan, actions_per_survivor=1),
+            detector=PerfectOracle(),
+            seeds=seeds,
+        ),
+        cache=None,
+    ).system()
     checker = ModelChecker(system)
     actions = sorted({a for r in system for a in actions_in(r)})
     result.row("runs / actions", f"{len(system)} / {len(actions)}")
@@ -756,14 +788,17 @@ def run_e12(n: int = 4) -> ExperimentResult:
     from repro.knowledge.formulas import Inited
 
     procs = make_process_ids(n)
-    ensemble = a5t_ensemble(
-        procs,
-        uniform_protocol(StrongFDUDCProcess),
-        t=1,
-        workload=single_action("p1", tick=4),
-        detector=PerfectOracle(),
-        seeds=(0,),
-    )
+    ensemble = run_ensemble(
+        EnsembleSpec.a5t(
+            procs,
+            uniform_protocol(StrongFDUDCProcess),
+            t=1,
+            workload=single_action("p1", tick=4),
+            detector=PerfectOracle(),
+            seeds=(0,),
+        ),
+        cache=None,
+    ).system()
     echecker = ModelChecker(ensemble)
     action = ("p1", "a0")
     init = Inited("p1", action)
@@ -966,13 +1001,16 @@ def run_e13(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
     action = ("p1", "a0")
 
     def mixed_ensemble(factory):
-        with_action = a5t_ensemble(
-            procs, factory, t=1,
-            workload=single_action("p1", tick=1), seeds=seeds,
-        )
-        without_action = a5t_ensemble(
-            procs, factory, t=1, workload=[], seeds=seeds,
-        )
+        with_action = run_ensemble(
+            EnsembleSpec.a5t(
+                procs, factory, t=1,
+                workload=single_action("p1", tick=1), seeds=seeds,
+            ),
+            cache=None,
+        ).system()
+        without_action = run_ensemble(
+            EnsembleSpec.a5t(procs, factory, t=1, seeds=seeds), cache=None
+        ).system()
         return with_action.union(without_action)
 
     # 1. Knowledge gain: no process knows the init without a chain.
@@ -1115,16 +1153,19 @@ def run_a17(n: int = 4) -> ExperimentResult:
     procs = make_process_ids(n)
 
     def ensemble(num_seeds):
-        return a5t_ensemble(
-            procs,
-            uniform_protocol(StrongFDUDCProcess),
-            t=n - 1,
-            workload=lambda plan: post_crash_workload(
-                procs, plan, actions_per_survivor=2
+        return run_ensemble(
+            EnsembleSpec.a5t(
+                procs,
+                uniform_protocol(StrongFDUDCProcess),
+                t=n - 1,
+                workload=lambda plan: post_crash_workload(
+                    procs, plan, actions_per_survivor=2
+                ),
+                detector=PerfectOracle(),
+                seeds=tuple(range(num_seeds)),
             ),
-            detector=PerfectOracle(),
-            seeds=tuple(range(num_seeds)),
-        )
+            cache=None,
+        ).system()
 
     sizes = (1, 2, 3)
     prev_latency = None

@@ -167,19 +167,6 @@ def _encode_meta(meta: dict[str, Any]) -> dict[str, Any]:
             # Explorer choice traces: run.meta["trace"] must survive the
             # round-trip for cached violations to stay replayable.
             out[key] = {"__t": "int_tuple", "items": list(value)}
-        elif (
-            isinstance(value, tuple)
-            and value
-            and all(
-                isinstance(item, tuple)
-                and len(item) == 2
-                and all(isinstance(part, str) for part in item)
-                for item in value
-            )
-        ):
-            # Symmetry renamings: run.meta["renaming"] must survive for
-            # mirrored runs to stay replayable from the cache.
-            out[key] = {"__t": "str_pairs", "items": [list(item) for item in value]}
     return out
 
 
@@ -193,10 +180,6 @@ def _decode_meta(meta: dict[str, Any]) -> dict[str, Any]:
             out[key] = CrashPlan(tuple((p, t) for p, t in value["crashes"]))
         elif isinstance(value, dict) and value.get("__t") == "int_tuple":
             out[key] = tuple(int(item) for item in value["items"])
-        elif isinstance(value, dict) and value.get("__t") == "str_pairs":
-            out[key] = tuple(
-                (str(a), str(b)) for a, b in value["items"]
-            )
         else:
             out[key] = value
     return out

@@ -19,7 +19,7 @@ Quickstart::
         seeds=(0, 1, 2),
     )
     report = run_ensemble(spec, backend=ProcessPoolBackend(max_workers=4))
-    system = report.system()          # same System the legacy builders returned
+    system = report.system()          # the System the knowledge layer consumes
     print(report.summary())
 """
 

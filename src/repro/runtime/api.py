@@ -3,8 +3,11 @@
 ``run_ensemble`` is the one place ensembles get executed: it expands a
 declarative :class:`EnsembleSpec` (or takes explicit RunSpecs), serves
 what it can from the run cache, hands the misses to an execution
-backend, and assembles an :class:`EnsembleReport` in spec order.  The
-legacy builders in :mod:`repro.sim.ensembles` are thin wrappers over it.
+backend, and assembles an :class:`EnsembleReport` in spec order.  With
+``backend`` omitted it runs on the process-wide default backend
+(:func:`~repro.runtime.backends.set_default_backend`, which the harness
+``--backend`` flag sets), so every ensemble in a harness run follows
+that flag.
 
 Degradation contract: per-run faults (deadline overruns, worker
 crashes, executor exceptions that survive the retry policy) do **not**

@@ -199,14 +199,12 @@ def _execute_chunk_shipped(chunk: list[tuple[int, RunSpec]]) -> object:
     Executes the chunk, then parks the successful runs in one shared
     memory arena (:func:`repro.columnar.ship_runs`) so only a small
     header -- not the pickled run graph -- crosses the result pipe.
-    Falls back to the plain pickled form when ``REPRO_POOL_TRANSFER`` is
-    ``pickle``, when the chunk's runs span distinct process tuples, or
-    when shared memory is unavailable; the driver detects the form, so
-    the fallback is invisible to the retry machinery.
+    Falls back to the plain pickled form when the chunk's runs span
+    distinct process tuples or when shared memory is unavailable; the
+    driver detects the form, so the fallback is invisible to the retry
+    machinery.
     """
     results = _execute_chunk_safe(chunk)
-    if os.environ.get("REPRO_POOL_TRANSFER", "arena") == "pickle":
-        return results
     ok_slots = [
         (pos, index) for pos, (index, (tag, _)) in enumerate(results) if tag == "ok"
     ]

@@ -21,19 +21,19 @@ Disk integrity (the cache must never poison an ensemble):
   published with ``os.replace`` -- atomic on POSIX, so an interrupted
   process can never leave a torn entry under the real name;
 * every entry embeds a sha256 over its canonical JSON body, verified on
-  read; a mismatch (bit rot, tampering, a torn legacy write) quarantines
-  the file (renamed to ``*.corrupt``, recorded in ``quarantined``) and
-  reads as a miss, so the run is silently regenerated;
-* the pre-integrity v1 formats (a raw run dict / the v1 exploration
-  payload) are still readable -- without a checksum there is nothing to
-  verify, but parse failures quarantine the same way.
+  read; a mismatch (bit rot, tampering, a torn write) quarantines the
+  file (renamed to ``*.corrupt``, recorded in ``quarantined``) and reads
+  as a miss, so the run is silently regenerated;
+* the cache reads exactly the two formats it writes,
+  ``repro-run-entry-v2`` and ``repro-exploration-v4``.  An entry in any
+  other format (including the older, pre-checksum ones) takes the same
+  quarantine-and-miss path and is regenerated.
 
 Exploration groups are written in the v4 *arena* format: the whole run
 set rides as one :class:`repro.columnar.RunArena` (distinct events
-encoded once, occurrences as packed integers), which is roughly an
-order of magnitude smaller than the per-run timeline dicts of v2/v3.
-All earlier formats stay readable; ``bytes_written`` / ``bytes_read``
-track disk entry sizes.
+encoded once, occurrences as packed integers), roughly an order of
+magnitude smaller than per-run timeline dicts.  ``bytes_written`` /
+``bytes_read`` track disk entry sizes.
 
 ``run_ensemble`` consults the process-wide default cache unless told
 otherwise; disable with ``run_ensemble(..., cache=None)``.
@@ -53,36 +53,16 @@ from repro.runtime.spec import RunSpec, spec_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.reduction import ExploreStats
-    from repro.sim.failures import CrashPlan
 
 _RUN_FORMAT = "repro-run-entry-v2"
-_EXPLORE_FORMAT_V4 = "repro-exploration-v4"
-_EXPLORE_FORMAT_V3 = "repro-exploration-v3"
-_EXPLORE_FORMAT = "repro-exploration-v2"
-_EXPLORE_FORMAT_V1 = "repro-exploration-v1"
+_EXPLORE_FORMAT = "repro-exploration-v4"
 
-#: One recorded search leaf: (crash plan, choice trace, is-fixpoint,
-#: index of its run in the entry's run list).  Leaves are what let the
-#: explorer seed a horizon-(T+1) frontier from a horizon-T entry.
-LeafRecord = tuple["CrashPlan", tuple[int, ...], bool, int]
+#: One cached exhaustive exploration: its run set and search stats.
+Exploration = tuple[tuple[Run, ...], "ExploreStats"]
 
 
 class CacheIntegrityError(ValueError):
     """A disk cache entry failed parsing or its checksum check."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ExplorationEntry:
-    """One cached exhaustive exploration.
-
-    ``leaves`` is the search's complete leaf coordinate set (present for
-    v3 entries; ``None`` for entries written before leaves were
-    recorded, which simply cannot seed incremental extension).
-    """
-
-    runs: tuple[Run, ...]
-    stats: "ExploreStats"
-    leaves: tuple[LeafRecord, ...] | None = None
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -124,8 +104,6 @@ def _decode_run_entry(text: str) -> Run:
                 "recorded sha256 (torn write, bit rot, or tampering)"
             )
         return run_from_dict(body)
-    if "version" in payload:  # legacy v1: a raw run dict, no checksum
-        return run_from_dict(payload)
     raise CacheIntegrityError(
         f"unrecognized cache entry format {payload.get('format')!r}"
     )
@@ -148,7 +126,7 @@ class RunCache:
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self._memory: dict[str, Run] = {}
-        self._explorations: dict[str, ExplorationEntry] = {}
+        self._explorations: dict[str, Exploration] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -226,22 +204,13 @@ class RunCache:
         assert self.directory is not None
         return self.directory / f"explore-{digest}.json"
 
-    def get_exploration(
-        self, digest: str
-    ) -> tuple[tuple[Run, ...], "ExploreStats"] | None:
+    def get_exploration(self, digest: str) -> Exploration | None:
         """The cached (runs, stats) for an ExploreSpec digest, or None.
 
         The stats come back as a fresh copy, so a caller's monitor
         counters never leak into the cached baseline.  Corrupt entries
         quarantine and read as a miss, like :meth:`get`.
         """
-        entry = self.get_exploration_entry(digest)
-        if entry is None:
-            return None
-        return entry.runs, entry.stats
-
-    def get_exploration_entry(self, digest: str) -> ExplorationEntry | None:
-        """Like :meth:`get_exploration`, with the leaf coordinates too."""
         entry = self._explorations.get(digest)
         if entry is None and self.directory is not None:
             path = self._explore_path(digest)
@@ -261,21 +230,14 @@ class RunCache:
             self.misses += 1
             return None
         self.hits += 1
-        return dataclasses.replace(
-            entry, stats=dataclasses.replace(entry.stats)
-        )
+        runs, stats = entry
+        return runs, dataclasses.replace(stats)
 
     def put_exploration(
-        self,
-        digest: str,
-        runs: tuple[Run, ...],
-        stats: "ExploreStats",
-        leaves: tuple[LeafRecord, ...] | None = None,
+        self, digest: str, runs: tuple[Run, ...], stats: "ExploreStats"
     ) -> None:
         """Store one exhaustive exploration's complete run set."""
-        entry = ExplorationEntry(
-            tuple(runs), dataclasses.replace(stats), leaves
-        )
+        entry = (tuple(runs), dataclasses.replace(stats))
         self._explorations[digest] = entry
         if self.directory is not None:
             self.bytes_written += _save_exploration(
@@ -331,7 +293,7 @@ class RunCache:
         self.quarantined.clear()
 
 
-def _save_exploration(entry: ExplorationEntry, path: Path) -> int:
+def _save_exploration(entry: Exploration, path: Path) -> int:
     """Write a v4 (arena-bytes) exploration entry; returns bytes written.
 
     The run set is stored as one :class:`repro.columnar.RunArena` --
@@ -342,21 +304,12 @@ def _save_exploration(entry: ExplorationEntry, path: Path) -> int:
     from repro.columnar.arena import encode_runs
     from repro.columnar.jsonio import arena_to_jsonable
 
-    body: dict[str, object] = {"stats": entry.stats.as_dict()}
-    if entry.runs:
-        body["arena"] = arena_to_jsonable(encode_runs(entry.runs))
-    if entry.leaves is not None:
-        body["leaves"] = [
-            [
-                [[pid, tick] for pid, tick in plan.crashes],
-                list(trace),
-                fixpoint,
-                run_index,
-            ]
-            for plan, trace, fixpoint, run_index in entry.leaves
-        ]
+    runs, stats = entry
+    body: dict[str, object] = {"stats": stats.as_dict()}
+    if runs:
+        body["arena"] = arena_to_jsonable(encode_runs(runs))
     payload = {
-        "format": _EXPLORE_FORMAT_V4,
+        "format": _EXPLORE_FORMAT,
         "sha256": _body_sha256(body),
         "body": body,
     }
@@ -365,11 +318,15 @@ def _save_exploration(entry: ExplorationEntry, path: Path) -> int:
     return len(text)
 
 
-def _load_exploration(text: str) -> ExplorationEntry:
-    """Parse any exploration entry format (v4 arena, v3/v2 run dicts, v1)."""
+def _load_exploration(text: str) -> Exploration:
+    """Parse a v4 exploration entry.
+
+    Body keys other than ``stats`` and ``arena`` (such as the ``leaves``
+    coordinate list older v4 writers recorded) are ignored.
+    """
+    from repro.columnar.arena import decode_runs
+    from repro.columnar.jsonio import arena_from_jsonable
     from repro.explore.reduction import ExploreStats
-    from repro.model.serialize import run_from_dict
-    from repro.sim.failures import CrashPlan
 
     try:
         payload = json.loads(text)
@@ -378,59 +335,25 @@ def _load_exploration(text: str) -> ExplorationEntry:
     if not isinstance(payload, dict):
         raise CacheIntegrityError("exploration entry is not a JSON object")
     fmt = payload.get("format")
-    if fmt in (_EXPLORE_FORMAT, _EXPLORE_FORMAT_V3, _EXPLORE_FORMAT_V4):
-        body = payload.get("body")
-        if _body_sha256(body) != payload.get("sha256"):
-            raise CacheIntegrityError(
-                "content digest mismatch on exploration entry"
-            )
-        if not isinstance(body, dict):
-            raise CacheIntegrityError("exploration body is not a JSON object")
-    elif fmt == _EXPLORE_FORMAT_V1:  # legacy: body at top level, no checksum
-        body = payload
-    else:
+    if fmt != _EXPLORE_FORMAT:
         raise CacheIntegrityError(f"unrecognized exploration format {fmt!r}")
+    body = payload.get("body")
+    if _body_sha256(body) != payload.get("sha256"):
+        raise CacheIntegrityError("content digest mismatch on exploration entry")
+    if not isinstance(body, dict):
+        raise CacheIntegrityError("exploration body is not a JSON object")
     known = {f.name for f in dataclasses.fields(ExploreStats)}
     stats = ExploreStats(
         **{k: v for k, v in body.get("stats", {}).items() if k in known}
     )
-    if fmt == _EXPLORE_FORMAT_V4:
-        from repro.columnar.arena import decode_runs
-        from repro.columnar.jsonio import arena_from_jsonable
-
-        raw_arena = body.get("arena")
-        if raw_arena is None:
-            runs: tuple[Run, ...] = ()
-        elif isinstance(raw_arena, dict):
-            runs = decode_runs(arena_from_jsonable(raw_arena))
-        else:
-            raise CacheIntegrityError("v4 exploration arena is not an object")
+    raw_arena = body.get("arena")
+    if raw_arena is None:
+        runs: tuple[Run, ...] = ()
+    elif isinstance(raw_arena, dict):
+        runs = decode_runs(arena_from_jsonable(raw_arena))
     else:
-        runs = tuple(run_from_dict(entry) for entry in body.get("runs", ()))
-    leaves: tuple[LeafRecord, ...] | None = None
-    if fmt in (_EXPLORE_FORMAT_V3, _EXPLORE_FORMAT_V4):
-        raw_leaves = body.get("leaves")
-        if raw_leaves is None and fmt == _EXPLORE_FORMAT_V4:
-            pass  # v4 entries may legitimately record no leaves
-        elif not isinstance(raw_leaves, list):
-            raise CacheIntegrityError("v3 exploration entry without leaves")
-        else:
-            decoded: list[LeafRecord] = []
-            for crashes, trace, fixpoint, run_index in raw_leaves:
-                if not 0 <= int(run_index) < len(runs):
-                    raise CacheIntegrityError(
-                        "exploration leaf points outside its run list"
-                    )
-                decoded.append(
-                    (
-                        CrashPlan.of({pid: int(tick) for pid, tick in crashes}),
-                        tuple(int(i) for i in trace),
-                        bool(fixpoint),
-                        int(run_index),
-                    )
-                )
-            leaves = tuple(decoded)
-    return ExplorationEntry(runs, stats, leaves)
+        raise CacheIntegrityError("v4 exploration arena is not an object")
+    return runs, stats
 
 
 _default_cache: RunCache | None = None

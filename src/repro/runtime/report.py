@@ -4,8 +4,7 @@ Every ``run_ensemble`` call returns an :class:`EnsembleReport`: the runs
 (in spec order), one :class:`RunMetrics` per run, and batch-level
 figures (backend, total wall time, cache hits).  ``report.system()``
 lifts the runs into the :class:`repro.model.system.System` the knowledge
-machinery consumes, so the report is a strict superset of what the
-legacy ensemble builders returned.
+machinery consumes.
 """
 
 from __future__ import annotations

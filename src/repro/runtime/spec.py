@@ -14,9 +14,9 @@ That purity is what the rest of the runtime trades on --
 An :class:`EnsembleSpec` is the declarative grid form of the paper's
 systems: one protocol swept over crash plans and adversary seeds
 (DESIGN.md substitution 3).  ``expand()`` lowers it to the concrete
-``RunSpec`` list, plan-major / seed-minor -- the same order the legacy
-:func:`repro.sim.ensembles.build_ensemble` used, so migrated callers see
-identical systems.
+``RunSpec`` list, plan-major / seed-minor, and
+:func:`repro.runtime.run_ensemble` executes that list on the chosen
+backend.
 """
 
 from __future__ import annotations

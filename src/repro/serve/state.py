@@ -618,7 +618,7 @@ class ServeState:
             raise WireError("no-cache", "server was started without a run cache")
         if not isinstance(digest, str) or not digest:
             raise WireError("bad-request", "'digest' must be a non-empty string")
-        entry = self.cache.get_exploration_entry(digest)
+        entry = self.cache.get_exploration(digest)
         if entry is None:
             reason = self.cache.quarantine_reason(digest)
             if reason is not None:
@@ -628,13 +628,14 @@ class ServeState:
                     f"was quarantined: {reason}",
                 )
             raise WireError("not-found", f"no cached exploration for digest {digest}")
-        if not entry.runs:
+        runs, _stats = entry
+        if not runs:
             raise WireError("empty-system", f"cached exploration {digest} has no runs")
         # Only exhaustive explorations are ever cached, so the loaded
         # system is complete by construction.
         return SystemSession(
             name,
-            System(entry.runs, complete=True),
+            System(runs, complete=True),
             source=f"cache:{digest}",
         )
 

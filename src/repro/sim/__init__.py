@@ -9,8 +9,11 @@ produces :class:`repro.model.run.Run` objects:
 * :mod:`repro.sim.process`  -- the protocol interface and environment.
 * :mod:`repro.sim.executor` -- the deterministic seeded scheduler that
   turns (protocol, context, adversary seed) into a run.
-* :mod:`repro.sim.ensembles` -- helpers that build Systems (sets of
-  runs) by sweeping seeds and crash plans.
+
+Systems (sets of runs) are built one layer up:
+:func:`repro.runtime.run_ensemble` sweeps an
+:class:`~repro.runtime.EnsembleSpec` over seeds and crash plans, and
+:func:`repro.explore.explore` enumerates every run up to a horizon.
 """
 
 from repro.sim.executor import ExecutionConfig, Executor, execute

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -194,8 +193,8 @@ class Executor:
     def from_spec(cls, spec: "RunSpec") -> "Executor":
         """Build an executor from a declarative :class:`repro.runtime.RunSpec`.
 
-        This is the canonical constructor; the kwargs form exists for
-        incremental construction and for the legacy call sites.
+        This is the canonical constructor; the keyword form builds an
+        executor directly from its parts.
         """
         return cls(
             spec.processes,
@@ -400,29 +399,17 @@ class Executor:
             raise AssertionError(f"unexpected event {event!r}")
 
 
-def execute(
-    spec_or_processes,
-    protocol_factory: ProtocolFactory | None = None,
-    **kwargs,
-) -> Run:
-    """One-shot execution: the canonical shape is ``execute(RunSpec(...))``.
+def execute(spec: "RunSpec") -> Run:
+    """One-shot execution of a :class:`repro.runtime.RunSpec`.
 
-    The legacy kwargs shape ``execute(processes, protocol_factory, ...)``
-    still works but duplicates :class:`Executor`'s parameter plumbing and
-    is deprecated; build a :class:`repro.runtime.RunSpec` instead.
+    Exactly ``Executor.from_spec(spec).run()``; anything other than a
+    ``RunSpec`` raises ``TypeError`` (build the executor directly with
+    :class:`Executor` for the keyword form).
     """
     from repro.runtime.spec import RunSpec  # local: avoids an import cycle
 
-    if isinstance(spec_or_processes, RunSpec):
-        if protocol_factory is not None or kwargs:
-            raise TypeError(
-                "execute(spec) takes no further arguments; put them in the spec"
-            )
-        return Executor.from_spec(spec_or_processes).run()
-    warnings.warn(
-        "execute(processes, protocol_factory, **kwargs) is deprecated; "
-        "pass a repro.runtime.RunSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Executor(spec_or_processes, protocol_factory, **kwargs).run()
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            f"execute() takes a repro.runtime.RunSpec, got {type(spec).__name__}"
+        )
+    return Executor.from_spec(spec).run()

@@ -21,7 +21,7 @@ from repro.model.context import make_process_ids
 from repro.model.events import SuspectEvent
 from repro.model.run import validate_run
 from repro.model.system import System
-from repro.sim.ensembles import a5t_ensemble
+from repro.runtime import EnsembleSpec, run_ensemble
 from repro.sim.executor import Executor
 from repro.sim.failures import sample_crash_plan
 from repro.sim.process import uniform_protocol
@@ -33,16 +33,19 @@ PROCS = make_process_ids(3)
 
 
 def small_system(detector=None, seeds=(0,)):
-    return a5t_ensemble(
-        PROCS,
-        uniform_protocol(StrongFDUDCProcess),
-        t=2,
-        workload=lambda plan: post_crash_workload(
-            PROCS, plan, actions_per_survivor=1
+    return run_ensemble(
+        EnsembleSpec.a5t(
+            PROCS,
+            uniform_protocol(StrongFDUDCProcess),
+            t=2,
+            workload=lambda plan: post_crash_workload(
+                PROCS, plan, actions_per_survivor=1
+            ),
+            detector=detector or PerfectOracle(),
+            seeds=seeds,
         ),
-        detector=detector or PerfectOracle(),
-        seeds=seeds,
-    )
+        cache=None,
+    ).system()
 
 
 class TestSubsetOrder:

@@ -46,6 +46,33 @@ class TestExperimentRegistry:
         assert result.exp_id == "A14"
 
 
+class TestBackendSelection:
+    def test_ensemble_sweeps_follow_the_default_backend(self):
+        """``--backend`` installs the process-wide default backend; an
+        experiment's A5_t sweep must run on it, not on a serial backend
+        chosen behind the caller's back."""
+        from repro.runtime import SerialBackend, set_default_backend
+
+        class RecordingBackend(SerialBackend):
+            name = "recording"
+
+            def __init__(self):
+                self.batch_sizes = []
+
+            def run_all_safe(self, specs, policy=None):
+                self.batch_sizes.append(len(specs))
+                return super().run_all_safe(specs, policy)
+
+        backend = RecordingBackend()
+        set_default_backend(backend)
+        try:
+            result = run_experiment("E12")
+        finally:
+            set_default_backend(None)
+        assert result.passed, render_result(result)
+        assert backend.batch_sizes, "E12's sweep bypassed the default backend"
+
+
 # One test per experiment, so failures localize.  These run the real
 # experiment functions (at their default, already-modest scale).
 

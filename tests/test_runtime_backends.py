@@ -123,22 +123,6 @@ class TestEnsembleReport:
         assert all(m.events > 0 for m in report.metrics)
         assert report.run_wall_time > 0
 
-    def test_system_matches_legacy_builder(self):
-        from repro.sim.ensembles import a5t_ensemble
-
-        spec = e07_style_spec(seeds=(0, 1))
-        report = run_ensemble(spec, backend=SerialBackend(), cache=None)
-        legacy = a5t_ensemble(
-            PROCS,
-            uniform_protocol(GeneralizedFDUDCProcess, t=2),
-            t=2,
-            workload=single_action("p1", tick=1)
-            + single_action("p3", tick=10, name="c0"),
-            detector=GeneralizedOracle(2, padding=1),
-            seeds=(0, 1),
-        )
-        assert list(report.system().runs) == list(legacy.runs)
-
     def test_summary_renders(self):
         report = run_ensemble(
             e07_style_spec(seeds=(0,)), backend=SerialBackend(), cache=None

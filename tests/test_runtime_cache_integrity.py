@@ -79,7 +79,10 @@ class TestQuarantine:
         (entry,) = fresh.quarantined
         assert "digest mismatch" in entry[1]
 
-    def test_legacy_unchecksummed_entry_still_readable(self, tmp_path):
+    def test_unchecksummed_entry_is_quarantined(self, tmp_path):
+        """A bare run dict (no checksummed v2 envelope) is not a format
+        the cache reads: it quarantines, reads as a miss, and the next
+        put heals it."""
         from repro.model.serialize import run_to_dict
 
         spec = make_spec()
@@ -87,8 +90,28 @@ class TestQuarantine:
         path = tmp_path / f"{spec.digest()}.json"
         path.write_text(json.dumps(run_to_dict(run)), encoding="utf-8")
         fresh = RunCache(tmp_path)
-        assert fresh.get(spec) == run
-        assert fresh.quarantined == []
+        assert fresh.get(spec) is None
+        (entry,) = fresh.quarantined
+        assert entry[0] == spec.digest()
+        assert "unrecognized cache entry format" in entry[1]
+        assert (tmp_path / f"{spec.digest()}.corrupt").exists()
+
+        fresh.put(spec, run)
+        assert RunCache(tmp_path).get(spec) == run
+
+    def test_old_exploration_formats_quarantined(self, tmp_path):
+        """Exploration entries older than v4 are misses, not errors."""
+        for fmt in ("repro-exploration-v1", "repro-exploration-v3"):
+            path = tmp_path / f"explore-{fmt}.json"
+            path.write_text(
+                json.dumps({"format": fmt, "runs": [], "stats": {}}),
+                encoding="utf-8",
+            )
+            fresh = RunCache(tmp_path)
+            assert fresh.get_exploration(fmt) is None
+            (entry,) = fresh.quarantined
+            assert "unrecognized exploration format" in entry[1]
+            assert path.with_name(f"explore-{fmt}.corrupt").exists()
 
     def test_run_ensemble_surfaces_cache_corruption_as_recovery(self, tmp_path):
         spec = make_spec()
