@@ -19,8 +19,8 @@ arrays over the global point numbering (point ``(runs[i], m)`` has id
 * ``known masks`` -- per class, the AND of its members' crash rows
   (= {q : K_p crash(q)}), computed in one ``bitwise_and.reduceat``.
 
-One E_G step is then five array operations *total* (gather members,
-segment-sum, compare to sizes, gather per point, AND across the group)
+One E_G step is then four array operations *total* (gather members,
+segment-AND per class, gather per point, AND across the group)
 instead of a Python loop over classes, and the C_G greatest fixpoint
 iterates that step on a boolean point vector.  Without numpy the same
 sweeps run over Python-int bitsets, one per class -- identical results.
@@ -28,32 +28,30 @@ sweeps run over Python-int bitsets, one per class -- identical results.
 Point sets cross the kernel boundary as an opaque ``PointSet`` (numpy
 bool vector or int bitset); callers use :meth:`ColumnarKernel.full_set`,
 ``intersect``, ``sets_equal`` and ``iter_point_ids`` rather than
-touching the representation.
+touching the representation.  The same sets carry formula evaluation
+(:class:`~repro.knowledge.semantics.ModelChecker`), one primitive per
+node kind:
+
+* history atoms -- per (run, process) timeline, the suffix of points
+  from the first matching event on, clamped at the run's duration;
+* Box / Diamond -- a per-run suffix scan over the run's point segment;
+* K_p -- the class-wise reduction plus broadcast of the E_G step;
+* Boolean connectives -- bit operations.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import reduce
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.columnar.arena import RunArena, encode_runs, extend_arena
 from repro.columnar.backend import numpy_or_none
-from repro.knowledge.formulas import (
-    And,
-    Crashed,
-    Formula,
-    Implies,
-    Knows,
-    Not,
-    Or,
-    _Const,
-)
 from repro.model.events import ProcessId
 from repro.model.history import History
 from repro.model.run import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.knowledge.semantics import ModelChecker
     from repro.model.system import System
 
 #: Opaque point-set representation: numpy bool[P] or a Python int bitset.
@@ -190,6 +188,8 @@ class ColumnarKernel:
         self._known_set_cache: dict[int, frozenset[ProcessId]] = {}
         self._count_cache: dict[tuple[int, int], int] = {}
         self._class_bits_int: list[int] | None = None
+        self._singletons: list[History] | None = None
+        self._atom_sets: dict[tuple[int, tuple[int, ...]], PointSet] = {}
 
     # -- index construction --------------------------------------------------
 
@@ -523,11 +523,31 @@ class ColumnarKernel:
     def intersect(self, a: PointSet, b: PointSet) -> PointSet:
         return a & b
 
+    def union(self, a: PointSet, b: PointSet) -> PointSet:
+        return a | b
+
+    def complement(self, s: PointSet) -> PointSet:
+        if self.np is not None:
+            return ~s
+        return s ^ ((1 << self.point_total) - 1)
+
     def sets_equal(self, a: PointSet, b: PointSet) -> bool:
         np = self.np
         if np is not None:
             return bool(np.array_equal(a, b))
         return bool(a == b)
+
+    def contains(self, s: PointSet, point_id: int) -> bool:
+        if self.np is not None:
+            return bool(s[point_id])
+        return bool((s >> point_id) & 1)
+
+    def first_point(self, s: PointSet) -> int | None:
+        """The smallest point id in the set, or None if it is empty."""
+        if self.np is not None:
+            k = int(self.np.argmax(s))
+            return k if s[k] else None
+        return (s & -s).bit_length() - 1 if s else None
 
     def iter_point_ids(self, s: PointSet) -> list[int]:
         """The point ids of a set, ascending."""
@@ -541,6 +561,43 @@ class ColumnarKernel:
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
+
+    def set_from_values(self, values: Iterable[bool]) -> PointSet:
+        """The set given by one truth value per point id, in id order."""
+        return self._from_flags("".join("1" if v else "0" for v in values))
+
+    # Per-run scans work on a set spelled as one '0'/'1' character per
+    # point id: slicing and rfind over a run's segment are C-level.
+
+    def _flags(self, s: PointSet) -> str:
+        if self.np is not None:
+            return (s.astype(self.np.uint8) + 48).tobytes().decode()
+        return format(s, "b").zfill(self.point_total)[::-1]
+
+    def _from_flags(self, flags: str) -> PointSet:
+        if self.np is not None:
+            return self.np.frombuffer(flags.encode(), dtype=self.np.uint8) == 49
+        return int(flags[::-1], 2)
+
+    def _spans(self) -> Iterator[tuple[int, int]]:
+        """Each run's first point id and point count."""
+        start = 0
+        for duration in self.arena.columns_as_lists()[0]:
+            yield start, duration + 1
+            start += duration + 1
+
+    def _suffix_set(self, first: Iterable[int]) -> PointSet:
+        """The points at time ``first[i]`` or later of every run ``i``."""
+        parts: list[str] = []
+        for f, (_, n) in zip(first, self._spans()):
+            k = min(f, n)
+            parts.append("0" * k + "1" * (n - k))
+        return self._from_flags("".join(parts))
+
+    def _after_last(self, s: PointSet) -> list[int]:
+        """Per run, one past the time of its last point in ``s`` (0 if none)."""
+        flags = self._flags(s)
+        return [max(flags.rfind("1", a, a + n) + 1 - a, 0) for a, n in self._spans()]
 
     def _class_bits_list(self) -> list[int]:
         """Fallback representation: each class's member set as an int bitset."""
@@ -568,6 +625,64 @@ class ColumnarKernel:
         bits = self._class_bits_list()[cid]
         return bits & s == bits
 
+    # -- formula primitives --------------------------------------------------
+
+    def history_atom_set(
+        self, j: int, test: Callable[[History], bool]
+    ) -> PointSet:
+        """The points where process index ``j``'s history passes ``test``.
+
+        ``test`` must hold of a history iff it holds of one of its
+        events alone (so histories only ever start passing it): per run
+        the set is then the suffix from the timeline's first passing
+        event.  Events past the duration never enter a cut.  Cached per
+        (process, passing events): callers rebuild equal atoms freely.
+        """
+        singles = self._singletons
+        if singles is None:
+            singles = self._singletons = [History((e,)) for e in self.arena.events]
+        passing = tuple(eid for eid, h in enumerate(singles) if test(h))
+        atom = self._atom_sets.get((j, passing))
+        if atom is None:
+            _, offsets, times, eids = self.arena.columns_as_lists()
+            wanted = set(passing)
+            first: list[int] = []
+            for row in range(j, len(offsets) - 1, self.n):
+                row_times = range(offsets[row], offsets[row + 1])
+                hits = (times[k] for k in row_times if eids[k] in wanted)
+                first.append(next(hits, self.point_total))
+            atom = self._atom_sets[(j, passing)] = self._suffix_set(first)
+        return atom
+
+    def eventually_set(self, s: PointSet) -> PointSet:
+        """Diamond: the points with a point of ``s`` at or after them in
+        their run (the final cut repeats forever, so a run's last point
+        stands for its infinite tail)."""
+        return self.complement(self._suffix_set(self._after_last(s)))
+
+    def always_set(self, s: PointSet) -> PointSet:
+        """Box: the points from which every point of their run is in ``s``."""
+        return self._suffix_set(self._after_last(self.complement(s)))
+
+    def knows_set(self, j: int, s: PointSet) -> PointSet:
+        """K_p over a point set: the points whose ~_p class (p = process
+        index ``j``) lies wholly inside ``s``."""
+        if self.np is not None:
+            result: PointSet = self._classes_within(s)[self.point_class_rows[j]]
+            return result
+        bits_l = self._class_bits_list()
+        keep = 0
+        for cid in self.class_ids(j):
+            b = bits_l[cid]
+            if b & s == b:
+                keep |= b
+        return keep
+
+    def _classes_within(self, s: PointSet) -> Any:
+        """numpy only: per class, whether every member is in ``s``."""
+        members = s[self.class_points_csr]
+        return self.np.logical_and.reduceat(members, self.class_offsets_csr[:-1])
+
     # -- the E_G step and fixpoints -------------------------------------------
 
     def e_step(self, members_j: Sequence[int], current: PointSet) -> PointSet:
@@ -579,25 +694,13 @@ class ColumnarKernel:
         self.system.stats.ck_fixpoint_iterations += 1
         if not members_j:
             return self.full_set()
-        np = self.np
-        if np is not None:
-            sel = current[self.class_points_csr]
-            hits = np.add.reduceat(sel, self.class_offsets_csr[:-1])
-            ok = hits == self.class_sizes
-            keep = ok[self.point_class_rows[list(members_j)]]
-            result: PointSet = keep.all(axis=0)
+        if self.np is not None:
+            ok = self._classes_within(current)
+            result: PointSet = ok[self.point_class_rows[list(members_j)]].all(axis=0)
             return result
-        bits_l = self._class_bits_list()
-        acc: int | None = None
-        for j in members_j:
-            keep_bits = 0
-            for cid in self.class_ids(j):
-                b = bits_l[cid]
-                if b & current == b:
-                    keep_bits |= b
-            acc = keep_bits if acc is None else acc & keep_bits
-        assert acc is not None
-        return acc
+        return reduce(
+            self.intersect, [self.knows_set(j, current) for j in members_j]
+        )
 
     def ck_fixpoint(
         self, members_j: Sequence[int], base: PointSet
@@ -610,81 +713,3 @@ class ColumnarKernel:
                 break
             current = refined
         return current
-
-    # -- formula vectorization -----------------------------------------------
-
-    def formula_set(self, checker: "ModelChecker", formula: Formula) -> PointSet:
-        """The point set satisfying ``formula``.
-
-        Crash / boolean / Knows nodes evaluate as whole-vector array
-        operations; anything else falls back to the model checker's
-        ``holds`` per point (memoized there), filling the set directly.
-        """
-        vec = self._vector_formula(formula)
-        if vec is not None:
-            return vec
-        np = self.np
-        holds = checker.holds
-        if np is not None:
-            out = np.empty(self.point_total, dtype=bool)
-            pid = 0
-            for run in self.system.runs:
-                for m in range(run.duration + 1):
-                    out[pid] = holds(formula, Point(run, m))
-                    pid += 1
-            return out
-        bits = 0
-        pid = 0
-        for run in self.system.runs:
-            for m in range(run.duration + 1):
-                if holds(formula, Point(run, m)):
-                    bits |= 1 << pid
-                pid += 1
-        return bits
-
-    def _vector_formula(self, formula: Formula) -> PointSet | None:
-        np = self.np
-        if np is None:
-            return None
-        if isinstance(formula, _Const):
-            return self.full_set() if formula.value else self.empty_set()
-        if isinstance(formula, Crashed):
-            if self.crash_mask_rows is None:
-                return None
-            try:
-                bit = self.system.process_bit(formula.process)
-            except KeyError:
-                return None
-            result: PointSet = ((self.crash_mask_rows >> bit) & 1).astype(bool)
-            return result
-        if isinstance(formula, Not):
-            child = self._vector_formula(formula.child)
-            return None if child is None else ~child
-        if isinstance(formula, (And, Or)):
-            parts = [self._vector_formula(part) for part in formula.parts]
-            if any(part is None for part in parts):
-                return None
-            if not parts:
-                return self.full_set() if isinstance(formula, And) else self.empty_set()
-            op = np.logical_and if isinstance(formula, And) else np.logical_or
-            return op.reduce(parts)
-        if isinstance(formula, Implies):
-            a = self._vector_formula(formula.antecedent)
-            b = self._vector_formula(formula.consequent)
-            if a is None or b is None:
-                return None
-            return ~a | b
-        if isinstance(formula, Knows):
-            child = self._vector_formula(formula.child)
-            if child is None:
-                return None
-            try:
-                j = self.system.process_bit(formula.process)
-            except KeyError:
-                return None
-            sel = child[self.class_points_csr]
-            hits = np.add.reduceat(sel, self.class_offsets_csr[:-1])
-            ok = hits == self.class_sizes
-            knows_vec: PointSet = ok[self.point_class_rows[j]]
-            return knows_vec
-        return None

@@ -57,7 +57,11 @@ def _transformed_timelines(
     report_for,
 ) -> dict[ProcessId, list]:
     """Shared skeleton of f and f': copy non-FD events to even times and
-    splice derived reports (produced by ``report_for``) at odd times."""
+    splice derived reports (``report_for(p, point)``) at odd times."""
+    # Query through the system's own object for the run, so each point
+    # lookup resolves by identity instead of a deep Run.__eq__.
+    pos = system.run_index(run)
+    own = run if pos is None else system.runs[pos]
     timelines: dict[ProcessId, list] = {}
     for p in run.processes:
         crash_tick = run.crash_time(p)
@@ -65,7 +69,7 @@ def _transformed_timelines(
         for m in range(run.duration + 1):
             if crash_tick is not None and m >= crash_tick:
                 break  # R4: nothing follows the crash event
-            report = report_for(p, m)
+            report = report_for(p, Point(own, m))
             if report is not None:
                 merged.append((2 * m + 1, SuspectEvent(p, report, derived=True)))
         for t, event in run.timeline(p):
@@ -80,9 +84,8 @@ def _transformed_timelines(
 def transform_run_f(run: Run, system: System) -> Run:
     """The transformation f of Theorem 3.6 (P1-P3)."""
 
-    def report_for(p: ProcessId, m: int) -> StandardSuspicion:
-        known = system.known_crashed_set(p, Point(run, m))
-        return StandardSuspicion(known)
+    def report_for(p: ProcessId, point: Point) -> StandardSuspicion:
+        return StandardSuspicion(system.known_crashed_set(p, point))
 
     timelines = _transformed_timelines(run, system, report_for)
     return Run(
@@ -109,11 +112,11 @@ def transform_run_f_prime(run: Run, system: System) -> Run:
     subsets = subset_order(run.processes)
     modulus = len(subsets)
 
-    def report_for(p: ProcessId, m: int) -> GeneralizedSuspicion:
+    def report_for(p: ProcessId, point: Point) -> GeneralizedSuspicion:
         # P3': the subset index is the length of r_p(m+1) mod 2^n.
-        history_len = len(run.history(p, min(m + 1, run.duration)))
+        history_len = len(run.history(p, min(point.time + 1, run.duration)))
         subset = subsets[history_len % modulus]
-        k = system.known_crash_count(p, Point(run, m), subset)
+        k = system.known_crash_count(p, point, subset)
         return GeneralizedSuspicion(subset, k)
 
     timelines = _transformed_timelines(run, system, report_for)

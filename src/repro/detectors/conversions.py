@@ -246,13 +246,6 @@ def convert_weak_to_strong(run: Run) -> Run:
     )
 
 
-def convert_system_weak_to_strong(system: System) -> System:
-    """Apply Prop 2.1's conversion to every run of a system."""
-    return System(
-        [convert_weak_to_strong(r) for r in system], context=system.context
-    )
-
-
 # ---------------------------------------------------------------------------
 # Section 4: n-useful <-> perfect
 # ---------------------------------------------------------------------------
@@ -295,19 +288,4 @@ def convert_perfect_to_n_useful(run: Run) -> Run:
         initial_state=frozenset,
         update=update,
         report_of=lambda state: GeneralizedSuspicion(state, len(state)),
-    )
-
-
-def convert_system_generalized_to_perfect(system: System) -> System:
-    """Apply the n-useful -> perfect conversion to every run."""
-    return System(
-        [convert_generalized_to_perfect(r) for r in system],
-        context=system.context,
-    )
-
-
-def convert_system_perfect_to_n_useful(system: System) -> System:
-    """Apply the perfect -> n-useful conversion to every run."""
-    return System(
-        [convert_perfect_to_n_useful(r) for r in system], context=system.context
     )

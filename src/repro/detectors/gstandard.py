@@ -43,20 +43,6 @@ def g_complement(report: CorrectReport) -> frozenset[ProcessId]:
     return report.universe - report.correct
 
 
-@dataclass(frozen=True, slots=True)
-class GReport:
-    """A non-standard report wrapped as a suspicion payload.
-
-    ``Suspicion`` in histories is StandardSuspicion/GeneralizedSuspicion;
-    g-standard oracles emit a StandardSuspicion computed by g so the
-    existing checkers apply, but they also keep the raw report in
-    ``raw`` for tests that exercise the g mapping itself.
-    """
-
-    raw: object
-    mapped: frozenset[ProcessId]
-
-
 class GStandardOracle(DetectorOracle):
     """Wrap a standard oracle: emit the g-image of a non-standard encoding.
 

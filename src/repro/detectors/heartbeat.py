@@ -34,7 +34,6 @@ from repro.model.events import (
     SuspectEvent,
 )
 from repro.model.run import Run
-from repro.model.system import System
 from repro.sim.process import ProcessEnv, ProtocolProcess
 
 HEARTBEAT = "hb"
@@ -157,12 +156,4 @@ def derive_heartbeat_suspicions(run: Run, *, timeout: int = 14) -> Run:
         timelines,
         duration=2 * run.duration + 1,
         meta={**run.meta, "transformed": "heartbeat"},
-    )
-
-
-def derive_system_heartbeat(system: System, *, timeout: int = 14) -> System:
-    """Derive heartbeat suspicions for every run of a system."""
-    return System(
-        [derive_heartbeat_suspicions(r, timeout=timeout) for r in system],
-        context=system.context,
     )

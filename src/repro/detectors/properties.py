@@ -181,22 +181,6 @@ def is_weak(run: Run, *, derived: bool = False) -> PropertyVerdict:
     return weak_accuracy(run, derived=derived)
 
 
-def is_impermanent_strong(run: Run, *, derived: bool = False) -> PropertyVerdict:
-    """Impermanent strong completeness + weak accuracy."""
-    verdict = impermanent_strong_completeness(run, derived=derived)
-    if not verdict:
-        return verdict
-    return weak_accuracy(run, derived=derived)
-
-
-def is_impermanent_weak(run: Run, *, derived: bool = False) -> PropertyVerdict:
-    """Impermanent weak completeness + weak accuracy."""
-    verdict = impermanent_weak_completeness(run, derived=derived)
-    if not verdict:
-        return verdict
-    return weak_accuracy(run, derived=derived)
-
-
 # ---------------------------------------------------------------------------
 # Generalized detector properties (Section 4)
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from repro.model.run import r5_violations
 from repro.model.system import System
 from repro.runtime import EnsembleSpec, RunSpec, run_ensemble, run_spec
 from repro.sim.executor import ExecutionConfig, Executor
-from repro.sim.failures import CrashPlan, all_crash_plans, staggered_plan
+from repro.sim.failures import CrashPlan, staggered_plan
 from repro.sim.network import ChannelConfig
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import (
@@ -77,13 +77,6 @@ from repro.workloads.generators import (
 
 RELIABLE = ExecutionConfig(channel=ChannelConfig(semantics=ChannelSemantics.RELIABLE))
 FAIR = ExecutionConfig()  # fair-lossy defaults
-
-
-def _plans_with_jitter(processes, t: int, ticks=(6, 14)) -> list[CrashPlan]:
-    plans: list[CrashPlan] = []
-    for tick in ticks:
-        plans.extend(all_crash_plans(processes, max_failures=t, crash_tick=tick))
-    return plans
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.knowledge.formulas import Formula, Implies, Knows, Not, Or, Box
 from repro.knowledge.semantics import ModelChecker
 from repro.model.events import ProcessId
-from repro.model.history import History
 from repro.model.run import Point
 
 
@@ -42,24 +41,20 @@ def insensitive_to_failure(
     """
     system = checker.system
     kernel = system.columnar_kernel()
-    # One representative point per ~_process class: its first member, in
-    # class-id (= first-occurrence) order.
-    seen: dict[History, Point] = {}
-    for cid in kernel.class_ids(system.process_bit(process)):
-        point = system.point_at(kernel.member_point_ids(cid)[0])
-        seen[point.history(process)] = point
-    for history, point in seen.items():
+    j = system.process_bit(process)
+
+    def representative(cid: int) -> Point:  # a class's first member
+        return system.point_at(kernel.member_point_ids(cid)[0])
+
+    for cid in kernel.class_ids(j):
+        point = representative(cid)
+        history = point.history(process)
         if not history.crashed:
             continue
-        if len(history) == 0:
-            continue
-        parent = history.prefix(len(history) - 1)
-        parent_point = seen.get(parent)
-        if parent_point is None:
-            continue
-        crashed_truth = checker.holds(formula, point)
-        parent_truth = checker.holds(formula, parent_point)
-        if crashed_truth != parent_truth:
+        parent = kernel.class_of_history(j, history.prefix(len(history) - 1))
+        if parent is not None and checker.holds(formula, point) != checker.holds(
+            formula, representative(parent)
+        ):
             return False
     return True
 

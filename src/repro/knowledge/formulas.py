@@ -5,12 +5,12 @@ The language starts from primitive propositions -- ``send_p(q, msg)``,
 and closes under Boolean combinations, the linear-time operator ``Box``
 (with its dual ``Diamond``), and the epistemic operators K_p.
 
-Each node advertises two static attributes the model checker exploits:
+Each node advertises two static attributes:
 
 * ``locality`` -- a process id when the formula's truth at a point is a
   function of that process's local history alone (all the primitive
   propositions above are local to the process whose history records the
-  event, and K_p formulas are local to p).  Used as a memoization key.
+  event, and K_p formulas are local to p).
 * ``syntactically_stable`` -- True when the formula is stable (once
   true, stays true) *by construction*: event-occurrence primitives are
   stable because histories only grow, ``Box phi`` is stable, and
@@ -31,7 +31,9 @@ from repro.model.run import Point
 class Formula:
     """Base class; subclasses are immutable after construction."""
 
-    __slots__ = ("locality", "syntactically_stable")
+    # __weakref__: the model checker's memo drops a formula's point set
+    # together with the formula.
+    __slots__ = ("locality", "syntactically_stable", "__weakref__")
 
     def __init__(
         self,
@@ -72,9 +74,10 @@ class Atom(Formula):
     """A primitive proposition given by a point predicate.
 
     ``fn`` maps a :class:`~repro.model.run.Point` to a bool.  Declare
-    ``locality``/``stable`` truthfully: the checker trusts them for
-    memoization (a wrong locality claim gives wrong answers, not just a
-    slow checker).
+    ``locality``/``stable`` truthfully: they are reported as static
+    facts about the formula, never checked.  The model checker calls
+    ``fn`` once per point of the system (and per foreign point asked
+    about).
     """
 
     __slots__ = ("name", "fn")

@@ -102,7 +102,7 @@ class GroupChecker:
         system.note_knowledge_query()
         members = [p for p in system.processes if p in group]
         kernel = system.columnar_kernel()
-        base = kernel.formula_set(self.checker, formula)
+        base = self.checker.point_set(formula)
         fixed = kernel.ck_fixpoint([system.process_bit(p) for p in members], base)
         return {system.point_key(pid) for pid in kernel.iter_point_ids(fixed)}
 
@@ -142,7 +142,7 @@ class GroupChecker:
         # truth).
         point_cids = [kernel.class_id_at(p, point) for p in group]
         members_j = [system.process_bit(p) for p in members]
-        level = kernel.formula_set(self.checker, formula)
+        level = self.checker.point_set(formula)
         depth = 0
         while depth < cap:
             if not all(kernel.class_in_set(cid, level) for cid in point_cids):

@@ -17,7 +17,23 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.knowledge.formulas import Formula
+from repro.knowledge.formulas import (
+    And,
+    Atom,
+    Box,
+    Crashed,
+    Diamond,
+    Did,
+    Formula,
+    Implies,
+    Inited,
+    Knows,
+    Not,
+    Or,
+    Received,
+    Sent,
+    _Const,
+)
 from repro.knowledge.semantics import ModelChecker
 from repro.model.events import ProcessId
 from repro.model.run import Point
@@ -86,6 +102,53 @@ def naive_known_crash_count(
     )
 
 
+def naive_holds(system: System, formula: Formula, point: Point) -> bool:
+    """(R, r, m) |= phi by direct recursion over the formula.
+
+    Atoms read the point's ``History``; Box/Diamond sweep the run from
+    the point to its duration (the final cut repeats forever); K_p scans
+    :func:`naive_indistinguishable_points`.  Nothing is cached and the
+    columnar kernel is never built.
+    """
+    run, time = point.run, min(point.time, point.run.duration)
+    point = Point(run, time)
+    history = point.history
+
+    def holds(child: Formula, at: Point = point) -> bool:
+        return naive_holds(system, child, at)
+
+    if isinstance(formula, _Const):
+        return formula.value
+    if isinstance(formula, Atom):
+        return bool(formula.fn(point))
+    if isinstance(formula, Inited):
+        return history(formula.process).inited(formula.action)
+    if isinstance(formula, Did):
+        return history(formula.process).did(formula.action)
+    if isinstance(formula, Crashed):
+        return history(formula.process).crashed
+    if isinstance(formula, Sent):
+        return history(formula.sender).sent(formula.receiver, formula.message)
+    if isinstance(formula, Received):
+        return history(formula.receiver).received(formula.sender, formula.message)
+    if isinstance(formula, Not):
+        return not holds(formula.child)
+    if isinstance(formula, And):
+        return all(map(holds, formula.parts))
+    if isinstance(formula, Or):
+        return any(map(holds, formula.parts))
+    if isinstance(formula, Implies):
+        return not holds(formula.antecedent) or holds(formula.consequent)
+    if isinstance(formula, (Box, Diamond)):
+        later = range(time, run.duration + 1)
+        sweep = (holds(formula.child, Point(run, m)) for m in later)
+        return all(sweep) if isinstance(formula, Box) else any(sweep)
+    if isinstance(formula, Knows):
+        child = formula.child
+        return naive_knows(system, formula.process, point, lambda c: holds(child, c))
+    raise TypeError(f"unknown formula node {formula!r}")
+
+
 def naive_common_knowledge_points(
     checker: ModelChecker, group: Sequence[ProcessId], formula: Formula
 ) -> set[tuple[int, int]]:
@@ -102,7 +165,7 @@ def naive_common_knowledge_points(
     current: set[tuple[int, int]] = set()
     for i, run in enumerate(runs):
         for m in range(run.duration + 1):
-            if checker.holds(formula, Point(run, m)):
+            if naive_holds(system, formula, Point(run, m)):
                 current.add((i, m))
     changed = True
     while changed:
@@ -137,12 +200,14 @@ def naive_max_e_depth(
     *,
     cap: int = 10,
 ) -> int:
-    """The E^k ladder by materializing and model-checking nested formulas."""
+    """The E^k ladder by materializing and naively checking nested formulas."""
     from repro.knowledge.group import e_iterated
 
     depth = 0
     while depth < cap:
-        if not checker.holds(e_iterated(group, formula, depth + 1), point):
+        if not naive_holds(
+            checker.system, e_iterated(group, formula, depth + 1), point
+        ):
             break
         depth += 1
     return depth

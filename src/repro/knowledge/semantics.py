@@ -13,17 +13,23 @@ m..duration with the value at the duration standing for the infinite
 tail.  Runs produced by the executor are quiescent at their duration,
 which makes this exact for the formulas the paper's properties use.
 
-Memoization: per formula node,
-* local formulas cache on (formula, local history) -- knowledge and all
-  history primitives hit this path;
-* temporal formulas cache a whole per-run truth vector computed by one
-  backward sweep;
-* everything else caches on (formula, run, m).
+Evaluation is bottom-up over point sets: every subformula becomes the
+set of the system's point ids where it holds (see
+:mod:`repro.columnar.kernel`), memoized per formula object while it lives.
+History atoms, Box/Diamond and K_p are whole-set kernel primitives and
+the connectives are bit operations, so ``valid``, ``counterexample`` and
+``satisfiable`` are one set test each and ``holds`` indexes the set at
+the point's id.  An arbitrary-callable :class:`Atom` fills its set one
+point at a time.  A point whose run is not in the system takes a
+per-point path; its K_p reads the in-system child set through the
+point's ~_p class, and an absent class is vacuously true.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from typing import TYPE_CHECKING, Callable, Optional
+from weakref import WeakKeyDictionary
 
 from repro.knowledge.formulas import (
     And,
@@ -47,34 +53,51 @@ from repro.model.history import History
 from repro.model.run import Point, Run
 from repro.model.system import System
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.kernel import PointSet
+
+
+def _history_atom(
+    f: Formula,
+) -> Optional[tuple[ProcessId, Callable[[History], bool]]]:
+    """``(process, test)`` of a history primitive: it holds at a point iff
+    ``test`` accepts the process's history there.  None for other nodes."""
+    if isinstance(f, Inited):
+        return f.process, lambda h: h.inited(f.action)
+    if isinstance(f, Did):
+        return f.process, lambda h: h.did(f.action)
+    if isinstance(f, Crashed):
+        return f.process, lambda h: h.crashed
+    if isinstance(f, Sent):
+        return f.sender, lambda h: h.sent(f.receiver, f.message)
+    if isinstance(f, Received):
+        return f.receiver, lambda h: h.received(f.sender, f.message)
+    return None
+
 
 class ModelChecker:
     """Evaluates formulas over one finite :class:`~repro.model.system.System`."""
 
     def __init__(self, system: System) -> None:
         self.system = system
-        self._local_cache: dict[tuple[Formula, ProcessId, History], bool] = {}
-        self._point_cache: dict[tuple[Formula, int, int], bool] = {}
-        self._temporal_cache: dict[tuple[Formula, int], list[bool]] = {}
-        self._run_ids = {run: i for i, run in enumerate(system.runs)}
-        # Foreign runs (not in the system) get identity-based negative
-        # ids.  The dict is keyed by id(run) and the list pins a strong
-        # reference to every such run, so a foreign run's id() can never
-        # be recycled by a later allocation and alias a cache entry.
-        self._foreign_ids: dict[int, int] = {}
-        self._foreign_refs: list[Run] = []
+        #: formula object -> its point set.  Weak keys: a caller that
+        #: builds a fresh formula per query leaves no set behind.
+        self._sets: WeakKeyDictionary[Formula, PointSet] = WeakKeyDictionary()
         #: kernel counters, shared with (and surfaced on) the system
         self.stats = system.stats
 
     # -- public API ---------------------------------------------------------
 
     def holds(self, formula: Formula, point: Point) -> bool:
-        """(R, r, m) |= phi.  ``point.run`` should belong to the system."""
-        return self._eval(formula, point)
+        """(R, r, m) |= phi."""
+        pid = self.system.point_id(point)
+        if pid is None:
+            return self._holds_foreign(formula, point)
+        return self.system.columnar_kernel().contains(self.point_set(formula), pid)
 
     def holds_at(self, formula: Formula, run: Run, time: int) -> bool:
         """(R, run, time) |= formula."""
-        return self._eval(formula, Point(run, time))
+        return self.holds(formula, Point(run, time))
 
     def valid(self, formula: Formula) -> bool:
         """R |= phi: true at every point of the system."""
@@ -82,142 +105,98 @@ class ModelChecker:
 
     def counterexample(self, formula: Formula) -> Optional[Point]:
         """The first point where ``formula`` fails, or None if valid."""
-        for run in self.system:
-            for m in range(run.duration + 1):
-                point = Point(run, m)
-                if not self._eval(formula, point):
-                    return point
-        return None
+        kernel = self.system.columnar_kernel()
+        return self._first_point(kernel.complement(self.point_set(formula)))
 
     def satisfiable(self, formula: Formula) -> Optional[Point]:
         """The first point where ``formula`` holds, or None."""
-        for run in self.system:
-            for m in range(run.duration + 1):
-                point = Point(run, m)
-                if self._eval(formula, point):
-                    return point
-        return None
+        return self._first_point(self.point_set(formula))
+
+    def point_set(self, formula: Formula) -> PointSet:
+        """The kernel point set of the system's points where ``formula``
+        holds, computed once per formula object and dropped with it."""
+        cached = self._sets.get(formula)
+        if cached is None:
+            self.stats.formula_set_misses += 1
+            cached = self._sets[formula] = self._evaluate(formula)
+        else:
+            self.stats.formula_set_hits += 1
+        return cached
 
     # -- evaluation --------------------------------------------------------------
 
-    def _run_id(self, run: Run) -> int:
-        rid = self._run_ids.get(run)
-        if rid is None:  # a foreign run: identity-keyed, reference-pinned
-            # audited: _foreign_refs pins each keyed run for the checker's
-            # lifetime, so its id() can never be recycled to another object
-            key = id(run)  # repro: lint-ok[DET005]
-            rid = self._foreign_ids.get(key)
-            if rid is None:
-                rid = -1 - len(self._foreign_ids)
-                self._foreign_ids[key] = rid
-                self._foreign_refs.append(run)
-        return rid
+    def _first_point(self, s: PointSet) -> Optional[Point]:
+        pid = self.system.columnar_kernel().first_point(s)
+        return None if pid is None else self.system.point_at(pid)
 
-    def _eval(self, formula: Formula, point: Point) -> bool:
-        run = point.run
-        time = min(point.time, run.duration)
-        if time != point.time:
-            point = Point(run, time)
-
-        if isinstance(formula, (Box, Diamond)):
-            vector = self._temporal_vector(formula, run)
-            return vector[time]
-
-        if formula.locality is not None:
-            key = (formula, formula.locality, point.history(formula.locality))
-            cached = self._local_cache.get(key)
-            if cached is None:
-                self.stats.local_cache_misses += 1
-                cached = self._eval_node(formula, point)
-                self._local_cache[key] = cached
-            else:
-                self.stats.local_cache_hits += 1
-            return cached
-
-        key2 = (formula, self._run_id(run), time)
-        cached = self._point_cache.get(key2)
-        if cached is None:
-            self.stats.point_cache_misses += 1
-            cached = self._eval_node(formula, point)
-            self._point_cache[key2] = cached
-        else:
-            self.stats.point_cache_hits += 1
-        return cached
-
-    def _temporal_vector(self, formula: Box | Diamond, run: Run) -> list[bool]:
-        key = (formula, self._run_id(run))
-        vector = self._temporal_cache.get(key)
-        if vector is not None:
-            self.stats.temporal_cache_hits += 1
-            return vector
-        self.stats.temporal_cache_misses += 1
-        child = formula.child
-        horizon = run.duration
-        values = [self._eval(child, Point(run, m)) for m in range(horizon + 1)]
-        vector = [False] * (horizon + 1)
+    def _evaluate(self, formula: Formula) -> PointSet:
+        system = self.system
+        kernel = system.columnar_kernel()
+        sets = self.point_set
+        atom = _history_atom(formula)
+        if atom is not None:
+            return kernel.history_atom_set(system.process_bit(atom[0]), atom[1])
+        if isinstance(formula, _Const):
+            return kernel.full_set() if formula.value else kernel.empty_set()
+        if isinstance(formula, Atom):
+            return kernel.set_from_values(bool(formula.fn(p)) for p in system.points())
+        if isinstance(formula, Not):
+            return kernel.complement(sets(formula.child))
+        if isinstance(formula, And):
+            return reduce(kernel.intersect, map(sets, formula.parts), kernel.full_set())
+        if isinstance(formula, Or):
+            return reduce(kernel.union, map(sets, formula.parts), kernel.empty_set())
+        if isinstance(formula, Implies):
+            return kernel.union(
+                kernel.complement(sets(formula.antecedent)), sets(formula.consequent)
+            )
         if isinstance(formula, Box):
-            acc = values[horizon]  # final cut repeats forever
-            vector[horizon] = acc
-            for m in range(horizon - 1, -1, -1):
-                acc = acc and values[m]
-                vector[m] = acc
-        else:  # Diamond
-            acc = values[horizon]
-            vector[horizon] = acc
-            for m in range(horizon - 1, -1, -1):
-                acc = acc or values[m]
-                vector[m] = acc
-        self._temporal_cache[key] = vector
-        return vector
+            return kernel.always_set(sets(formula.child))
+        if isinstance(formula, Diamond):
+            return kernel.eventually_set(sets(formula.child))
+        if isinstance(formula, Knows):
+            system.note_knowledge_query()
+            j = system.process_bit(formula.process)
+            self.stats.knows_class_evals += len(kernel.class_ids(j))
+            self.stats.knows_point_evals += kernel.point_total
+            return kernel.knows_set(j, sets(formula.child))
+        raise TypeError(f"unknown formula node {formula!r}")
 
-    def _eval_node(self, formula: Formula, point: Point) -> bool:
+    def _holds_foreign(self, formula: Formula, point: Point) -> bool:
+        """(R, r, m) |= phi for a run outside the system, point by point."""
+        run, time = point.run, min(point.time, point.run.duration)
+        point = Point(run, time)
+
+        def holds(child: Formula, at: Point = point) -> bool:
+            return self._holds_foreign(child, at)
+
+        atom = _history_atom(formula)
+        if atom is not None:
+            return atom[1](point.history(atom[0]))
         if isinstance(formula, _Const):
             return formula.value
         if isinstance(formula, Atom):
-            return formula.fn(point)
-        if isinstance(formula, Inited):
-            return point.history(formula.process).inited(formula.action)
-        if isinstance(formula, Did):
-            return point.history(formula.process).did(formula.action)
-        if isinstance(formula, Crashed):
-            return point.history(formula.process).crashed
-        if isinstance(formula, Sent):
-            return point.history(formula.sender).sent(
-                formula.receiver, formula.message
-            )
-        if isinstance(formula, Received):
-            return point.history(formula.receiver).received(
-                formula.sender, formula.message
-            )
+            return bool(formula.fn(point))
         if isinstance(formula, Not):
-            return not self._eval(formula.child, point)
+            return not holds(formula.child)
         if isinstance(formula, And):
-            return all(self._eval(part, point) for part in formula.parts)
+            return all(map(holds, formula.parts))
         if isinstance(formula, Or):
-            return any(self._eval(part, point) for part in formula.parts)
+            return any(map(holds, formula.parts))
         if isinstance(formula, Implies):
-            return not self._eval(formula.antecedent, point) or self._eval(
-                formula.consequent, point
-            )
+            return not holds(formula.antecedent) or holds(formula.consequent)
+        if isinstance(formula, (Box, Diamond)):
+            later = range(time, run.duration + 1)
+            sweep = (holds(formula.child, Point(run, m)) for m in later)
+            return all(sweep) if isinstance(formula, Box) else any(sweep)
         if isinstance(formula, Knows):
-            # Class-based: the memo layer above already keys this node on
-            # p's local history, so this body runs once per ~_p class.
-            self.system.note_knowledge_query()
-            stats = self.stats
-            child = formula.child
-            kernel = self.system.columnar_kernel()
-            cid = kernel.class_id_at(formula.process, point)
-            if cid is None:
-                return True  # foreign history: vacuously true (empty class)
-            stats.knows_class_evals += 1
-            if isinstance(child, Crashed):
-                # K_p(crash(q)) is one bit of the class's AND-mask.
-                bit = self.system.process_bit(child.process)
-                return bool((kernel.known_mask(cid) >> bit) & 1)
-            evaluate = self._eval
-            for candidate in kernel.points_of_class(cid):
-                stats.knows_point_evals += 1
-                if not evaluate(child, candidate):
-                    return False
-            return True
+            # K_p reads the system's set through the point's ~_p class; a
+            # history absent from the system has an empty class (vacuous).
+            system = self.system
+            system.note_knowledge_query()
+            kernel = system.columnar_kernel()
+            j = system.process_bit(formula.process)
+            cid = kernel.class_of_history(j, point.history(formula.process))
+            child = self.point_set(formula.child)
+            return cid is None or kernel.class_in_set(cid, child)
         raise TypeError(f"unknown formula node {formula!r}")

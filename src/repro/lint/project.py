@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .context import ModuleUnderLint
 from .findings import LintFinding
@@ -805,12 +805,5 @@ class ProjectIndex:
     def module_key(summary: FileSummary) -> str:
         return summary.module or summary.display_path
 
-    def summary_for(self, gqn: str) -> FileSummary:
-        return self.function_files[gqn]
-
     def declaration(self, gqn: str) -> FunctionDecl:
         return self.functions[gqn]
-
-    def iter_functions(self) -> Iterator[tuple[str, FunctionDecl, FileSummary]]:
-        for gqn in sorted(self.functions):
-            yield gqn, self.functions[gqn], self.function_files[gqn]

@@ -336,8 +336,8 @@ class IdentityKeyRule(Rule):
     """DET005: ``id()`` values are reused after garbage collection and
     differ across processes, so identity-keyed state aliases unrelated
     objects and never survives pickling.  Every use in deterministic
-    code needs an explicit pinning argument (see
-    ``ModelChecker._foreign_refs``) recorded in a suppression."""
+    code needs an explicit pinning argument (see ``System._run_pos``)
+    recorded in a suppression."""
 
     id = "DET005"
     summary = "id()-derived key or comparison"

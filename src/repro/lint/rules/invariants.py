@@ -29,8 +29,6 @@ KERNEL_INTERNAL_ATTRS = frozenset(
         "_run_value_pos",
         "_prefixes",
         "_timelines",
-        "_foreign_ids",
-        "_foreign_refs",
     }
 )
 

@@ -159,10 +159,14 @@ class Run:
 
     def _event_count_at(self, process: ProcessId, time: int) -> int:
         """Number of events in ``process``'s history at ``time``."""
-        timeline = self._timelines[process]
-        # times are strictly increasing; count entries with t <= time
-        times = [t for t, _ in timeline]
-        return bisect_right(times, time)
+        if process not in self._timelines:
+            raise KeyError(process)
+        # One bisect in the process's slice of the cached time column
+        # (times strictly increase: count the entries with t <= time).
+        _, times, _, lengths = self.timeline_columns()
+        j = self._processes.index(process)
+        lo = sum(lengths[:j])
+        return bisect_right(times, time, lo, lo + lengths[j]) - lo
 
     def history(self, process: ProcessId, time: int | None = None) -> History:
         """p's history in the cut r(time); the final history if time is None.

@@ -63,8 +63,8 @@ class KernelStats:
 
     * ``knows_class_evals`` / ``knows_point_evals`` -- K_p evaluations
       at class granularity vs. candidate points visited inside them;
-    * ``local_cache_*`` / ``point_cache_*`` / ``temporal_cache_*`` --
-      hit/miss counters of the model checker's three memo tables;
+    * ``formula_set_hits`` / ``formula_set_misses`` -- lookups in the
+      model checker's memo of subformula point sets;
     * ``ck_fixpoint_iterations`` -- rounds of the common-knowledge
       greatest-fixpoint computation;
     * ``arena_builds`` / ``arena_classes`` / ``arena_bytes`` -- columnar
@@ -77,12 +77,8 @@ class KernelStats:
 
     knows_class_evals: int = 0
     knows_point_evals: int = 0
-    local_cache_hits: int = 0
-    local_cache_misses: int = 0
-    point_cache_hits: int = 0
-    point_cache_misses: int = 0
-    temporal_cache_hits: int = 0
-    temporal_cache_misses: int = 0
+    formula_set_hits: int = 0
+    formula_set_misses: int = 0
     ck_fixpoint_iterations: int = 0
     arena_builds: int = 0
     arena_classes: int = 0

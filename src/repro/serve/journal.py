@@ -96,14 +96,6 @@ class JournalReplay:
     #: segment filenames renamed to ``*.quarantined``
     quarantined: list[str] = field(default_factory=list)
 
-    @property
-    def session_name(self) -> str | None:
-        """The session name recorded in the base segment, if any."""
-        if not self.records:
-            return None
-        name = self.records[0].get("system")
-        return name if isinstance(name, str) else None
-
 
 class SessionJournal:
     """Append-only, checksummed journal of one session's mutations."""

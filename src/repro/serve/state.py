@@ -2,9 +2,9 @@
 
 One :class:`SystemSession` wraps a live :class:`~repro.model.system.System`
 together with its model checker, group checker, and a wire-formula
-intern table.  Interning matters: the model checker memoizes per
-``Formula`` *instance*, so decoding the same wire payload to the same
-object keeps the local/point/temporal caches hot across requests.
+intern table.  Interning matters: the model checker memoizes one point
+set per ``Formula`` *instance*, so decoding the same wire payload to the
+same object keeps those sets hot across requests.
 
 The session's system/checker/group/generation live together in one
 immutable :class:`SessionEpoch`.  Ingestion never mutates an epoch --

@@ -2,11 +2,11 @@
 """Known-bad fixture: INV002 writes to kernel tables outside the kernel."""
 
 
-def poke(system, checker, run):
+def poke(system, run):
     system._run_pos[123] = 0  # expect: INV002
     system._run_value_pos = {}  # expect: INV002
-    checker._foreign_ids.clear()  # mutating call, not a write target: not flagged
-    checker._foreign_refs[0] = run  # expect: INV002
+    run._prefixes.clear()  # mutating call, not a write target: not flagged
+    run._timelines["p1"] = ()  # expect: INV002
     run._prefixes = None  # expect: INV002
 
 

@@ -1,5 +1,7 @@
 """Tests for the f / f' run transformations (Theorems 3.6 and 4.3)."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +78,17 @@ class TestTransformStructure:
 
     def test_duration_doubles(self):
         assert self.out.duration == 2 * self.run.duration + 1
+
+    def test_pickled_clone_transforms_like_the_original(self):
+        # An equal run that is not the system's own object (as when an
+        # ensemble is rebuilt independently) must give the same answers.
+        clone = pickle.loads(pickle.dumps(self.run))
+        assert clone is not self.run and clone == self.run
+        out = transform_run_f(clone, self.system)
+        assert out == self.out and out.meta == self.out.meta
+        assert transform_run_f_prime(clone, self.system) == transform_run_f_prime(
+            self.run, self.system
+        )
 
     def test_original_fd_events_deleted(self):
         # P2: the original detector's reports do not survive into f(r).

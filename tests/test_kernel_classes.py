@@ -3,9 +3,6 @@ equivalence classes over the columnar class rows, crash bitmasks, the
 point numbering, KernelStats, restrict/union answers, and the
 foreign-run cache fix in the model checker."""
 
-import gc
-
-
 from repro.knowledge import Crashed, Knows, ModelChecker
 from repro.knowledge.formulas import Atom
 from repro.model.events import CrashEvent, Message, ReceiveEvent, SendEvent
@@ -151,9 +148,9 @@ class TestKernelStats:
         phi = Knows("p1", Crashed("p3"))
         mc.holds(phi, Point(s.runs[0], 4))
         assert mc.stats.knows_class_evals >= 1
-        assert mc.stats.local_cache_misses >= 1
+        assert mc.stats.formula_set_misses >= 1
         mc.holds(phi, Point(s.runs[0], 4))
-        assert mc.stats.local_cache_hits >= 1
+        assert mc.stats.formula_set_hits >= 1
 
     def test_as_dict_and_merge(self):
         s = System([crash_run()])
@@ -225,34 +222,12 @@ class TestUnionInheritance:
 class TestForeignRunCacheFix:
     """Regression for the old ``-1 - (id(run) % (1 << 30))`` fallback:
     distinct foreign runs could collide (or a freed id could alias a new
-    run), poisoning the point/temporal caches."""
+    run), poisoning cached answers.  Foreign points are now evaluated
+    one point at a time with nothing cached per run."""
 
     def _flag_formula(self):
-        # Non-local, so evaluation goes through the point cache keyed on
-        # (formula, run_id, time).
+        # Reads the run's meta, which run equality ignores.
         return Atom("meta-flag", lambda pt: bool(pt.run.meta.get("flag")))
-
-    def test_distinct_foreign_runs_get_distinct_ids(self):
-        s = System([no_crash_run()])
-        mc = ModelChecker(s)
-        f1 = run_with({"p1": [], "p2": [], "p3": []}, duration=1)
-        f2 = run_with({"p1": [], "p2": [], "p3": []}, duration=2)
-        assert mc._run_id(f1) != mc._run_id(f2)
-        assert mc._run_id(f1) == mc._run_id(f1)
-
-    def test_foreign_runs_are_pinned_against_id_reuse(self):
-        s = System([no_crash_run()])
-        mc = ModelChecker(s)
-        seen = set()
-        for i in range(50):
-            f = run_with({"p1": [], "p2": [], "p3": []}, duration=i + 1)
-            seen.add(mc._run_id(f))
-            del f
-            gc.collect()
-        # Every allocation got a fresh id even though the objects were
-        # dropped by the caller: the checker pins them.
-        assert len(seen) == 50
-        assert len(mc._foreign_refs) == 50
 
     def test_foreign_cache_entries_do_not_alias(self):
         s = System([no_crash_run()])
@@ -261,8 +236,7 @@ class TestForeignRunCacheFix:
         flagged = Run(PROCS, {p: [] for p in PROCS}, 3, meta={"flag": True})
         plain = Run(PROCS, {p: [] for p in PROCS}, 3, meta={"flag": False})
         # Same timelines and duration (equal runs differ only in meta,
-        # which equality ignores) -- but identity-keyed foreign ids must
-        # still keep their cache entries apart.
+        # which equality ignores) -- but their answers must stay apart.
         assert mc.holds(phi, Point(flagged, 0)) is True
         assert mc.holds(phi, Point(plain, 0)) is False
         assert mc.holds(phi, Point(flagged, 0)) is True

@@ -302,10 +302,10 @@ def test_session_formula_interning_keeps_caches_hot() -> None:
     session = SystemSession("s", System(base.runs))
     wire = {"kind": "knows", "process": "p1", "formula": {"op": "crashed", "process": "p2"}, "run": 0, "time": 2}
     session.run_query(wire)
-    misses = session.system.stats.local_cache_misses
+    misses = session.system.stats.formula_set_misses
     session.run_query(dict(wire))  # identical content, fresh dict
-    assert session.system.stats.local_cache_misses == misses
-    assert session.system.stats.local_cache_hits > 0
+    assert session.system.stats.formula_set_misses == misses
+    assert session.system.stats.formula_set_hits > 0
 
 
 def test_state_claim_release_cycle() -> None:
