@@ -57,7 +57,7 @@ def dc1(run: Run, action: ActionId) -> PropertyVerdict:
     p = initiator_of(action)
     if _init_time(run, action) is None:
         return PropertyVerdict.ok()  # antecedent false
-    if run.final_history(p).did(action) or run.final_history(p).crashed:
+    if _do_time(run, p, action) is not None or run.crash_time(p) is not None:
         return PropertyVerdict.ok()
     return PropertyVerdict.fail(
         f"{p} initiated {action!r} but neither performed it nor crashed"
@@ -66,14 +66,11 @@ def dc1(run: Run, action: ActionId) -> PropertyVerdict:
 
 def dc2(run: Run, action: ActionId) -> PropertyVerdict:
     """Uniformity: if anyone performs alpha, every process performs or crashes."""
-    performers = [
-        q for q in run.processes if run.final_history(q).did(action)
-    ]
+    performers = [q for q in run.processes if _do_time(run, q, action) is not None]
     if not performers:
         return PropertyVerdict.ok()
     for q2 in run.processes:
-        h = run.final_history(q2)
-        if not h.did(action) and not h.crashed:
+        if q2 not in performers and run.crash_time(q2) is None:
             return PropertyVerdict.fail(
                 f"{performers[0]} performed {action!r} but correct {q2} never did"
             )
@@ -82,16 +79,12 @@ def dc2(run: Run, action: ActionId) -> PropertyVerdict:
 
 def dc2_prime(run: Run, action: ActionId) -> PropertyVerdict:
     """Non-uniform variant: obligation only triggered by correct performers."""
-    correct_performers = [
-        q
-        for q in run.processes
-        if run.final_history(q).did(action) and not run.final_history(q).crashed
-    ]
+    performers = [q for q in run.processes if _do_time(run, q, action) is not None]
+    correct_performers = [q for q in performers if run.crash_time(q) is None]
     if not correct_performers:
         return PropertyVerdict.ok()
     for q2 in run.processes:
-        h = run.final_history(q2)
-        if not h.did(action) and not h.crashed:
+        if q2 not in performers and run.crash_time(q2) is None:
             return PropertyVerdict.fail(
                 f"correct {correct_performers[0]} performed {action!r} "
                 f"but correct {q2} never did"

@@ -171,7 +171,8 @@ class _CoordinationBase(ProtocolProcess):
     # -- the protocol-specific perform rule -------------------------------------
 
     def check_perform(self, action: ActionId) -> None:
-        """Perform the action when the protocol's condition is met."""
+        """Perform the action when the protocol's condition is met
+        (returning at once if it is already performed)."""
         raise NotImplementedError
 
 
@@ -203,6 +204,8 @@ class NUDCProcess(_CoordinationBase):
         self._resend(action, st, force=True)
 
     def check_perform(self, action: ActionId) -> None:
+        if self.env.has_performed(action):
+            return
         if self.state(action).joined:
             self.env.perform(action)
 
@@ -260,6 +263,8 @@ class StrongFDUDCProcess(_CoordinationBase):
                     self.check_perform(action)
 
     def check_perform(self, action: ActionId) -> None:
+        if self.env.has_performed(action):
+            return
         st = self.state(action)
         if not st.joined:
             return
@@ -306,6 +311,8 @@ class GeneralizedFDUDCProcess(_CoordinationBase):
         return n - len(report.suspects) > min(self.t, n - 1) - report.count
 
     def check_perform(self, action: ActionId) -> None:
+        if self.env.has_performed(action):
+            return
         st = self.state(action)
         if not st.joined:
             return
@@ -348,6 +355,8 @@ class AtdUDCProcess(_CoordinationBase):
         return st.holders | {self.pid}
 
     def check_perform(self, action: ActionId) -> None:
+        if self.env.has_performed(action):
+            return
         st = self.state(action)
         if not st.joined:
             return

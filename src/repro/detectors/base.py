@@ -41,9 +41,18 @@ class GroundTruthView:
         self.processes = processes
         self.planned_faulty = planned_faulty
         self._crash_ticks = crash_ticks  # updated by the executor as crashes land
+        # Every crash recorded so far and the latest crash tick.  Crashes
+        # are only ever added, so a size change means a new one landed.
+        self._crashed: frozenset[ProcessId] = frozenset()
+        self._latest = 0
 
     def crashed_by(self, tick: int) -> frozenset[ProcessId]:
         """Processes whose crash event has been appended at or before ``tick``."""
+        if len(self._crash_ticks) != len(self._crashed):
+            self._crashed = frozenset(self._crash_ticks)
+            self._latest = max(self._crash_ticks.values())
+        if tick >= self._latest:
+            return self._crashed
         return frozenset(
             p for p, t in self._crash_ticks.items() if t <= tick
         )

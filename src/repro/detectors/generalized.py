@@ -93,28 +93,33 @@ class GeneralizedOracle(IntervalOracle):
         self.clamp_padding = clamp_padding
         self._last_emitted: dict[ProcessId, tuple] = {}
 
+    #: (truth, S) of the run being polled, S computed once per run.  A
+    #: class default, so that an unpolled oracle (a spec's template)
+    #: pickles, and digests, as it always did.
+    _subset: tuple[GroundTruthView, frozenset[ProcessId]] | None = None
+
     def fresh(self):
         clone = copy.copy(self)
         clone._last_report = {}
         clone._last_emitted = {}
         return clone
 
-    def _padding_set(self, truth: GroundTruthView) -> frozenset[ProcessId]:
-        n = len(truth.processes)
-        pad = self.padding
-        if self.clamp_padding:
-            pad = min(pad, max_padding(n, self.t))
-        correct = sorted(truth.planned_correct())
-        return frozenset(correct[:pad])
+    def _suspects(self, truth: GroundTruthView) -> frozenset[ProcessId]:
+        """S: the planned-faulty set plus ``padding`` planned-correct
+        processes.  Empty in a failure-free run without padding: that
+        (S, 0) report is t-useful whenever n > min(t, n-1), i.e. always."""
+        if self._subset is None or self._subset[0] is not truth:
+            pad = self.padding
+            if self.clamp_padding:
+                pad = min(pad, max_padding(len(truth.processes), self.t))
+            padding = sorted(truth.planned_correct())[:pad]
+            self._subset = (truth, frozenset(truth.planned_faulty) | frozenset(padding))
+        return self._subset[1]
 
     def poll(self, pid, tick, truth, rng) -> Suspicion | None:
         if not self.due(pid, tick):
             return None
-        subset = frozenset(truth.planned_faulty) | self._padding_set(truth)
-        if not subset:
-            # Failure-free run: the empty (S, 0) report is trivially
-            # t-useful whenever n > min(t, n-1), i.e. always.
-            subset = frozenset()
+        subset = self._suspects(truth)
         count = len(truth.crashed_by(tick) & subset)
         key = (subset, count)
         if self._last_emitted.get(pid) == key:

@@ -211,7 +211,7 @@ class Run:
     def faulty(self) -> frozenset[ProcessId]:
         """F(r): the processes whose history contains a crash event."""
         return frozenset(
-            p for p in self._processes if self.final_history(p).crashed
+            p for p in self._processes if self.crash_time(p) is not None
         )
 
     def correct(self) -> frozenset[ProcessId]:
@@ -350,24 +350,34 @@ def validate_run(
     * R2 (per-event ownership): every event in p's timeline belongs to p.
     * R3: every receive has a corresponding earlier-or-simultaneous send.
     * R4: a crash event is the last event in its history.
-    * R5 (finite variant): if p sent the same message to a live q at
-      least ``r5_send_threshold`` times *and kept sending it until the
-      end of the run*, q received it at least once.  On infinite runs R5
-      says "sent infinitely often implies received infinitely often"; the
-      finite variant checks the consequence the paper's proofs actually
-      use -- persistent retransmission to a correct process succeeds.
+    * R5 (finite variant, see :func:`r5_violations`): if p sent the same
+      message to a never-crashed q at least ``r5_send_threshold`` times,
+      q received it at least once.  No recency is required: a sender
+      that stopped early after that many unreceived copies is flagged
+      too.  On infinite runs R5 says "sent infinitely often implies
+      received infinitely often"; the finite variant checks the
+      consequence the paper's proofs actually use -- persistent
+      retransmission to a correct process succeeds.
 
     Additionally checks the init uniqueness requirement of Section 2.4:
     ``init_p(alpha)`` appears at most once per run and only at p.
 
-    Raises :class:`RunValidationError` on the first violation.
+    Raises :class:`RunValidationError` on the first violation, in the
+    order: R1/ownership/R2/R4 (process by process), R3, init
+    uniqueness, R5.
     """
     procs = set(run.processes)
-
-    # R1 + ownership + R4 + R2 monotone times.
+    # One walk per timeline checks R1, ownership, R2 and R4 on the spot
+    # and collects what the cross-process checks need: the sorted send
+    # times per channel key, the receives, and the first repeated init.
+    send_times: dict[tuple[ProcessId, ProcessId, Message], list[int]] = {}
+    receives: list[tuple[ProcessId, int, ReceiveEvent]] = []
+    seen_inits: set[ActionId] = set()
+    twice: InitEvent | None = None
     for p in run.processes:
         last_time = 0
         timeline = run.timeline(p)
+        last = len(timeline) - 1
         for i, (t, event) in enumerate(timeline):
             if t < 1:
                 raise RunValidationError(
@@ -382,55 +392,40 @@ def validate_run(
                     f"{p} has two events at/after time {t} in one tick (R2)"
                 )
             last_time = t
-            if isinstance(event, CrashEvent) and i != len(timeline) - 1:
+            if isinstance(event, SendEvent):
+                send_times.setdefault((p, event.receiver, event.message), []).append(t)
+            elif isinstance(event, ReceiveEvent):
+                receives.append((p, t, event))
+            elif isinstance(event, InitEvent):
+                if event.action in seen_inits and twice is None:
+                    twice = event
+                seen_inits.add(event.action)
+            elif isinstance(event, CrashEvent) and i != last:
                 raise RunValidationError(f"{p} has events after its crash (R4)")
 
     # R3: receives matched by sends.  A receive of msg from p at time t
     # requires that the number of sends of msg by p to q at times <= t is
-    # at least the number of receives so far (counting multiplicity).
-    # One pass over every timeline collects the sorted send times per
-    # channel key; each receive then costs one bisect, not a rescan.
-    send_times: dict[tuple[ProcessId, ProcessId, Message], list[int]] = {}
-    for p in run.processes:
-        for t, event in run.timeline(p):
-            if isinstance(event, SendEvent):
-                send_times.setdefault(
-                    (p, event.receiver, event.message), []
-                ).append(t)
-    for q in run.processes:
-        recv_counts: dict[tuple[ProcessId, ProcessId, Message], int] = {}
-        for t, event in run.timeline(q):
-            if not isinstance(event, ReceiveEvent):
-                continue
-            if event.sender not in procs:
-                raise RunValidationError(
-                    f"receive from unknown process {event.sender!r}"
-                )
-            key = (event.sender, q, event.message)
-            count = recv_counts.get(key, 0) + 1
-            recv_counts[key] = count
-            # timelines are time-ordered, so the send list is sorted
-            sends = bisect_right(send_times.get(key, ()), t)
-            if sends < count:
-                raise RunValidationError(
-                    f"{q} received {event.message!r} from {event.sender} at "
-                    f"time {t} without a matching send (R3)"
-                )
+    # at least the number of receives so far (counting multiplicity);
+    # each receive costs one bisect in its key's (time-ordered) sends.
+    recv_counts: dict[tuple[ProcessId, ProcessId, Message], int] = {}
+    for q, t, received in receives:
+        if received.sender not in procs:
+            raise RunValidationError(
+                f"receive from unknown process {received.sender!r}"
+            )
+        key = (received.sender, q, received.message)
+        count = recv_counts.get(key, 0) + 1
+        recv_counts[key] = count
+        if bisect_right(send_times.get(key, ()), t) < count:
+            raise RunValidationError(
+                f"{q} received {received.message!r} from {received.sender} at "
+                f"time {t} without a matching send (R3)"
+            )
 
-    # Init uniqueness (Section 2.4).
-    seen_inits: set[ActionId] = set()
-    for p in run.processes:
-        for event in run.events(p):
-            if isinstance(event, InitEvent):
-                if event.process != p:
-                    raise RunValidationError(
-                        f"init event for {event.process} in {p}'s history"
-                    )
-                if event.action in seen_inits:
-                    raise RunValidationError(
-                        f"action {event.action!r} initiated twice"
-                    )
-                seen_inits.add(event.action)
+    # Init uniqueness (Section 2.4); an init in a foreign history has
+    # already failed the ownership check above.
+    if twice is not None:
+        raise RunValidationError(f"action {twice.action!r} initiated twice")
 
     if check_r5:
         violations = r5_violations(run, send_threshold=r5_send_threshold)
@@ -448,24 +443,36 @@ def r5_violations(
     """Return the finite-R5 violations in ``run``.
 
     A violation is a (sender, receiver, message, send_count) tuple where
-    the sender sent the same message at least ``send_threshold`` times,
-    the last send was still "recent" relative to the end of the run
-    (i.e. the sender never gave up, so on the infinite extension it would
-    send infinitely often), the receiver never crashed, and the receiver
-    never received the message.
+    the sender sent the same message to the receiver at least
+    ``send_threshold`` times, the receiver never crashed, and the
+    receiver never received the message from the sender.  When the
+    sends happened does not matter: a sender that stopped early, long
+    before the end of the run, is flagged all the same.  Violations are
+    listed by sender (in process order), then by first send.
     """
+    processes = run.processes
     violations: list[tuple[ProcessId, ProcessId, object, int]] = []
-    for p in run.processes:
-        send_counts: dict[tuple[ProcessId, object], list[int]] = {}
-        for t, event in run.timeline(p):
+    # (sender, message) pairs each live receiver got, one pass per
+    # receiver, built only for receivers some sender is checked against
+    receipts: dict[ProcessId, set[tuple[ProcessId, Message]]] = {}
+    for p in processes:
+        send_counts: dict[tuple[ProcessId, Message], int] = {}
+        for _, event in run.timeline(p):
             if isinstance(event, SendEvent):
-                send_counts.setdefault((event.receiver, event.message), []).append(t)
-        for (q, message), times in send_counts.items():
-            if q not in run.processes or len(times) < send_threshold:
+                key = (event.receiver, event.message)
+                send_counts[key] = send_counts.get(key, 0) + 1
+        for (q, message), count in send_counts.items():
+            if count < send_threshold or q not in processes:
                 continue
             if run.crash_time(q) is not None:
                 continue
-            received = run.final_history(q).received(p, message)
-            if not received:
-                violations.append((p, q, message, len(times)))
+            got = receipts.get(q)
+            if got is None:
+                got = receipts[q] = {
+                    (e.sender, e.message)
+                    for _, e in run.timeline(q)
+                    if isinstance(e, ReceiveEvent)
+                }
+            if (p, message) not in got:
+                violations.append((p, q, message, count))
     return violations

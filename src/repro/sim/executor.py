@@ -168,6 +168,10 @@ class Executor:
             p: [] for p in self.processes
         }
         self._crashed: set[ProcessId] = set()
+        # The live processes in process order, updated as crashes land.
+        self._live: list[ProcessId] = list(self.processes)
+        # NoDetector never reports and never draws: skip the poll.
+        self._poll = type(self.detector) is not NoDetector
         # tick -> processes whose planned crash lands on that tick (ticks
         # start at 1, so a plan's tick 0 lands on the first tick).
         by_tick: dict[int, list[ProcessId]] = {}
@@ -208,12 +212,6 @@ class Executor:
         )
 
     # -- helpers -------------------------------------------------------------
-
-    def _live(self) -> list[ProcessId]:
-        return [p for p in self.processes if p not in self._crashed]
-
-    def _append(self, pid: ProcessId, tick: int, event: Event) -> None:
-        self._timelines[pid].append((tick, event))
 
     def _due_init(self, pid: ProcessId, tick: int) -> ActionId | None:
         queue = self._pending_inits[pid]
@@ -257,6 +255,14 @@ class Executor:
         cfg = self.config
         deadline = cfg.deadline
         started_at = time.perf_counter() if deadline is not None else 0.0
+        rng = self.rng
+        channel = self.channel
+        envs = self.envs
+        timelines = self._timelines
+        injector = self._injector
+        skips = cfg.activation_prob < 1.0
+        skip_streak = self._skip_streak
+        live = self._live
         while tick < cfg.max_ticks:
             if (
                 deadline is not None
@@ -270,48 +276,50 @@ class Executor:
 
             # 1. planned crashes land first; a crash occupies the tick.
             for pid in self._crash_index.get(tick, ()):
-                self._append(pid, tick, CrashEvent(pid))
+                timelines[pid].append((tick, CrashEvent(pid)))
                 self._crashed.add(pid)
+                live.remove(pid)
                 self._actual_crash_ticks[pid] = tick
-                self.envs[pid].outbox.clear()
-                self.channel.discard_for(pid)
+                envs[pid].outbox.clear()
+                channel.discard_for(pid)
                 appended_this_tick = True
 
             # 2. live processes take their steps in adversary order; the
             # adversary may skip a process (model of relative speeds),
             # bounded by the scheduling-fairness budget.
-            order = self._live()
-            self.rng.shuffle(order)
+            order = live.copy()
+            rng.shuffle(order)
             for pid in order:
-                if self._injector is not None and self._injector.stalled(pid, tick):
+                if injector is not None and injector.stalled(pid, tick):
                     continue  # injected stall: no step, no rng consumption
-                if (
-                    cfg.activation_prob < 1.0
-                    and self._skip_streak[pid] < cfg.max_consecutive_skips
-                    and self.rng.random() >= cfg.activation_prob
-                ):
-                    self._skip_streak[pid] += 1
-                    continue
-                self._skip_streak[pid] = 0
-                env = self.envs[pid]
+                if skips:
+                    if (
+                        skip_streak[pid] < cfg.max_consecutive_skips
+                        and rng.random() >= cfg.activation_prob
+                    ):
+                        skip_streak[pid] += 1
+                        continue
+                    skip_streak[pid] = 0
+                env = envs[pid]
                 env.now = tick
-                event = self._step_event(pid, tick)
+                event = self._step_event(pid, env, tick)
                 if event is None:
                     continue
                 appended_this_tick = True
-                self._append(pid, tick, event)
-                self._dispatch(pid, event, tick)
+                timelines[pid].append((tick, event))
+                if type(event) is SendEvent:
+                    channel.submit(event.sender, event.receiver, event.message, tick)
+                else:
+                    self._dispatch(pid, event)
 
             # 3. quiescence detection.
             quiet = (
                 not appended_this_tick
-                and all(not self.envs[p].outbox for p in self._live())
-                and self.channel.in_flight_to(self._live()) == 0
+                and all(not envs[p].outbox for p in live)
+                and channel.in_flight_to(live) == 0
                 and self._workload_exhausted()
                 and self._crashes_done(tick)
-                and all(
-                    not self.protocols[p].wants_to_act() for p in self._live()
-                )
+                and all(not self.protocols[p].wants_to_act() for p in live)
             )
             quiet_streak = quiet_streak + 1 if quiet else 0
             if quiet_streak >= cfg.quiescence_window:
@@ -354,17 +362,17 @@ class Executor:
             )
         return run
 
-    def _step_event(self, pid: ProcessId, tick: int) -> Event | None:
+    def _step_event(self, pid: ProcessId, env: ProcessEnv, tick: int) -> Event | None:
         """Choose the one event ``pid`` appends this tick, per the priority order.
 
         Detector reports come first: the oracle emits autonomously
         (Section 2.2's "automatically emits a suspicion") and a process
         cannot starve its own detector with a long burst of sends.
         """
-        env = self.envs[pid]
-        report = self.detector.poll(pid, tick, self.truth, self.rng)
-        if report is not None:
-            return SuspectEvent(pid, report)
+        if self._poll:
+            report = self.detector.poll(pid, tick, self.truth, self.rng)
+            if report is not None:
+                return SuspectEvent(pid, report)
 
         if env.outbox:
             return env.outbox.popleft()
@@ -382,12 +390,11 @@ class Executor:
             return env.outbox.popleft()
         return None
 
-    def _dispatch(self, pid: ProcessId, event: Event, tick: int) -> None:
-        """Execute the side effects of an appended event."""
+    def _dispatch(self, pid: ProcessId, event: Event) -> None:
+        """Execute the side effects of an appended event other than a send
+        (the tick loop submits sends to the channel itself)."""
         protocol = self.protocols[pid]
-        if isinstance(event, SendEvent):
-            self.channel.submit(event.sender, event.receiver, event.message, tick)
-        elif isinstance(event, ReceiveEvent):
+        if isinstance(event, ReceiveEvent):
             protocol.on_receive(event.sender, event.message)
         elif isinstance(event, SuspectEvent):
             protocol.on_suspect(event.report)
@@ -395,7 +402,7 @@ class Executor:
             protocol.on_init(event.action)
         elif isinstance(event, DoEvent):
             pass  # the do event has no further side effects
-        else:  # pragma: no cover - crash events never reach here
+        else:  # pragma: no cover - crash and send events never reach here
             raise AssertionError(f"unexpected event {event!r}")
 
 

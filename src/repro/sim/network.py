@@ -84,8 +84,10 @@ class NetworkChannel(ABC):
     # -- subclass hook ------------------------------------------------------
 
     @abstractmethod
-    def _should_drop(self, sender: ProcessId, receiver: ProcessId, message: Message) -> bool:
-        """Decide the fate of one submitted copy."""
+    def _should_drop(
+        self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int
+    ) -> bool:
+        """Decide the fate of one copy submitted at ``tick``."""
 
     # -- API used by the executor ---------------------------------------------
 
@@ -96,7 +98,7 @@ class NetworkChannel(ABC):
         fault-injection wrapper to know whether there is a "last"
         envelope to delay or duplicate).
         """
-        if self._should_drop(sender, receiver, message):
+        if self._should_drop(sender, receiver, message, tick):
             self.dropped_count += 1
             return False
         delay = self._rng.randint(self._min_delay, self._max_delay)
@@ -135,9 +137,12 @@ class NetworkChannel(ABC):
 
     def deliverable(self, receiver: ProcessId, tick: int) -> list[Envelope]:
         """Envelopes for ``receiver`` whose delay has elapsed, oldest first."""
-        pending = self._in_flight.get(receiver, ())
+        pending = self._in_flight.get(receiver)
+        if not pending:
+            return []
         ready = [e for e in pending if e.deliver_at <= tick]
-        ready.sort(key=lambda e: (e.deliver_at, e.uid))
+        if len(ready) > 1:
+            ready.sort(key=lambda e: (e.deliver_at, e.uid))
         return ready
 
     def consume(self, envelope: Envelope) -> None:
@@ -158,7 +163,7 @@ class ReliableChannel(NetworkChannel):
     """Never loses a message (the context of Proposition 2.4)."""
 
     def _should_drop(
-        self, sender: ProcessId, receiver: ProcessId, message: Message
+        self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int
     ) -> bool:
         return False
 
@@ -224,31 +229,17 @@ class FairLossyChannel(NetworkChannel):
         self._budget = max_consecutive_drops
         self._consecutive: dict[ChannelKey, int] = {}
         self._partitions = tuple(partitions)
-        self._now = 0
 
     @property
     def max_consecutive_drops(self) -> int:
         return self._budget
 
-    def submit(
-        self,
-        sender: ProcessId,
-        receiver: ProcessId,
-        message: Message,
-        tick: int,
-    ) -> bool:
-        self._now = tick
-        return super().submit(sender, receiver, message, tick)
-
-    def _partitioned(self, sender: ProcessId, receiver: ProcessId) -> bool:
-        return any(
-            p.severs(sender, receiver, self._now) for p in self._partitions
-        )
-
     def _should_drop(
-        self, sender: ProcessId, receiver: ProcessId, message: Message
+        self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int
     ) -> bool:
-        if self._partitioned(sender, receiver):
+        if self._partitions and any(
+            p.severs(sender, receiver, tick) for p in self._partitions
+        ):
             return True  # outside the fairness budget; partitions are finite
         key = (sender, receiver, message)
         streak = self._consecutive.get(key, 0)
@@ -283,7 +274,7 @@ class UnfairChannel(NetworkChannel):
         self._blackhole = blackhole
 
     def _should_drop(
-        self, sender: ProcessId, receiver: ProcessId, message: Message
+        self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int
     ) -> bool:
         return self._blackhole(sender, receiver, message)
 

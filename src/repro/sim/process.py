@@ -45,6 +45,9 @@ class ProcessEnv:
         self.now: int = 0
         self._performed: set[ActionId] = set()
         self._others = tuple(p for p in processes if p != pid)
+        # One SendEvent per (receiver, message): retransmissions append
+        # the same (immutable) event instead of building a new one.
+        self._sends: dict[tuple[ProcessId, Message], SendEvent] = {}
 
     @property
     def others(self) -> tuple[ProcessId, ...]:
@@ -52,11 +55,16 @@ class ProcessEnv:
 
     def send(self, receiver: ProcessId, message: Message) -> None:
         """Enqueue ``send_p(receiver, message)``."""
-        if receiver == self.pid:
-            raise ValueError("processes do not send messages to themselves")
-        if receiver not in self.processes:
-            raise ValueError(f"unknown receiver {receiver!r}")
-        self.outbox.append(SendEvent(self.pid, receiver, message))
+        event = self._sends.get((receiver, message))
+        if event is None:
+            if receiver == self.pid:
+                raise ValueError("processes do not send messages to themselves")
+            if receiver not in self.processes:
+                raise ValueError(f"unknown receiver {receiver!r}")
+            event = self._sends[receiver, message] = SendEvent(
+                self.pid, receiver, message
+            )
+        self.outbox.append(event)
 
     def broadcast(self, message: Message) -> None:
         """Enqueue a send to every other process."""

@@ -248,6 +248,20 @@ class TestR5:
         )
         assert not r5_violations(r)
 
+    def test_sender_that_stopped_early_is_flagged(self):
+        # No recency test: `threshold` unreceived copies to a live
+        # receiver are a violation even when the sender stopped long
+        # before the end of the run.
+        msg = Message("m")
+        sends = [(i, SendEvent("p1", "p2", msg)) for i in range(1, 6)]
+        r = make_run(
+            {"p1": sends + [(40, DoEvent("p1", "x"))], "p2": [], "p3": []},
+            duration=90,
+        )
+        assert r5_violations(r, send_threshold=5) == [("p1", "p2", msg, 5)]
+        with pytest.raises(RunValidationError, match="R5"):
+            validate_run(r, r5_send_threshold=5)
+
     def test_below_threshold_not_flagged(self):
         msg = Message("m")
         sends = [(i, SendEvent("p1", "p2", msg)) for i in range(1, 4)]
