@@ -55,15 +55,14 @@ class ProcessEnv:
 
     def send(self, receiver: ProcessId, message: Message) -> None:
         """Enqueue ``send_p(receiver, message)``."""
-        event = self._sends.get((receiver, message))
+        key = (receiver, message)
+        event = self._sends.get(key)
         if event is None:
             if receiver == self.pid:
                 raise ValueError("processes do not send messages to themselves")
             if receiver not in self.processes:
                 raise ValueError(f"unknown receiver {receiver!r}")
-            event = self._sends[receiver, message] = SendEvent(
-                self.pid, receiver, message
-            )
+            event = self._sends[key] = SendEvent(self.pid, receiver, message)
         self.outbox.append(event)
 
     def broadcast(self, message: Message) -> None:
