@@ -168,6 +168,28 @@ class _CoordinationBase(ProtocolProcess):
             for action, st in self.states.items()
         )
 
+    # -- state capture -------------------------------------------------------
+
+    def snapshot(self) -> object | None:
+        """Every action's ``_ActionState``, as tuples and frozensets."""
+        return tuple(
+            (
+                action,
+                st.joined,
+                frozenset(st.acked_by),
+                frozenset(st.holders),
+                tuple(st.sends_left.items()),
+                st.last_resend,
+            )
+            for action, st in self.states.items()
+        )
+
+    def restore(self, state: object) -> None:
+        self.states = {
+            action: _ActionState(joined, set(acked), set(holders), dict(sends), last)
+            for action, joined, acked, holders, sends, last in state
+        }
+
     # -- the protocol-specific perform rule -------------------------------------
 
     def check_perform(self, action: ActionId) -> None:
@@ -255,6 +277,14 @@ class StrongFDUDCProcess(_CoordinationBase):
         super().__init__(pid, env, **kwargs)
         self.ever_suspected: set[ProcessId] = set()
 
+    def snapshot(self) -> object | None:
+        return super().snapshot(), frozenset(self.ever_suspected)
+
+    def restore(self, state: object) -> None:
+        base, suspected = state
+        super().restore(base)
+        self.ever_suspected = set(suspected)
+
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, StandardSuspicion):
             self.ever_suspected |= report.suspects
@@ -299,6 +329,14 @@ class GeneralizedFDUDCProcess(_CoordinationBase):
         self.t = t
         self.reports: list[GeneralizedSuspicion] = []
 
+    def snapshot(self) -> object | None:
+        return super().snapshot(), tuple(self.reports)
+
+    def restore(self, state: object) -> None:
+        base, reports = state
+        super().restore(base)
+        self.reports = list(reports)
+
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, GeneralizedSuspicion):
             self.reports.append(report)
@@ -341,6 +379,13 @@ class AtdUDCProcess(_CoordinationBase):
     def __init__(self, pid, env, **kwargs):
         super().__init__(pid, env, **kwargs)
         self.current_suspects: frozenset[ProcessId] = frozenset()
+
+    def snapshot(self) -> object | None:
+        return super().snapshot(), self.current_suspects
+
+    def restore(self, state: object) -> None:
+        base, self.current_suspects = state
+        super().restore(base)
 
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, StandardSuspicion):

@@ -50,10 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ExploreStats:
     """Observability counters for one exploration.
 
-    * ``executions`` -- complete replays of the deterministic executor
-      (one per frontier entry actually expanded);
-    * ``states_expanded`` -- tick-configurations simulated across all
-      executions;
+    * ``executions`` -- runs of the deterministic executor, one per
+      frontier entry actually expanded (from tick 1 or from a snapshot);
+    * ``states_expanded`` -- tick-configurations per leaf, summed over
+      all executions: a resumed execution counts the ticks before its
+      snapshot too, so the figure does not depend on snapshots;
     * ``choice_points`` / ``branches_scheduled`` -- nondeterministic
       decisions encountered, and the alternative branches pushed onto
       the frontier from them;

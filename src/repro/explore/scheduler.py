@@ -29,16 +29,21 @@ once per drop/accept, ``"dpor"`` once per distinct ``(sender, message)``
 class of deliverable copies and never on drops
 (:mod:`repro.explore.reduction`).  Both enumerate the same run set.
 
-Executions are *stateless-model-checking* style: a frontier entry is a
-``(crash_plan, choice-prefix)`` pair; replaying the prefix and then
-greedily taking option 0 (the most cooperative alternative: deliver the
-oldest message, accept the copy) yields one complete run while
-recording how many options each fresh decision had, and every untaken
-alternative becomes a new frontier entry.  Exploration is exhaustive
-when the frontier drains.  The statelessness is what makes the search
-*shardable*: any slice of the frontier can be drained in any process
-(:mod:`repro.explore.sharding`) and the leaves merged deterministically,
-because every leaf is a pure function of its coordinates.
+A frontier entry names a branch by its ``(crash_plan, choice-prefix)``
+coordinates; executing the prefix and then greedily taking option 0
+(the most cooperative alternative: deliver the oldest message, accept
+the copy) yields one complete run while recording how many options each
+fresh decision had, and every untaken alternative becomes a new
+frontier entry.  Exploration is exhaustive when the frontier drains.
+The depth-first drain also saves, with each entry, a snapshot of the
+execution at the start of the tick that holds the entry's last choice,
+and resumes from it instead of replaying the prefix from tick 1 (only
+that tick's earlier choices replay).  Crash-plan roots, shard entries
+and breadth-first entries carry no snapshot and replay.  Every leaf is
+still a pure function of its coordinates (:func:`replay` recomputes it
+from scratch), which is what makes the search *shardable*: any slice of
+the frontier can be drained in any process
+(:mod:`repro.explore.sharding`) and the leaves merged deterministically.
 
 Scope: the explored nondeterminism is crash timing and channel
 behaviour -- the two adversary dimensions the paper's proofs quantify
@@ -54,7 +59,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Deque, Iterable, Iterator, Sequence
+from typing import Deque, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.detectors.base import GroundTruthView, NoDetector
 from repro.explore.monitors import RunMonitor, Violation
@@ -111,6 +116,40 @@ class ExecutionResult:
         self.option_counts = option_counts
 
 
+class _Snapshot(NamedTuple):
+    """A bounded execution's mutable state at the start of one tick.
+
+    Immutable throughout: restoring builds fresh containers from it, so
+    any number of branches can resume from one snapshot without
+    aliasing.  Per-process fields follow ``spec.processes`` order.
+    """
+
+    tick: int
+    timelines: tuple[tuple[tuple[int, Event], ...], ...]
+    crashed: frozenset[ProcessId]
+    crash_ticks: tuple[tuple[ProcessId, int], ...]
+    #: per process: outbox, performed actions, ``now``
+    envs: tuple[tuple[tuple[Event, ...], frozenset[ActionId], int], ...]
+    protocols: tuple[object, ...]
+    pending_inits: tuple[tuple[tuple[int, ActionId], ...], ...]
+    in_flight: tuple[tuple[ProcessId, tuple[Envelope, ...]], ...]
+    next_uid: int
+    streaks: tuple[tuple[ChannelKey, int], ...]
+    submissions: tuple[tuple[ChannelKey, tuple[int, ...]], ...]
+    delivered_uids: frozenset[int]
+    dropped: int
+    delivered: int
+    elided: int
+    taken: Trace
+    counts: tuple[int, ...]
+
+
+#: A frontier entry: crash plan, choice prefix, and the snapshot at the
+#: start of the tick that holds the prefix's last choice (None: replay
+#: the prefix from tick 1).
+_Entry = tuple[CrashPlan, Trace, _Snapshot | None]
+
+
 class _BoundedExecution:
     """One replay: (spec, crash plan, choice trace) -> Run, deterministically.
 
@@ -118,6 +157,13 @@ class _BoundedExecution:
     rng replaced by :meth:`_choose`.  Out-of-range prefix choices are
     clamped (never produced by the frontier, but shrink candidates may
     mutate a trace into a region where fewer options exist).
+
+    Started from a ``snapshot``, it resumes at the snapshot's tick and
+    replays only the prefix choices from there on.  With ``save`` it
+    snapshots the start of every tick it simulates into ``marks``, as
+    ``(index of the tick's first choice, snapshot)`` pairs -- unless the
+    spec has a detector (its oracle and rng are not captured) or a
+    protocol cannot capture its state.
     """
 
     def __init__(
@@ -126,6 +172,9 @@ class _BoundedExecution:
         plan: CrashPlan,
         prefix: Trace,
         stats: ExploreStats,
+        snapshot: _Snapshot | None = None,
+        save: bool = False,
+        reuse: _BoundedExecution | None = None,
     ) -> None:
         self.spec = spec
         self.plan = plan
@@ -134,10 +183,16 @@ class _BoundedExecution:
         self._group = spec.reduction == "dpor"
         self._elide = self._group and spec.lossy
         self.processes = spec.processes
-        self.envs = {p: ProcessEnv(p, self.processes) for p in self.processes}
-        self.protocols = {
-            p: spec.protocol(p, self.envs[p]) for p in self.processes
-        }
+        if snapshot is not None and reuse is not None:
+            # A finished execution's envs and protocols: restoring
+            # overwrites all their state (the envs' send memos carry over).
+            self.envs = reuse.envs
+            self.protocols = reuse.protocols
+        else:
+            self.envs = {p: ProcessEnv(p, self.processes) for p in self.processes}
+            self.protocols = {
+                p: spec.protocol(p, self.envs[p]) for p in self.processes
+            }
         self._poll = spec.detector is not None
         if self._poll:
             self.detector = (spec.detector or NoDetector()).fresh()
@@ -148,36 +203,109 @@ class _BoundedExecution:
             self.detector = None
             self._rng = None
             self._detector_name = NoDetector.name
-        self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
-            p: [] for p in self.processes
-        }
-        self._crashed: set[ProcessId] = set()
-        self._actual_crash_ticks: dict[ProcessId, int] = {}
-        self.truth = GroundTruthView(
-            self.processes, plan.faulty, self._actual_crash_ticks
-        )
+        self._save = save and not self._poll
+        self.marks: list[tuple[int, _Snapshot]] = []
         by_tick: dict[int, list[ProcessId]] = {}
         for pid in self.processes:
             planned = plan.crash_tick(pid)
             if planned is not None:
                 by_tick.setdefault(max(planned, 1), []).append(pid)
         self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
-        self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
-            p: [] for p in self.processes
+        self._resumed = snapshot
+        if snapshot is not None:
+            self._restore(snapshot)
+        else:
+            self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
+                p: [] for p in self.processes
+            }
+            self._crashed: set[ProcessId] = set()
+            self._actual_crash_ticks: dict[ProcessId, int] = {}
+            self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
+                p: [] for p in self.processes
+            }
+            for tick, pid, action in sorted(spec.workload):
+                self._pending_inits[pid].append((tick, action))
+            self._in_flight: dict[ProcessId, list[Envelope]] = {}
+            self._next_uid = 0
+            self._streaks: dict[ChannelKey, int] = {}
+            # Drop elision: submission-ordered uid log per channel key and
+            # the delivered subset, for post-hoc drop-schedule synthesis.
+            self._submission_log: dict[ChannelKey, list[int]] = {}
+            self._delivered_uids: set[int] = set()
+            self._dropped = 0
+            self._delivered = 0
+            self._elided = 0
+            self._taken: list[int] = []
+            self._counts: list[int] = []
+        self.truth = GroundTruthView(
+            self.processes, plan.faulty, self._actual_crash_ticks
+        )
+
+    # -- snapshots ------------------------------------------------------------
+
+    def _snapshot(self, tick: int) -> _Snapshot | None:
+        """The state at the start of ``tick``, or None if a protocol
+        cannot capture its own."""
+        processes = self.processes
+        protocols = tuple(self.protocols[p].snapshot() for p in processes)
+        if any(state is None for state in protocols):
+            return None
+        envs = self.envs
+        return _Snapshot(
+            tick,
+            tuple(tuple(self._timelines[p]) for p in processes),
+            frozenset(self._crashed),
+            tuple(self._actual_crash_ticks.items()),
+            tuple(
+                (tuple(env.outbox), frozenset(env._performed), env.now)
+                for env in (envs[p] for p in processes)
+            ),
+            protocols,
+            tuple(tuple(self._pending_inits[p]) for p in processes),
+            tuple((p, tuple(queue)) for p, queue in self._in_flight.items()),
+            self._next_uid,
+            tuple(self._streaks.items()),
+            tuple((key, tuple(uids)) for key, uids in self._submission_log.items()),
+            frozenset(self._delivered_uids),
+            self._dropped,
+            self._delivered,
+            self._elided,
+            tuple(self._taken),
+            tuple(self._counts),
+        )
+
+    def _restore(self, snapshot: _Snapshot) -> None:
+        processes = self.processes
+        self._timelines = {
+            p: list(timeline) for p, timeline in zip(processes, snapshot.timelines)
         }
-        for tick, pid, action in sorted(spec.workload):
-            self._pending_inits[pid].append((tick, action))
-        self._in_flight: dict[ProcessId, list[Envelope]] = {}
-        self._next_uid = 0
-        self._streaks: dict[ChannelKey, int] = {}
-        # Drop elision: submission-ordered uid log per channel key and
-        # the delivered subset, for post-hoc drop-schedule synthesis.
-        self._submission_log: dict[ChannelKey, list[int]] = {}
-        self._delivered_uids: set[int] = set()
-        self._dropped = 0
-        self._delivered = 0
-        self._taken: list[int] = []
-        self._counts: list[int] = []
+        self._crashed = set(snapshot.crashed)
+        self._actual_crash_ticks = dict(snapshot.crash_ticks)
+        for p, (outbox, performed, now), state in zip(
+            processes, snapshot.envs, snapshot.protocols
+        ):
+            env = self.envs[p]
+            env.outbox = deque(outbox)
+            env._performed = set(performed)
+            env.now = now
+            self.protocols[p].restore(state)
+        self._pending_inits = {
+            p: list(queue) for p, queue in zip(processes, snapshot.pending_inits)
+        }
+        self._in_flight = {p: list(queue) for p, queue in snapshot.in_flight}
+        self._next_uid = snapshot.next_uid
+        self._streaks = dict(snapshot.streaks)
+        self._submission_log = {key: list(uids) for key, uids in snapshot.submissions}
+        self._delivered_uids = set(snapshot.delivered_uids)
+        self._dropped = snapshot.dropped
+        self._delivered = snapshot.delivered
+        self._elided = snapshot.elided
+        self._taken = list(snapshot.taken)
+        self._counts = list(snapshot.counts)
+        # states_expanded counts ticks per leaf, restored or simulated
+        self.stats.states_expanded += snapshot.tick - 1
+        if self._save:
+            self.marks.append((len(snapshot.taken), snapshot))
 
     # -- choice plumbing ----------------------------------------------------
 
@@ -217,7 +345,7 @@ class _BoundedExecution:
                 # available), so it is never scheduled.  Quiescence is
                 # synthesized from this log at the final cut.
                 self._submission_log.setdefault(key, []).append(self._next_uid)
-                self.stats.drops_elided += 1
+                self._elided += 1
             else:
                 streak = self._streaks.get(key, 0)
                 if streak >= spec.max_consecutive_drops:
@@ -372,9 +500,20 @@ class _BoundedExecution:
         spec = self.spec
         stats = self.stats
         horizon = spec.horizon
-        for pid in self.processes:
-            self.protocols[pid].on_start()
-        for tick in range(1, horizon + 1):
+        resumed = self._resumed
+        if resumed is None:
+            first = 1
+            for pid in self.processes:
+                self.protocols[pid].on_start()
+        else:
+            first = resumed.tick  # _restore marked this tick already
+        for tick in range(first, horizon + 1):
+            if self._save and (tick > first or resumed is None):
+                snapshot = self._snapshot(tick)
+                if snapshot is None:
+                    self._save = False  # a protocol opted out: replay instead
+                else:
+                    self.marks.append((len(self._taken), snapshot))
             for pid in self._crash_index.get(tick, ()):
                 self._timelines[pid].append((tick, CrashEvent(pid)))
                 self._crashed.add(pid)
@@ -392,6 +531,7 @@ class _BoundedExecution:
                 self._timelines[pid].append((tick, event))
                 self._dispatch(pid, event, tick)
             stats.states_expanded += 1
+        stats.drops_elided += self._elided
         quiescent, synthesized = self._final_flags()
         run = Run(
             self.processes,
@@ -427,6 +567,48 @@ def replay(spec: ExploreSpec, plan: CrashPlan, trace: Trace) -> Run:
     return _BoundedExecution(spec, plan, tuple(trace), ExploreStats()).execute().run
 
 
+class _Drain:
+    """Executes frontier entries in turn, pushing one entry per untaken
+    alternative of each execution's fresh choices onto ``frontier``.
+
+    An entry saved with ``save`` carries the snapshot of the tick that
+    holds its alternative, so executing it replays that one tick's
+    choices instead of the whole prefix; a restored execution reuses the
+    previous execution's envs and protocols.
+    """
+
+    def __init__(
+        self, spec: ExploreSpec, stats: ExploreStats, frontier: Deque[_Entry]
+    ) -> None:
+        self.spec = spec
+        self.stats = stats
+        self.frontier = frontier
+        self._last: _BoundedExecution | None = None
+
+    def expand(self, entry: _Entry, save: bool) -> ExecutionResult:
+        plan, prefix, snapshot = entry
+        stats = self.stats
+        execution = _BoundedExecution(
+            self.spec, plan, prefix, stats, snapshot, save, self._last
+        )
+        result = execution.execute()
+        self._last = execution
+        stats.executions += 1
+        taken, counts = result.taken, result.option_counts
+        marks = execution.marks
+        mark = -1
+        for i in range(len(prefix), len(counts)):
+            # Choice i is in the last tick to start at or before it.
+            while mark + 1 < len(marks) and marks[mark + 1][0] <= i:
+                mark += 1
+            saved = marks[mark][1] if mark >= 0 else None
+            stats.choice_points += 1
+            for alternative in range(1, counts[i]):
+                self.frontier.append((plan, taken[:i] + (alternative,), saved))
+                stats.branches_scheduled += 1
+        return result
+
+
 def drain_frontier(
     spec: ExploreSpec, entries: Iterable[tuple[CrashPlan, Trace]]
 ) -> tuple[list[Leaf], ExploreStats]:
@@ -435,25 +617,21 @@ def drain_frontier(
     This is the sharding work unit: leaves are pure functions of their
     coordinates, so any partition of the frontier drains to the same
     leaf multiset in any process.  No monitors, no cache, no budget --
-    the driver owns those.
+    the driver owns those.  The given entries replay from tick 1; the
+    entries they spawn resume from snapshots when the drain is
+    depth-first.
     """
     stats = ExploreStats(reduction=spec.reduction)
-    frontier: Deque[tuple[CrashPlan, Trace]] = deque(entries)
+    frontier: Deque[_Entry] = deque((plan, prefix, None) for plan, prefix in entries)
     dfs = spec.strategy == "dfs"
     leaves: list[Leaf] = []
+    drain = _Drain(spec, stats, frontier)
     while frontier:
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
-        plan, prefix = frontier.pop() if dfs else frontier.popleft()
-        result = _BoundedExecution(spec, plan, prefix, stats).execute()
-        stats.executions += 1
-        for i in range(len(prefix), len(result.option_counts)):
-            options = result.option_counts[i]
-            stats.choice_points += 1
-            for alternative in range(1, options):
-                frontier.append((plan, result.taken[:i] + (alternative,)))
-                stats.branches_scheduled += 1
-        leaves.append((plan, result.taken, result.run))
+        entry = frontier.pop() if dfs else frontier.popleft()
+        result = drain.expand(entry, save=dfs)
+        leaves.append((entry[0], result.taken, result.run))
     return leaves, stats
 
 
@@ -570,13 +748,12 @@ def explore(
                     stats.stopped_on_violation = True
                     return
 
-    frontier: Deque[tuple[CrashPlan, Trace]] = deque(
-        (plan, ()) for plan in plans
-    )
+    frontier: Deque[_Entry] = deque((plan, (), None) for plan in plans)
 
     def drain() -> None:
         """Exhaust the frontier: serial expansion, then shards if wide."""
         widen = workers * _WIDEN_FACTOR if workers > 1 else 0
+        serial = _Drain(spec, stats, frontier)
         while frontier and not stats.stopped_on_violation:
             if (
                 spec.max_executions is not None
@@ -589,23 +766,20 @@ def explore(
             if widen and len(frontier) >= widen:
                 break  # wide enough: hand the rest to the shard pool
             if widen:
-                plan, prefix = frontier.popleft()  # widen breadth-first
+                entry = frontier.popleft()  # widen breadth-first
             else:
-                plan, prefix = frontier.pop() if dfs else frontier.popleft()
-            result = _BoundedExecution(spec, plan, prefix, stats).execute()
-            stats.executions += 1
-            for i in range(len(prefix), len(result.option_counts)):
-                options = result.option_counts[i]
-                stats.choice_points += 1
-                for alternative in range(1, options):
-                    frontier.append((plan, result.taken[:i] + (alternative,)))
-                    stats.branches_scheduled += 1
-            consume(plan, result.taken, result.run)
+                entry = frontier.pop() if dfs else frontier.popleft()
+            # A wide frontier would hold a snapshot per entry: only the
+            # depth-first drain saves them.
+            result = serial.expand(entry, save=dfs and not widen)
+            consume(entry[0], result.taken, result.run)
         if not frontier or stats.stopped_on_violation:
             return
         from repro.explore.sharding import run_sharded
 
-        shard_results = run_sharded(spec, list(frontier), workers)
+        shard_results = run_sharded(
+            spec, [(plan, prefix) for plan, prefix, _ in frontier], workers
+        )
         frontier.clear()
         try:
             for shard_leaves, shard_stats in shard_results:

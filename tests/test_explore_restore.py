@@ -17,8 +17,15 @@ from collections import Counter
 import pytest
 
 from repro import ExploreSpec, UniformityMonitor, explore, make_process_ids
-from repro.core.protocols import NUDCProcess
-from repro.explore.scheduler import drain_frontier, replay
+from repro.core.protocols import (
+    AtdUDCProcess,
+    GeneralizedFDUDCProcess,
+    NUDCProcess,
+    ReliableUDCProcess,
+    StrongFDUDCProcess,
+)
+from repro.explore.scheduler import _BoundedExecution, drain_frontier, replay
+from repro.model.events import GeneralizedSuspicion, Message, StandardSuspicion
 from repro.model.serialize import run_to_dict
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import single_action
@@ -180,6 +187,120 @@ class TestFallbacks:
         spec = DIFFERENTIAL_SPECS["fd-udc-detector"].with_(reduction=reduction)
         assert spec.detector is not None
         assert_leaves_replay(spec)
+
+
+def count_restores(monkeypatch):
+    """Record the tick of every snapshot the explorer restores."""
+    ticks = []
+    original = _BoundedExecution._restore
+
+    def spy(self, snapshot):
+        ticks.append(snapshot.tick)
+        original(self, snapshot)
+
+    monkeypatch.setattr(_BoundedExecution, "_restore", spy)
+    return ticks
+
+
+class TestWhatRestores:
+    def test_depth_first_entries_restore(self, monkeypatch):
+        ticks = count_restores(monkeypatch)
+        report = explore(bench_spec(3), cache=None)
+        # every entry but the crash-plan roots resumes from a snapshot
+        assert len(ticks) == report.stats.branches_scheduled
+        assert min(ticks) >= 1 and max(ticks) <= 8
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ECHO_SPEC,
+            DIFFERENTIAL_SPECS["fd-udc-detector"],
+            bench_spec(3, strategy="bfs"),
+        ],
+        ids=["no-opt-in", "detector", "bfs"],
+    )
+    def test_fallbacks_replay_from_tick_one(self, monkeypatch, spec):
+        ticks = count_restores(monkeypatch)
+        report = explore(spec, cache=None)
+        assert report.complete and report.runs
+        assert ticks == []
+
+
+#: every protocol that captures its state, explored without a detector so
+#: that its snapshots are used
+CAPTURING = {
+    "nudc": dict(protocol=NUDCProcess),
+    "reliable": dict(protocol=ReliableUDCProcess),
+    "strong-fd": dict(protocol=StrongFDUDCProcess),
+    "atd": dict(protocol=AtdUDCProcess),
+}
+
+
+class TestProtocolState:
+    @pytest.mark.parametrize("reduction", ["none", "dpor"])
+    @pytest.mark.parametrize("name", sorted(CAPTURING))
+    def test_leaves_equal_replay(self, name, reduction):
+        spec = spec_of(
+            horizon=5,
+            lossy=True,
+            max_consecutive_drops=1,
+            reduction=reduction,
+            **CAPTURING[name],
+        )
+        assert_leaves_replay(spec)
+
+    def test_generalized_leaves_equal_replay(self):
+        spec = spec_of(horizon=5, lossy=True).with_(
+            protocol=uniform_protocol(GeneralizedFDUDCProcess, t=1)
+        )
+        assert_leaves_replay(spec)
+
+    def _round_trip(self, process, fresh):
+        state = process.snapshot()
+        fresh.restore(state)
+        assert fresh.snapshot() == state
+        return state
+
+    def _pair(self, cls, **kwargs):
+        from repro.sim.process import ProcessEnv
+
+        procs = make_process_ids(3)
+        made = [cls("p1", ProcessEnv("p1", procs), **kwargs) for _ in range(2)]
+        made[0].env.now = 4
+        made[0].on_init(("p1", "a0"))
+        made[0].on_receive("p2", Message("ack", ("p1", "a0")))
+        return made
+
+    @pytest.mark.parametrize(
+        "cls,kwargs,report",
+        [
+            (StrongFDUDCProcess, {}, StandardSuspicion(frozenset({"p3"}))),
+            (AtdUDCProcess, {}, StandardSuspicion(frozenset({"p3"}))),
+            (
+                GeneralizedFDUDCProcess,
+                {"t": 1},
+                GeneralizedSuspicion(frozenset({"p3"}), 1),
+            ),
+        ],
+        ids=["strong-fd", "atd", "generalized"],
+    )
+    def test_round_trip_shares_no_containers(self, cls, kwargs, report):
+        process, fresh = self._pair(cls, **kwargs)
+        process.on_suspect(report)
+        state = self._round_trip(process, fresh)
+        # mutating either side leaves the other and the snapshot alone
+        fresh.on_receive("p3", Message("ack", ("p1", "a0")))
+        fresh.on_init(("p1", "a1"))
+        assert process.snapshot() == state
+        assert fresh.snapshot() != state
+
+    def test_base_class_cannot_capture(self):
+        from repro.sim.process import ProcessEnv, ProtocolProcess
+
+        process = ProtocolProcess("p1", ProcessEnv("p1", make_process_ids(2)))
+        assert process.snapshot() is None
+        with pytest.raises(NotImplementedError):
+            process.restore(())
 
 
 class TestEarlyStops:
