@@ -319,11 +319,6 @@ class _BoundedExecution:
         self._counts.append(options)
         return pick
 
-    @property
-    def _fresh(self) -> bool:
-        """Past the replayed prefix, into never-explored territory?"""
-        return len(self._taken) > len(self.prefix)
-
     # -- channel ------------------------------------------------------------
 
     def _submit(
@@ -389,7 +384,7 @@ class _BoundedExecution:
         ready = pending[:cut] if cut < total else pending
         if self._group:
             groups = group_deliverable(ready)
-            if self._fresh:
+            if len(self._taken) >= len(self.prefix):  # the next choice is fresh
                 self.stats.deliveries_collapsed += cut - len(groups)
             pick = self._choose(len(groups) + 1)
             if pick == len(groups):
