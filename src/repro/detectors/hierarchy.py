@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from repro.detectors.properties import (
     PropertyVerdict,
     atd_accuracy,
@@ -89,13 +87,12 @@ CONVERSIONS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-def conversion_graph() -> "nx.DiGraph":
-    """The detector classes with the known conversion edges."""
-    graph = nx.DiGraph()
-    for cls in CLASS_ORDER:
-        graph.add_node(cls.name, note=cls.note)
+def conversion_graph() -> dict[str, dict[str, str]]:
+    """The detector classes with the known conversion edges: each class
+    maps every class it converts to in one step to how."""
+    graph: dict[str, dict[str, str]] = {cls.name: {} for cls in CLASS_ORDER}
     for src, dst, how in CONVERSIONS:
-        graph.add_edge(src, dst, how=how)
+        graph[src][dst] = how
     return graph
 
 
@@ -105,7 +102,10 @@ def convertible(source: str, target: str) -> bool:
     graph = conversion_graph()
     if source not in graph or target not in graph:
         raise KeyError(f"unknown detector class {source!r} or {target!r}")
-    return source == target or nx.has_path(graph, source, target)
+    reached = [source]  # breadth-first
+    for cls in reached:
+        reached.extend(nxt for nxt in graph[cls] if nxt not in reached)
+    return target in reached
 
 
 def satisfied_classes(run: Run, *, derived: bool = False) -> list[str]:

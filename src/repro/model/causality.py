@@ -6,8 +6,8 @@ inside the cut has its send inside.  This module makes the causal
 structure explicit:
 
 * :func:`causal_graph` -- the happens-before DAG over a run's events
-  (local-order edges plus matched send->receive edges), as a
-  :class:`networkx.DiGraph` for downstream analysis;
+  (local-order edges plus matched send->receive edges), as stdlib
+  adjacency dicts (:class:`CausalGraph`);
 * :func:`happens_before` -- Lamport's relation, by reachability;
 * :func:`is_consistent_cut` -- arbitrary per-process prefix vectors,
   checked for causal closure;
@@ -21,48 +21,94 @@ two agree.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import NamedTuple
 
 from repro.knowledge.chains import match_sends_to_receives
-from repro.model.events import ProcessId, ReceiveEvent
+from repro.model.events import Event, ProcessId, ReceiveEvent
 from repro.model.run import Run
 
 #: A node is (process, tick): by R2 at most one event per process-tick.
 Node = tuple[ProcessId, int]
 
 
-def causal_graph(run: Run) -> "nx.DiGraph":
+class CausalGraph(NamedTuple):
+    """The happens-before DAG as adjacency dicts."""
+
+    #: each node's event, every process's timeline in order
+    events: dict[Node, Event]
+    #: each node's successors, mapped to the edge's kind: "local" or "message"
+    succ: dict[Node, dict[Node, str]]
+
+
+def causal_graph(run: Run) -> CausalGraph:
     """The happens-before DAG of the run's events."""
-    graph = nx.DiGraph()
+    graph = CausalGraph({}, {})
     for p in run.processes:
         previous: Node | None = None
         for t, event in run.timeline(p):
             node: Node = (p, t)
-            graph.add_node(node, event=event)
+            graph.events[node] = event
+            graph.succ[node] = {}
             if previous is not None:
-                graph.add_edge(previous, node, kind="local")
+                graph.succ[previous][node] = "local"
             previous = node
     for (recv_p, recv_t), (send_p, send_t) in match_sends_to_receives(run).items():
-        graph.add_edge((send_p, send_t), (recv_p, recv_t), kind="message")
+        graph.succ[send_p, send_t][recv_p, recv_t] = "message"
+    return graph
+
+
+def _reaches(graph: CausalGraph, a: Node, b: Node) -> bool:
+    """Is there a path of at least one edge from a to b?  (Breadth-first.)"""
+    seen: set[Node] = set()
+    frontier = [a]
+    for node in frontier:
+        for nxt in graph.succ[node]:
+            if nxt == b:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def _topological_order(graph: CausalGraph) -> list[tuple[Node, list[Node]]]:
+    """Kahn's algorithm: every node with its predecessors, each after
+    all of them; raises ValueError if the graph has a cycle."""
+    preds: dict[Node, list[Node]] = {node: [] for node in graph.events}
+    for node, succ in graph.succ.items():
+        for nxt in succ:
+            preds[nxt].append(node)
+    waiting = {node: len(before) for node, before in preds.items()}
+    order = [node for node, count in waiting.items() if count == 0]
+    for node in order:
+        for nxt in graph.succ[node]:
+            waiting[nxt] -= 1
+            if waiting[nxt] == 0:
+                order.append(nxt)
+    if len(order) != len(preds):
+        raise ValueError("the causal graph has a cycle")
+    return [(node, preds[node]) for node in order]
+
+
+def _checked(run: Run, a: Node, b: Node) -> CausalGraph:
+    """The run's causal graph; KeyError unless a and b are events in it."""
+    graph = causal_graph(run)
+    if a not in graph.events or b not in graph.events:
+        raise KeyError(f"no event at {a!r} or {b!r}")
     return graph
 
 
 def happens_before(run: Run, a: Node, b: Node) -> bool:
     """Lamport's happened-before: a path in the causal graph (strict)."""
-    graph = causal_graph(run)
-    if a not in graph or b not in graph:
-        raise KeyError(f"no event at {a!r} or {b!r}")
-    return a != b and bool(nx.has_path(graph, a, b))
+    return a != b and _reaches(_checked(run, a, b), a, b)
 
 
 def concurrent(run: Run, a: Node, b: Node) -> bool:
     """Neither happens before the other."""
-    graph = causal_graph(run)
-    if a not in graph or b not in graph:
-        raise KeyError(f"no event at {a!r} or {b!r}")
+    graph = _checked(run, a, b)
     if a == b:
         return False
-    return not bool(nx.has_path(graph, a, b)) and not bool(nx.has_path(graph, b, a))
+    return not _reaches(graph, a, b) and not _reaches(graph, b, a)
 
 
 def is_consistent_cut(run: Run, frontier: dict[ProcessId, int]) -> bool:
@@ -100,23 +146,20 @@ def time_cut_frontier(run: Run, time: int) -> dict[ProcessId, int]:
 
 def lamport_timestamps(run: Run) -> dict[Node, int]:
     """Classic Lamport clocks: C(b) > C(a) whenever a happens-before b."""
-    graph = causal_graph(run)
     clocks: dict[Node, int] = {}
-    for node in nx.topological_sort(graph):
-        preds = [clocks[p] for p in graph.predecessors(node)]
-        clocks[node] = (max(preds) + 1) if preds else 1
+    for node, preds in _topological_order(causal_graph(run)):
+        clocks[node] = max((clocks[p] for p in preds), default=0) + 1
     return clocks
 
 
 def vector_timestamps(run: Run) -> dict[Node, dict[ProcessId, int]]:
     """Vector clocks: V(a) < V(b) iff a happens-before b (the strong
     clock condition Lamport clocks lack)."""
-    graph = causal_graph(run)
     clocks: dict[Node, dict[ProcessId, int]] = {}
-    for node in nx.topological_sort(graph):
+    for node, preds in _topological_order(causal_graph(run)):
         p, _ = node
         merged = {q: 0 for q in run.processes}
-        for pred in graph.predecessors(node):
+        for pred in preds:
             for q, value in clocks[pred].items():
                 if value > merged[q]:
                     merged[q] = value

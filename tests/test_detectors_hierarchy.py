@@ -91,7 +91,8 @@ class TestClassification:
 class TestConversionGraph:
     def test_graph_nodes_match_classes(self):
         graph = conversion_graph()
-        assert set(graph.nodes) == set(BY_NAME)
+        assert set(graph) == set(BY_NAME)
+        assert graph["strong"]["weak"] == "weaken completeness"
 
     def test_paper_conversions_compose(self):
         # Cor 3.2's pipeline: impermanent-weak reaches strong.
