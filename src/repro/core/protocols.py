@@ -173,14 +173,8 @@ class _CoordinationBase(ProtocolProcess):
     def snapshot(self) -> object | None:
         """Every action's ``_ActionState``, as tuples and frozensets."""
         return tuple(
-            (
-                action,
-                st.joined,
-                frozenset(st.acked_by),
-                frozenset(st.holders),
-                tuple(st.sends_left.items()),
-                st.last_resend,
-            )
+            (action, st.joined, frozenset(st.acked_by), frozenset(st.holders),
+             tuple(st.sends_left.items()), st.last_resend)
             for action, st in self.states.items()
         )
 

@@ -29,20 +29,16 @@ once per drop/accept, ``"dpor"`` once per distinct ``(sender, message)``
 class of deliverable copies and never on drops
 (:mod:`repro.explore.reduction`).  Both enumerate the same run set.
 
-A frontier entry names a branch by its ``(crash_plan, choice-prefix)``
-coordinates; executing the prefix and then greedily taking option 0
-(the most cooperative alternative: deliver the oldest message, accept
-the copy) yields one complete run while recording how many options each
-fresh decision had, and every untaken alternative becomes a new
-frontier entry.  Exploration is exhaustive when the frontier drains.
-The depth-first drain also saves, with each entry, a snapshot of the
-execution at the start of the tick that holds the entry's last choice,
-and resumes from it instead of replaying the prefix from tick 1 (only
-that tick's earlier choices replay).  Crash-plan roots, shard entries
-and breadth-first entries carry no snapshot and replay.  Every leaf is
-still a pure function of its coordinates (:func:`replay` recomputes it
-from scratch), which is what makes the search *shardable*: any slice of
-the frontier can be drained in any process
+A frontier entry is a ``(crash_plan, choice-prefix)`` pair; executing
+the prefix and then greedily taking option 0 (the most cooperative
+alternative: deliver the oldest message, accept the copy) yields one
+complete run while recording how many options each fresh decision had,
+and every untaken alternative becomes a new frontier entry.  The
+depth-first drain resumes an entry from a snapshot taken at the start
+of the tick that holds its last choice instead of replaying the prefix
+from tick 1.  Every leaf is still a pure function of its coordinates
+(:func:`replay`), which is what makes the search *shardable*: any slice
+of the frontier can be drained in any process
 (:mod:`repro.explore.sharding`) and the leaves merged deterministically.
 
 Scope: the explored nondeterminism is crash timing and channel
@@ -116,37 +112,29 @@ class ExecutionResult:
         self.option_counts = option_counts
 
 
-class _Snapshot(NamedTuple):
-    """A bounded execution's mutable state at the start of one tick.
+#: One process in a snapshot: timeline, outbox, performed, now, protocol, inits.
+_ProcessState = tuple[tuple[tuple[int, Event], ...], tuple[Event, ...],
+                      frozenset[ActionId], int, object, tuple[tuple[int, ActionId], ...]]
 
-    Immutable throughout: restoring builds fresh containers from it, so
-    any number of branches can resume from one snapshot without
-    aliasing.  Per-process fields follow ``spec.processes`` order.
-    """
+
+class _Snapshot(NamedTuple):
+    """A bounded execution's mutable state at the start of one tick; immutable,
+    so branches that resume from it share no containers."""
 
     tick: int
-    timelines: tuple[tuple[tuple[int, Event], ...], ...]
-    crashed: frozenset[ProcessId]
+    processes: tuple[_ProcessState, ...]  # in spec.processes order
     crash_ticks: tuple[tuple[ProcessId, int], ...]
-    #: per process: outbox, performed actions, ``now``
-    envs: tuple[tuple[tuple[Event, ...], frozenset[ActionId], int], ...]
-    protocols: tuple[object, ...]
-    pending_inits: tuple[tuple[tuple[int, ActionId], ...], ...]
     in_flight: tuple[tuple[ProcessId, tuple[Envelope, ...]], ...]
-    next_uid: int
     streaks: tuple[tuple[ChannelKey, int], ...]
     submissions: tuple[tuple[ChannelKey, tuple[int, ...]], ...]
     delivered_uids: frozenset[int]
-    dropped: int
-    delivered: int
-    elided: int
+    counters: tuple[int, int, int, int]  # next uid, dropped, delivered, elided
     taken: Trace
     counts: tuple[int, ...]
 
 
-#: A frontier entry: crash plan, choice prefix, and the snapshot at the
-#: start of the tick that holds the prefix's last choice (None: replay
-#: the prefix from tick 1).
+#: A frontier entry: crash plan, choice prefix, and the snapshot of the tick
+#: that holds the prefix's last choice (None: replay from tick 1).
 _Entry = tuple[CrashPlan, Trace, _Snapshot | None]
 
 
@@ -158,12 +146,10 @@ class _BoundedExecution:
     clamped (never produced by the frontier, but shrink candidates may
     mutate a trace into a region where fewer options exist).
 
-    Started from a ``snapshot``, it resumes at the snapshot's tick and
-    replays only the prefix choices from there on.  With ``save`` it
-    snapshots the start of every tick it simulates into ``marks``, as
-    ``(index of the tick's first choice, snapshot)`` pairs -- unless the
-    spec has a detector (its oracle and rng are not captured) or a
-    protocol cannot capture its state.
+    From a ``snapshot`` it resumes at the snapshot's tick, in ``reuse``'s
+    envs and protocols if given.  With ``save`` it records ``(index of
+    the tick's first choice, snapshot)`` in ``marks`` for every tick --
+    unless the spec has a detector (oracle and rng are not captured).
     """
 
     def __init__(
@@ -183,16 +169,14 @@ class _BoundedExecution:
         self._group = spec.reduction == "dpor"
         self._elide = self._group and spec.lossy
         self.processes = spec.processes
-        if snapshot is not None and reuse is not None:
-            # A finished execution's envs and protocols: restoring
-            # overwrites all their state (the envs' send memos carry over).
-            self.envs = reuse.envs
-            self.protocols = reuse.protocols
-        else:
+        if snapshot is None or reuse is None:
             self.envs = {p: ProcessEnv(p, self.processes) for p in self.processes}
             self.protocols = {
                 p: spec.protocol(p, self.envs[p]) for p in self.processes
             }
+        else:  # restoring overwrites their state; only send memos carry over
+            self.envs = reuse.envs
+            self.protocols = reuse.protocols
         self._poll = spec.detector is not None
         if self._poll:
             self.detector = (spec.detector or NoDetector()).fresh()
@@ -211,101 +195,83 @@ class _BoundedExecution:
             if planned is not None:
                 by_tick.setdefault(max(planned, 1), []).append(pid)
         self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
-        self._resumed = snapshot
-        if snapshot is not None:
-            self._restore(snapshot)
-        else:
-            self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
-                p: [] for p in self.processes
-            }
-            self._crashed: set[ProcessId] = set()
-            self._actual_crash_ticks: dict[ProcessId, int] = {}
-            self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
-                p: [] for p in self.processes
-            }
-            for tick, pid, action in sorted(spec.workload):
-                self._pending_inits[pid].append((tick, action))
-            self._in_flight: dict[ProcessId, list[Envelope]] = {}
-            self._next_uid = 0
-            self._streaks: dict[ChannelKey, int] = {}
-            # Drop elision: submission-ordered uid log per channel key and
-            # the delivered subset, for post-hoc drop-schedule synthesis.
-            self._submission_log: dict[ChannelKey, list[int]] = {}
-            self._delivered_uids: set[int] = set()
-            self._dropped = 0
-            self._delivered = 0
-            self._elided = 0
-            self._taken: list[int] = []
-            self._counts: list[int] = []
+        self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
+            p: [] for p in self.processes
+        }
+        self._crashed: set[ProcessId] = set()
+        self._actual_crash_ticks: dict[ProcessId, int] = {}
         self.truth = GroundTruthView(
             self.processes, plan.faulty, self._actual_crash_ticks
         )
+        self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
+            p: [] for p in self.processes
+        }
+        for tick, pid, action in sorted(spec.workload):
+            self._pending_inits[pid].append((tick, action))
+        self._in_flight: dict[ProcessId, list[Envelope]] = {}
+        self._next_uid = 0
+        self._streaks: dict[ChannelKey, int] = {}
+        # Drop elision: submission-ordered uid log per channel key and
+        # the delivered subset, for post-hoc drop-schedule synthesis.
+        self._submission_log: dict[ChannelKey, list[int]] = {}
+        self._delivered_uids: set[int] = set()
+        self._dropped = 0
+        self._delivered = 0
+        self._elided = 0
+        self._taken: list[int] = []
+        self._counts: list[int] = []
+        self._resumed = snapshot
+        if snapshot is not None:
+            self._restore(snapshot)
 
     # -- snapshots ------------------------------------------------------------
 
     def _snapshot(self, tick: int) -> _Snapshot | None:
-        """The state at the start of ``tick``, or None if a protocol
-        cannot capture its own."""
-        processes = self.processes
-        protocols = tuple(self.protocols[p].snapshot() for p in processes)
-        if any(state is None for state in protocols):
-            return None
-        envs = self.envs
+        """The state at the start of ``tick`` (None: a protocol opted out)."""
+        processes = []
+        for p in self.processes:
+            state = self.protocols[p].snapshot()
+            if state is None:
+                return None
+            env = self.envs[p]
+            processes.append((
+                tuple(self._timelines[p]), tuple(env.outbox),
+                frozenset(env._performed), env.now, state,
+                tuple(self._pending_inits[p]),
+            ))
         return _Snapshot(
             tick,
-            tuple(tuple(self._timelines[p]) for p in processes),
-            frozenset(self._crashed),
+            tuple(processes),
             tuple(self._actual_crash_ticks.items()),
-            tuple(
-                (tuple(env.outbox), frozenset(env._performed), env.now)
-                for env in (envs[p] for p in processes)
-            ),
-            protocols,
-            tuple(tuple(self._pending_inits[p]) for p in processes),
             tuple((p, tuple(queue)) for p, queue in self._in_flight.items()),
-            self._next_uid,
             tuple(self._streaks.items()),
             tuple((key, tuple(uids)) for key, uids in self._submission_log.items()),
             frozenset(self._delivered_uids),
-            self._dropped,
-            self._delivered,
-            self._elided,
+            (self._next_uid, self._dropped, self._delivered, self._elided),
             tuple(self._taken),
             tuple(self._counts),
         )
 
     def _restore(self, snapshot: _Snapshot) -> None:
-        processes = self.processes
-        self._timelines = {
-            p: list(timeline) for p, timeline in zip(processes, snapshot.timelines)
-        }
-        self._crashed = set(snapshot.crashed)
-        self._actual_crash_ticks = dict(snapshot.crash_ticks)
-        for p, (outbox, performed, now), state in zip(
-            processes, snapshot.envs, snapshot.protocols
+        """Load ``snapshot`` over the fresh state ``__init__`` built."""
+        for p, (timeline, outbox, performed, now, state, inits) in zip(
+            self.processes, snapshot.processes
         ):
+            self._timelines[p] = list(timeline)
             env = self.envs[p]
-            env.outbox = deque(outbox)
-            env._performed = set(performed)
-            env.now = now
+            env.outbox, env._performed, env.now = deque(outbox), set(performed), now
             self.protocols[p].restore(state)
-        self._pending_inits = {
-            p: list(queue) for p, queue in zip(processes, snapshot.pending_inits)
-        }
+            self._pending_inits[p] = list(inits)
+        self._actual_crash_ticks.update(snapshot.crash_ticks)
+        self._crashed.update(self._actual_crash_ticks)
         self._in_flight = {p: list(queue) for p, queue in snapshot.in_flight}
-        self._next_uid = snapshot.next_uid
         self._streaks = dict(snapshot.streaks)
         self._submission_log = {key: list(uids) for key, uids in snapshot.submissions}
         self._delivered_uids = set(snapshot.delivered_uids)
-        self._dropped = snapshot.dropped
-        self._delivered = snapshot.delivered
-        self._elided = snapshot.elided
+        self._next_uid, self._dropped, self._delivered, self._elided = snapshot.counters
         self._taken = list(snapshot.taken)
         self._counts = list(snapshot.counts)
-        # states_expanded counts ticks per leaf, restored or simulated
-        self.stats.states_expanded += snapshot.tick - 1
-        if self._save:
-            self.marks.append((len(snapshot.taken), snapshot))
+        self.stats.states_expanded += snapshot.tick - 1  # ticks per leaf
 
     # -- choice plumbing ----------------------------------------------------
 
@@ -491,20 +457,37 @@ class _BoundedExecution:
                 return False, 0
         return True, synthesized
 
+    def push_alternatives(
+        self, result: ExecutionResult, frontier: Deque[_Entry]
+    ) -> None:
+        """Count this execution and push one entry per untaken alternative
+        of its fresh choices, with the snapshot of the tick holding it."""
+        stats = self.stats
+        stats.executions += 1
+        taken, counts, marks = result.taken, result.option_counts, self.marks
+        mark = -1
+        for i in range(len(self.prefix), len(counts)):
+            # Choice i is in the last tick to start at or before it.
+            while mark + 1 < len(marks) and marks[mark + 1][0] <= i:
+                mark += 1
+            saved = marks[mark][1] if mark >= 0 else None
+            stats.choice_points += 1
+            for alternative in range(1, counts[i]):
+                frontier.append((self.plan, taken[:i] + (alternative,), saved))
+                stats.branches_scheduled += 1
+
     def execute(self) -> ExecutionResult:
         spec = self.spec
         stats = self.stats
         horizon = spec.horizon
         resumed = self._resumed
+        first = 1 if resumed is None else resumed.tick
         if resumed is None:
-            first = 1
             for pid in self.processes:
                 self.protocols[pid].on_start()
-        else:
-            first = resumed.tick  # _restore marked this tick already
         for tick in range(first, horizon + 1):
-            if self._save and (tick > first or resumed is None):
-                snapshot = self._snapshot(tick)
+            if self._save:
+                snapshot = self._snapshot(tick) if tick > first or not resumed else resumed
                 if snapshot is None:
                     self._save = False  # a protocol opted out: replay instead
                 else:
@@ -562,48 +545,6 @@ def replay(spec: ExploreSpec, plan: CrashPlan, trace: Trace) -> Run:
     return _BoundedExecution(spec, plan, tuple(trace), ExploreStats()).execute().run
 
 
-class _Drain:
-    """Executes frontier entries in turn, pushing one entry per untaken
-    alternative of each execution's fresh choices onto ``frontier``.
-
-    An entry saved with ``save`` carries the snapshot of the tick that
-    holds its alternative, so executing it replays that one tick's
-    choices instead of the whole prefix; a restored execution reuses the
-    previous execution's envs and protocols.
-    """
-
-    def __init__(
-        self, spec: ExploreSpec, stats: ExploreStats, frontier: Deque[_Entry]
-    ) -> None:
-        self.spec = spec
-        self.stats = stats
-        self.frontier = frontier
-        self._last: _BoundedExecution | None = None
-
-    def expand(self, entry: _Entry, save: bool) -> ExecutionResult:
-        plan, prefix, snapshot = entry
-        stats = self.stats
-        execution = _BoundedExecution(
-            self.spec, plan, prefix, stats, snapshot, save, self._last
-        )
-        result = execution.execute()
-        self._last = execution
-        stats.executions += 1
-        taken, counts = result.taken, result.option_counts
-        marks = execution.marks
-        mark = -1
-        for i in range(len(prefix), len(counts)):
-            # Choice i is in the last tick to start at or before it.
-            while mark + 1 < len(marks) and marks[mark + 1][0] <= i:
-                mark += 1
-            saved = marks[mark][1] if mark >= 0 else None
-            stats.choice_points += 1
-            for alternative in range(1, counts[i]):
-                self.frontier.append((plan, taken[:i] + (alternative,), saved))
-                stats.branches_scheduled += 1
-        return result
-
-
 def drain_frontier(
     spec: ExploreSpec, entries: Iterable[tuple[CrashPlan, Trace]]
 ) -> tuple[list[Leaf], ExploreStats]:
@@ -612,21 +553,21 @@ def drain_frontier(
     This is the sharding work unit: leaves are pure functions of their
     coordinates, so any partition of the frontier drains to the same
     leaf multiset in any process.  No monitors, no cache, no budget --
-    the driver owns those.  The given entries replay from tick 1; the
-    entries they spawn resume from snapshots when the drain is
-    depth-first.
+    the driver owns those.
     """
     stats = ExploreStats(reduction=spec.reduction)
     frontier: Deque[_Entry] = deque((plan, prefix, None) for plan, prefix in entries)
     dfs = spec.strategy == "dfs"
     leaves: list[Leaf] = []
-    drain = _Drain(spec, stats, frontier)
+    last: _BoundedExecution | None = None
     while frontier:
         if len(frontier) > stats.max_frontier:
             stats.max_frontier = len(frontier)
-        entry = frontier.pop() if dfs else frontier.popleft()
-        result = drain.expand(entry, save=dfs)
-        leaves.append((entry[0], result.taken, result.run))
+        plan, prefix, snapshot = frontier.pop() if dfs else frontier.popleft()
+        last = _BoundedExecution(spec, plan, prefix, stats, snapshot, dfs, last)
+        result = last.execute()
+        last.push_alternatives(result, frontier)
+        leaves.append((plan, result.taken, result.run))
     return leaves, stats
 
 
@@ -748,7 +689,7 @@ def explore(
     def drain() -> None:
         """Exhaust the frontier: serial expansion, then shards if wide."""
         widen = workers * _WIDEN_FACTOR if workers > 1 else 0
-        serial = _Drain(spec, stats, frontier)
+        last: _BoundedExecution | None = None
         while frontier and not stats.stopped_on_violation:
             if (
                 spec.max_executions is not None
@@ -764,10 +705,13 @@ def explore(
                 entry = frontier.popleft()  # widen breadth-first
             else:
                 entry = frontier.pop() if dfs else frontier.popleft()
-            # A wide frontier would hold a snapshot per entry: only the
-            # depth-first drain saves them.
-            result = serial.expand(entry, save=dfs and not widen)
-            consume(entry[0], result.taken, result.run)
+            plan, prefix, snapshot = entry
+            # Only depth-first saves snapshots: a wide frontier would hold one per entry.
+            save = dfs and not widen
+            last = _BoundedExecution(spec, plan, prefix, stats, snapshot, save, last)
+            result = last.execute()
+            last.push_alternatives(result, frontier)
+            consume(plan, result.taken, result.run)
         if not frontier or stats.stopped_on_violation:
             return
         from repro.explore.sharding import run_sharded

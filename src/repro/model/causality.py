@@ -34,10 +34,8 @@ Node = tuple[ProcessId, int]
 class CausalGraph(NamedTuple):
     """The happens-before DAG as adjacency dicts."""
 
-    #: each node's event, every process's timeline in order
-    events: dict[Node, Event]
-    #: each node's successors, mapped to the edge's kind: "local" or "message"
-    succ: dict[Node, dict[Node, str]]
+    events: dict[Node, Event]  # every node's event, timeline by timeline
+    succ: dict[Node, dict[Node, str]]  # successor -> edge kind, "local" or "message"
 
 
 def causal_graph(run: Run) -> CausalGraph:
@@ -59,16 +57,13 @@ def causal_graph(run: Run) -> CausalGraph:
 
 def _reaches(graph: CausalGraph, a: Node, b: Node) -> bool:
     """Is there a path of at least one edge from a to b?  (Breadth-first.)"""
-    seen: set[Node] = set()
-    frontier = [a]
-    for node in frontier:
-        for nxt in graph.succ[node]:
-            if nxt == b:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+    queue = list(graph.succ[a])
+    seen = set(queue)
+    for node in queue:
+        fresh = [n for n in graph.succ[node] if n not in seen]
+        seen.update(fresh)
+        queue.extend(fresh)
+    return b in seen
 
 
 def _topological_order(graph: CausalGraph) -> list[tuple[Node, list[Node]]]:
@@ -106,9 +101,7 @@ def happens_before(run: Run, a: Node, b: Node) -> bool:
 def concurrent(run: Run, a: Node, b: Node) -> bool:
     """Neither happens before the other."""
     graph = _checked(run, a, b)
-    if a == b:
-        return False
-    return not _reaches(graph, a, b) and not _reaches(graph, b, a)
+    return a != b and not _reaches(graph, a, b) and not _reaches(graph, b, a)
 
 
 def is_consistent_cut(run: Run, frontier: dict[ProcessId, int]) -> bool:

@@ -130,17 +130,14 @@ class ProtocolProcess:
     def wants_to_act(self) -> bool:
         return False
 
-    # -- state capture (opt-in) ------------------------------------------------
-
     def snapshot(self) -> object | None:
         """This process's mutable state as an immutable value, or None if
-        the protocol cannot capture it.  The explorer resumes branches
-        from captured states; a None makes it replay them from tick 1."""
+        the protocol cannot capture it (the explorer then replays)."""
         return None
 
     def restore(self, state: object) -> None:
-        """Load a value :meth:`snapshot` returned into a fresh instance,
-        giving it mutable containers of its own."""
+        """Replace this process's state with fresh containers built from
+        a value :meth:`snapshot` returned."""
         raise NotImplementedError(f"{type(self).__name__} cannot restore state")
 
 
