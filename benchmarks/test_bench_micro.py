@@ -12,8 +12,11 @@ timing-ratio assertions while keeping every correctness assertion.
 """
 
 import json
+import math
 import os
 import platform
+import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -23,9 +26,11 @@ from repro.core.protocols import NUDCProcess, StrongFDUDCProcess
 from repro.core.simulation_theorem import transform_run_f
 from repro.detectors.standard import PerfectOracle
 from repro.knowledge import Crashed, GroupChecker, Knows, ModelChecker
+from repro.knowledge.formulas import And, Box, Diamond, Implies, Not, Or
 from repro.knowledge.paper_formulas import dc2_formula
 from repro.knowledge.reference import (
     naive_common_knowledge_points,
+    naive_holds,
     naive_known_crashed_set,
 )
 from repro.model.context import make_process_ids
@@ -172,18 +177,18 @@ def _sweep_points(system):
     return [Point(r, m) for r in sample for m in range(r.duration + 1)]
 
 
-def _knows_sweep(system, points):
+def _knows_sweep(system, points, processes=None):
     """known_crashed_set for every (process, point) of the workload."""
     total = 0
-    for p in system.processes:
+    for p in processes or system.processes:
         for pt in points:
             total += len(system.known_crashed_set(p, pt))
     return total
 
 
-def _naive_knows_sweep(system, points):
+def _naive_knows_sweep(system, points, processes=None):
     total = 0
-    for p in system.processes:
+    for p in processes or system.processes:
         for pt in points:
             total += len(naive_known_crashed_set(system, p, pt))
     return total
@@ -240,27 +245,78 @@ def _best_of(fn, *args, repeat=3):
     return best
 
 
-def _best_of_pair(thunk_a, thunk_b, repeat=5):
-    """Best-of timing for two thunks, rounds interleaved a,b,a,b,...
+def _calls_per_batch(thunk, batch_s):
+    """Fewest calls (doubling from 1) that take at least ``batch_s``."""
+    calls = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(calls):
+            thunk()
+        if time.perf_counter() - start >= batch_s:
+            return calls
+        calls *= 2
 
-    Ratios of the two results feed regression gates; interleaving means
-    an ambient load spike inflates both sides instead of silently
-    skewing whichever one it happened to land on.
+
+def _timed_pair(pairs, repeat, batch_s):
+    """Time two workloads, each given as slices: ``pairs`` holds one
+    (slice of a, slice of b) pair per slice.
+
+    Every slice of a is timed right before the same slice of b, round
+    after round, so a load spike or a slower phase of the host hits both
+    sides alike; a round times a batch of calls lasting at least
+    ``batch_s``, so no sub-millisecond call is timed alone.  Returns the
+    best per-call seconds of a and of b and the median over rounds of
+    a's time over b's.
     """
-    best_a = best_b = float("inf")
+    calls = [[_calls_per_batch(thunk, batch_s) for thunk in pair] for pair in pairs]
+    rounds = []
     for _ in range(repeat):
-        start = time.perf_counter()
-        thunk_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        thunk_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+        totals = [0.0, 0.0]
+        for pair, counts in zip(pairs, calls):
+            for side, thunk in enumerate(pair):
+                start = time.perf_counter()
+                for _ in range(counts[side]):
+                    thunk()
+                totals[side] += (time.perf_counter() - start) / counts[side]
+        rounds.append(totals)
+    best_a = min(a for a, _ in rounds)
+    best_b = min(b for _, b in rounds)
+    return best_a, best_b, statistics.median(a / b for a, b in rounds)
+
+
+#: each timed round of a naive/columnar pair lasts at least this long per side
+TIMING_BATCH_S = 0.01
+
+
+def _validity_formula(system):
+    """Veridicality of everyone's knowledge of the last process's crash:
+    valid, and n implications over one K_p each."""
+    phi = Crashed(system.processes[-1])
+    return And(*(Implies(Knows(p, phi), phi) for p in system.processes))
+
+
+def _temporal_formula(system):
+    """Diamond of a crash and Box of a non-crash, per process."""
+    return Or(
+        *(
+            And(Diamond(Crashed(p)), Box(Not(Crashed(q))))
+            for p, q in zip(system.processes, system.processes[1:])
+        )
+    )
+
+
+def _naive_valid(system, formula):
+    return all(
+        naive_holds(system, formula, Point(run, m))
+        for run in system.runs
+        for m in range(run.duration + 1)
+    )
 
 
 def test_kernel_baseline_json():
     """Measure the kernel family (columnar vs naive), the arena transfer
-    microbenchmark, and write ``BENCH_kernel.json``.
+    microbenchmark, and write ``BENCH_kernel.json``.  The ``valid()``
+    and temporal rows are recorded for the trajectory, not gated.
 
     The gates -- columnar >= 5x naive on the Knows sweep and on the C_G
     fixpoint at n=10, transfer header <= 10% of the pickled run batch --
@@ -295,16 +351,30 @@ def test_kernel_baseline_json():
             assert total == _naive_knows_sweep(system, points)
             naive_checker = ModelChecker(System(runs))
             assert ck == naive_common_knowledge_points(naive_checker, group, phi)
-            naive_sweep_s, sweep_s = _best_of_pair(
-                lambda: _naive_knows_sweep(system, points),
-                lambda: _knows_sweep(system, points),
+            # The columnar sides are sub-millisecond, so each round times a
+            # batch (every C_G call recomputes the fixpoint).  The Knows
+            # sweep is sliced per process: a whole naive sweep lasts ~1 s,
+            # long enough for the host's speed to change under it alone.
+            naive_sweep_s, sweep_s, knows_speedup = _timed_pair(
+                [
+                    (
+                        lambda p=p: _naive_knows_sweep(system, points, [p]),
+                        lambda p=p: _knows_sweep(system, points, [p]),
+                    )
+                    for p in system.processes
+                ],
+                repeat=5,
+                batch_s=TIMING_BATCH_S,
             )
-            # The columnar C_G side is sub-millisecond: more rounds keep
-            # its best-of stable enough for the 15% rule.
-            naive_ck_s, ck_s = _best_of_pair(
-                lambda: naive_common_knowledge_points(naive_checker, group, phi),
-                lambda: checker.common_knowledge_points(group, phi),
+            naive_ck_s, ck_s, ck_speedup = _timed_pair(
+                [
+                    (
+                        lambda: naive_common_knowledge_points(naive_checker, group, phi),
+                        lambda: checker.common_knowledge_points(group, phi),
+                    )
+                ],
                 repeat=25,
+                batch_s=TIMING_BATCH_S,
             )
             entry.update(
                 {
@@ -312,10 +382,8 @@ def test_kernel_baseline_json():
                     "columnar_ck_fixpoint_s": ck_s,
                     "naive_knows_sweep_s": naive_sweep_s,
                     "naive_ck_fixpoint_s": naive_ck_s,
-                    "knows_speedup": (
-                        naive_sweep_s / sweep_s if sweep_s else float("inf")
-                    ),
-                    "ck_speedup": naive_ck_s / ck_s if ck_s else float("inf"),
+                    "knows_speedup": knows_speedup,
+                    "ck_speedup": ck_speedup,
                 }
             )
         else:
@@ -325,6 +393,24 @@ def test_kernel_baseline_json():
             entry["columnar_ck_fixpoint_s"] = _best_of(
                 checker.common_knowledge_points, group, phi, repeat=5
             )
+
+        # valid() and temporal rows: recorded, not gated.  Each round
+        # evaluates cold (a fresh checker; the kernel index stays warm).
+        valid_phi = _validity_formula(system)
+        temporal_phi = _temporal_formula(system)
+        assert ModelChecker(system).valid(valid_phi)
+        entry["columnar_valid_s"] = _best_of(
+            lambda: ModelChecker(system).valid(valid_phi), repeat=5
+        )
+        entry["columnar_temporal_s"] = _best_of(
+            lambda: ModelChecker(system).point_set(temporal_phi), repeat=5
+        )
+        if n <= NAIVE_MAX_N:
+            start = time.perf_counter()
+            naive_valid = _naive_valid(system, valid_phi)
+            entry["naive_valid_s"] = time.perf_counter() - start
+            assert naive_valid
+            entry["valid_speedup"] = entry["naive_valid_s"] / entry["columnar_valid_s"]
 
         results[f"n={n}"] = entry
 
@@ -365,8 +451,14 @@ def test_kernel_baseline_json():
             "crash_prob": 0.4,
             "sweep_sample_runs": SWEEP_SAMPLE_RUNS,
             "timer": (
-                "best of 5 perf_counter runs (C_G pairs: 25), naive/columnar "
-                f"rounds interleaved at n <= {NAIVE_MAX_N}, warm run objects"
+                "best of 5 perf_counter runs; naive/columnar pairs: interleaved "
+                "rounds, each side a batch of calls lasting >= "
+                f"{TIMING_BATCH_S * 1000:.0f} ms (Knows sweep: 5 rounds of "
+                "per-process slices; C_G: 25 rounds), *_s the best per call, "
+                "*_speedup the median per-round ratio; "
+                f"naive/columnar rounds interleaved at n <= {NAIVE_MAX_N}; "
+                "warm run objects; valid/temporal rows cold per round (naive "
+                "valid: one run)"
             ),
         },
         "results": results,
@@ -385,21 +477,38 @@ def test_kernel_baseline_json():
 #
 # Bounded exhaustive enumeration (repro.explore) over the lossy NUDC
 # context: the state-space walk is the inner loop of every soundness
-# check.  Throughput is tracked as *effective* states/second: the size
-# of the unreduced state space divided by the DPOR walk's wall time.
-# The reduced and unreduced run sets are asserted equal each round --
-# the benchmark re-proves the reduction-soundness property it measures.
+# check.  The reduced and unreduced run sets are asserted equal each
+# round -- the benchmark re-proves the reduction-soundness property it
+# measures.
 #
-# The trajectory is recorded at horizon 8, the regime the explorer is
-# meant for (ROADMAP: n=6-8 at horizon 8-10).  The PR 3 fingerprint-POR
-# explorer committed 41,866 states/s at n=4; the DPOR gate below
-# requires >= 5x that.
+# The committed BENCH_explore.json is gated two ways
+# (tools/check_bench_regression.py): every search counter must match
+# exactly (the work is deterministic, so a changed count is a changed
+# search), and the DPOR walk's CPU time at n=4, in units of a fixed
+# calibration chunk that runs no repro code (benchmarks/e2e/speed.py),
+# may grow by at most the tolerance.  Outside smoke mode the bench also
+# asserts the effective coverage rate (unreduced states per DPOR CPU
+# second) is at least 5x the PR 3 fingerprint-POR explorer's 41,866.
 
 EXPLORE_NS = (2, 3, 4)
 EXPLORE_HORIZON = 8
 EXPLORE_DEEP_N = 6  # completed n=6 horizon-8 enumeration (experiment X02)
+EXPLORE_TIMED_N = 4
+EXPLORE_ROUNDS = 31
 BENCH_EXPLORE_JSON = REPO_ROOT / "BENCH_explore.json"
-PR3_STATES_PER_S = 41_866.0
+PR3_STATES_PER_S = 41_866.0  # the PR 3 fingerprint-POR explorer at n=4
+
+#: ExploreStats fields recorded per walk, exactly as the gate compares them
+SEARCH_COUNTERS = {
+    "executions": "executions",
+    "states": "states_expanded",
+    "choice_points": "choice_points",
+    "branches": "branches_scheduled",
+    "deliveries_collapsed": "deliveries_collapsed",
+    "drops_elided": "drops_elided",
+    "runs": "runs_unique",
+    "max_frontier": "max_frontier",
+}
 
 
 def explore_spec(n, **overrides):
@@ -429,6 +538,33 @@ def _run_keys(report):
     return {_run_key(run) for run in report.runs}
 
 
+def _counters(stats, prefix=""):
+    return {
+        prefix + name: getattr(stats, field)
+        for name, field in SEARCH_COUNTERS.items()
+    }
+
+
+def _calibrated_cpu_s(thunk, rounds):
+    """CPU time of ``thunk`` in calibration chunks of the e2e benchmark,
+    the rounds interleaved (chunk, thunk, chunk, ...): the median over
+    rounds of each thunk time over the geometric mean of the two chunks
+    around it.  Also returns the median thunk and chunk seconds."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
+    try:
+        from speed import chunk_seconds
+    finally:
+        sys.path.pop(0)
+    times, chunks = [], [chunk_seconds()]
+    for _ in range(rounds):
+        start = time.thread_time()
+        thunk()
+        times.append(time.thread_time() - start)
+        chunks.append(chunk_seconds())
+    ratios = [t / math.sqrt(a * b) for t, a, b in zip(times, chunks, chunks[1:])]
+    return statistics.median(ratios), statistics.median(times), statistics.median(chunks)
+
+
 @pytest.mark.parametrize("n", EXPLORE_NS)
 def test_bench_explore_exhaustive(benchmark, n):
     """Full enumeration of the lossy NUDC context under DPOR."""
@@ -451,14 +587,10 @@ def test_bench_explore_reduction_off(benchmark):
 
 
 def test_explore_baseline_json():
-    """Measure explorer throughput for n in {2, 3, 4} plus the deep
-    n=6 enumeration, re-assert run-set equality between the DPOR and
-    reduction-free walks, and write ``BENCH_explore.json``.
-
-    ``states_per_s`` is the effective coverage rate: states of the
-    *unreduced* space divided by the DPOR walk's wall time.  The two
-    walks provably cover the same run set (asserted per n), so this is
-    the apples-to-apples successor of the PR 3 metric.
+    """Record the search counters of both walks for n in {2, 3, 4} and
+    of the deep n=6 enumeration, re-assert run-set equality between the
+    DPOR and reduction-free walks, time DPOR at n=4 against the
+    calibration chunk, and write ``BENCH_explore.json``.
     """
     from repro.explore import explore
 
@@ -466,37 +598,28 @@ def test_explore_baseline_json():
     for n in EXPLORE_NS:
         spec = explore_spec(n)
         reduced = explore(spec, cache=None)
-        reduced_s = _best_of(lambda s=spec: explore(s, cache=None))
-        baseline_spec = spec.with_(reduction="none")
-        baseline = explore(baseline_spec, cache=None)
-        baseline_s = _best_of(
-            lambda s=baseline_spec: explore(s, cache=None), repeat=1
-        )
-
+        baseline = explore(spec.with_(reduction="none"), cache=None)
         assert reduced.complete and baseline.complete
         assert _run_keys(reduced) == _run_keys(baseline)
-
-        space_states = baseline.stats.states_expanded
         results[f"n={n}"] = {
-            "executions": reduced.stats.executions,
-            "states": reduced.stats.states_expanded,
-            "runs": reduced.stats.runs_unique,
-            "drops_elided": reduced.stats.drops_elided,
-            "deliveries_collapsed": reduced.stats.deliveries_collapsed,
-            "explore_s": reduced_s,
-            "space_states": space_states,
-            "states_per_s": (
-                space_states / reduced_s if reduced_s else float("inf")
-            ),
-            "baseline_executions": baseline.stats.executions,
-            "baseline_explore_s": baseline_s,
-            "baseline_states_per_s": (
-                space_states / baseline_s if baseline_s else float("inf")
-            ),
-            "effective_speedup": (
-                baseline_s / reduced_s if reduced_s else float("inf")
-            ),
+            **_counters(reduced.stats),
+            **_counters(baseline.stats, prefix="baseline_"),
         }
+
+    timed = explore_spec(EXPLORE_TIMED_N)
+    in_chunks, cpu_s, chunk_s = _calibrated_cpu_s(
+        lambda: explore(timed, cache=None), EXPLORE_ROUNDS
+    )
+    at_timed = results[f"n={EXPLORE_TIMED_N}"]
+    at_timed.update(
+        {
+            "dpor_cpu_s": cpu_s,
+            "calibration_s": chunk_s,
+            "dpor_chunks": in_chunks,
+            # effective coverage: unreduced space states per DPOR second
+            "states_per_s": at_timed["baseline_states"] / cpu_s,
+        }
+    )
 
     # The deep entry: a completed n=6, horizon-8 enumeration.  The
     # unreduced walk is infeasible here -- which is the point -- so the
@@ -511,7 +634,6 @@ def test_explore_baseline_json():
         "states": deep.stats.states_expanded,
         "runs": deep.stats.runs_unique,
         "explore_s": deep_s,
-        "complete": deep.complete,
         "deep": True,
     }
 
@@ -521,13 +643,18 @@ def test_explore_baseline_json():
         "python": platform.python_version(),
         "config": {
             "protocol": "NUDC",
-            "reduction": "dpor",
+            "reduction": "dpor (baseline_*: none)",
             "horizon": EXPLORE_HORIZON,
             "max_failures": 1,
             "crash_ticks": [1, 3, 5],
             "channel": "fair-lossy, budget 1",
-            "timer": "best of 3 perf_counter runs (baseline walk: 1)",
-            "states_per_s": "unreduced space states / DPOR wall time",
+            "timer": (
+                f"n={EXPLORE_TIMED_N} DPOR: {EXPLORE_ROUNDS} thread CPU times, each "
+                "over the geometric mean of the calibration chunks "
+                "(benchmarks/e2e/speed.py chunk_seconds) timed before and after "
+                "it; dpor_chunks is their median, dpor_cpu_s and calibration_s "
+                "the medians of each; n=6: one wall time"
+            ),
         },
         "pr3_states_per_s": PR3_STATES_PER_S,
         "results": results,
@@ -535,6 +662,5 @@ def test_explore_baseline_json():
     BENCH_EXPLORE_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     if not SMOKE:
-        at4 = results["n=4"]
-        assert at4["states_per_s"] >= 5.0 * PR3_STATES_PER_S, at4
+        assert at_timed["states_per_s"] >= 5.0 * PR3_STATES_PER_S, at_timed
         assert results[f"n={EXPLORE_DEEP_N}"]["runs"] > 0

@@ -9,16 +9,16 @@ The gate dispatches on the ``benchmark`` field of the committed file
 (both files must agree):
 
 ``explore-enumeration`` (BENCH_explore.json)
-    Compares ``states_per_s`` at n=4 (effective coverage rate: unreduced
-    space states / DPOR wall time) and exits 1 if it dropped by more
-    than the tolerance (default 15%, ``--tolerance 0.15``).  Raw
-    wall-clock numbers are machine-bound, so the comparison is
-    *machine-normalized*: both files also record the reduction-free
-    baseline walk's throughput at n=4 (``baseline_states_per_s``),
-    which measures pure executor speed on the recording machine.  The
-    fresh machine's speed ratio rescales the committed figure before
-    the 15% rule is applied -- a slower CI runner does not trip the
-    gate, but a reduction regression does.
+    Two checks.  The search counters of every entry (both walks at
+    n=2..4, the deep n=6 walk) must equal the committed ones exactly:
+    exploration is deterministic, so a different count is a different
+    search -- a reduction that prunes less, or a lost branch -- and the
+    file must be regenerated with the reason recorded.  And the DPOR
+    walk's CPU time at n=4, in units of a calibration chunk that runs
+    no ``repro`` code (``benchmarks/e2e/speed.py``), must not grow by
+    more than the tolerance (default 15%, ``--tolerance 0.15``): the
+    chunk measures the machine, so a slower runner passes and a slower
+    explorer fails.
 
 ``epistemic-kernel`` (BENCH_kernel.json)
     Compares the columnar kernel's speedups over the naive reference at
@@ -26,7 +26,10 @@ The gate dispatches on the ``benchmark`` field of the committed file
     ratio.  Speedup ratios are machine-normalized by construction (naive
     and columnar rounds are interleaved on the same machine), so the 15%
     rule applies to the ratios directly; the transfer header must also
-    stay <= 10% of the pickled run batch.
+    stay <= 10% of the pickled run batch.  Both sides are timed per call
+    over batches of calls that last at least ~10 ms (each C_G call
+    recomputes the fixpoint), so no sub-millisecond call is timed
+    alone.  The ``valid()`` and temporal rows are recorded, not gated.
 
 ``serve-latency`` (BENCH_serve.json)
     Compares the query service's throughput (qps floor) and p95 latency
@@ -60,7 +63,18 @@ import json
 import sys
 from pathlib import Path
 
-EXPLORE_KEY = "n=4"
+#: Search counters gated exactly (each also as ``baseline_<name>``).
+EXPLORE_COUNTERS = (
+    "executions",
+    "states",
+    "runs",
+    "choice_points",
+    "branches",
+    "deliveries_collapsed",
+    "drops_elided",
+    "max_frontier",
+)
+EXPLORE_TIMED_KEY = "n=4"
 KERNEL_KEY = "n=10"
 
 #: Columnar-over-naive speedup ratios gated by the 15% rule.
@@ -85,34 +99,45 @@ def _entry(payload: dict, path: Path, key: str) -> dict:
 def check_explore(
     committed: dict, fresh: dict, args: argparse.Namespace
 ) -> int:
-    committed_e = _entry(committed, args.committed, EXPLORE_KEY)
-    fresh_e = _entry(fresh, args.fresh, EXPLORE_KEY)
+    failed = False
+    gated = EXPLORE_COUNTERS + tuple(f"baseline_{name}" for name in EXPLORE_COUNTERS)
+    for key in sorted(committed.get("results", {})):
+        committed_e = _entry(committed, args.committed, key)
+        fresh_e = _entry(fresh, args.fresh, key)
+        fields = [name for name in gated if name in committed_e]
+        changed = [
+            f"{name} {committed_e[name]} -> {fresh_e.get(name)}"
+            for name in fields
+            if fresh_e.get(name) != committed_e[name]
+        ]
+        print(f"explorer counters at {key}: {len(fields)} compared, {len(changed)} changed")
+        if changed:
+            print(
+                f"REGRESSION: the search changed at {key}: {', '.join(changed)}",
+                file=sys.stderr,
+            )
+            failed = True
 
+    committed_e = _entry(committed, args.committed, EXPLORE_TIMED_KEY)
+    fresh_e = _entry(fresh, args.fresh, EXPLORE_TIMED_KEY)
     for name, e in (("committed", committed_e), ("fresh", fresh_e)):
-        for field in ("states_per_s", "baseline_states_per_s"):
-            if not e.get(field):
-                sys.exit(f"{name} entry lacks a nonzero {field!r}")
-
-    # How fast is this machine relative to the one that recorded the
-    # committed baseline?  The reduction-free walk measures that.
-    machine_scale = (
-        fresh_e["baseline_states_per_s"] / committed_e["baseline_states_per_s"]
-    )
-    expected = committed_e["states_per_s"] * machine_scale
-    floor = expected * (1.0 - args.tolerance)
-    actual = fresh_e["states_per_s"]
-
+        if not e.get("dpor_chunks"):
+            sys.exit(f"{name} entry lacks a nonzero 'dpor_chunks'")
+    ceiling = committed_e["dpor_chunks"] * (1.0 + args.tolerance)
+    actual = fresh_e["dpor_chunks"]
     print(
-        f"explorer throughput at {EXPLORE_KEY}: fresh {actual:,.0f} states/s, "
-        f"committed {committed_e['states_per_s']:,.0f} "
-        f"(machine scale {machine_scale:.2f}x -> floor {floor:,.0f})"
+        f"explorer DPOR time at {EXPLORE_TIMED_KEY}: fresh {actual:.1f} "
+        f"calibration chunks, committed {committed_e['dpor_chunks']:.1f} "
+        f"(ceiling {ceiling:.1f})"
     )
-    if actual < floor:
+    if actual > ceiling:
         print(
-            f"REGRESSION: {actual:,.0f} < {floor:,.0f} "
-            f"(committed minus {args.tolerance:.0%}, machine-normalized)",
+            f"REGRESSION: DPOR took {actual:.1f} > {ceiling:.1f} chunks "
+            f"(committed plus {args.tolerance:.0%})",
             file=sys.stderr,
         )
+        failed = True
+    if failed:
         return 1
     print("ok")
     return 0
