@@ -104,7 +104,7 @@ def convertible(source: str, target: str) -> bool:
         raise KeyError(f"unknown detector class {source!r} or {target!r}")
     reached = [source]  # breadth-first
     for cls in reached:
-        reached.extend(nxt for nxt in graph[cls] if nxt not in reached)
+        reached += [nxt for nxt in graph[cls] if nxt not in reached]
     return target in reached
 
 

@@ -189,12 +189,6 @@ class _BoundedExecution:
             self._detector_name = NoDetector.name
         self._save = save and not self._poll
         self.marks: list[tuple[int, _Snapshot]] = []
-        by_tick: dict[int, list[ProcessId]] = {}
-        for pid in self.processes:
-            planned = plan.crash_tick(pid)
-            if planned is not None:
-                by_tick.setdefault(max(planned, 1), []).append(pid)
-        self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
         self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
             p: [] for p in self.processes
         }
@@ -203,6 +197,12 @@ class _BoundedExecution:
         self.truth = GroundTruthView(
             self.processes, plan.faulty, self._actual_crash_ticks
         )
+        by_tick: dict[int, list[ProcessId]] = {}
+        for pid in self.processes:
+            planned = plan.crash_tick(pid)
+            if planned is not None:
+                by_tick.setdefault(max(planned, 1), []).append(pid)
+        self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
         self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
             p: [] for p in self.processes
         }
@@ -486,8 +486,8 @@ class _BoundedExecution:
             for pid in self.processes:
                 self.protocols[pid].on_start()
         for tick in range(first, horizon + 1):
-            if self._save:
-                snapshot = self._snapshot(tick) if tick > first or not resumed else resumed
+            if self._save:  # the resumed tick keeps the snapshot it resumed from
+                snapshot = resumed if resumed and tick == first else self._snapshot(tick)
                 if snapshot is None:
                     self._save = False  # a protocol opted out: replay instead
                 else:
@@ -702,10 +702,9 @@ def explore(
             if widen and len(frontier) >= widen:
                 break  # wide enough: hand the rest to the shard pool
             if widen:
-                entry = frontier.popleft()  # widen breadth-first
+                plan, prefix, snapshot = frontier.popleft()  # widen breadth-first
             else:
-                entry = frontier.pop() if dfs else frontier.popleft()
-            plan, prefix, snapshot = entry
+                plan, prefix, snapshot = frontier.pop() if dfs else frontier.popleft()
             # Only depth-first saves snapshots: a wide frontier would hold one per entry.
             save = dfs and not widen
             last = _BoundedExecution(spec, plan, prefix, stats, snapshot, save, last)
