@@ -27,7 +27,7 @@ from repro.core.protocols import (
 from repro.explore.scheduler import _BoundedExecution, drain_frontier, replay
 from repro.model.events import GeneralizedSuspicion, Message, StandardSuspicion
 from repro.model.serialize import run_to_dict
-from repro.sim.process import uniform_protocol
+from repro.sim.process import ProcessEnv, ProtocolProcess, uniform_protocol
 from repro.workloads.generators import single_action
 
 from tests.test_explore_reduction_api import DIFFERENTIAL_SPECS, spec_of
@@ -231,10 +231,11 @@ class TestWhatRestores:
 #: every protocol that captures its state, explored without a detector so
 #: that its snapshots are used
 CAPTURING = {
-    "nudc": dict(protocol=NUDCProcess),
-    "reliable": dict(protocol=ReliableUDCProcess),
-    "strong-fd": dict(protocol=StrongFDUDCProcess),
-    "atd": dict(protocol=AtdUDCProcess),
+    "nudc": uniform_protocol(NUDCProcess),
+    "reliable": uniform_protocol(ReliableUDCProcess),
+    "strong-fd": uniform_protocol(StrongFDUDCProcess),
+    "generalized": uniform_protocol(GeneralizedFDUDCProcess, t=1),
+    "atd": uniform_protocol(AtdUDCProcess),
 }
 
 
@@ -243,35 +244,9 @@ class TestProtocolState:
     @pytest.mark.parametrize("name", sorted(CAPTURING))
     def test_leaves_equal_replay(self, name, reduction):
         spec = spec_of(
-            horizon=5,
-            lossy=True,
-            max_consecutive_drops=1,
-            reduction=reduction,
-            **CAPTURING[name],
-        )
+            horizon=5, lossy=True, max_consecutive_drops=1, reduction=reduction
+        ).with_(protocol=CAPTURING[name])
         assert_leaves_replay(spec)
-
-    def test_generalized_leaves_equal_replay(self):
-        spec = spec_of(horizon=5, lossy=True).with_(
-            protocol=uniform_protocol(GeneralizedFDUDCProcess, t=1)
-        )
-        assert_leaves_replay(spec)
-
-    def _round_trip(self, process, fresh):
-        state = process.snapshot()
-        fresh.restore(state)
-        assert fresh.snapshot() == state
-        return state
-
-    def _pair(self, cls, **kwargs):
-        from repro.sim.process import ProcessEnv
-
-        procs = make_process_ids(3)
-        made = [cls("p1", ProcessEnv("p1", procs), **kwargs) for _ in range(2)]
-        made[0].env.now = 4
-        made[0].on_init(("p1", "a0"))
-        made[0].on_receive("p2", Message("ack", ("p1", "a0")))
-        return made
 
     @pytest.mark.parametrize(
         "cls,kwargs,report",
@@ -287,18 +262,22 @@ class TestProtocolState:
         ids=["strong-fd", "atd", "generalized"],
     )
     def test_round_trip_shares_no_containers(self, cls, kwargs, report):
-        process, fresh = self._pair(cls, **kwargs)
+        procs = make_process_ids(3)
+        process, fresh = (cls("p1", ProcessEnv("p1", procs), **kwargs) for _ in range(2))
+        process.env.now = 4
+        process.on_init(("p1", "a0"))
+        process.on_receive("p2", Message("ack", ("p1", "a0")))
         process.on_suspect(report)
-        state = self._round_trip(process, fresh)
-        # mutating either side leaves the other and the snapshot alone
+        state = process.snapshot()
+        fresh.restore(state)
+        assert fresh.snapshot() == state
+        # mutating the restored copy leaves the original and the snapshot alone
         fresh.on_receive("p3", Message("ack", ("p1", "a0")))
         fresh.on_init(("p1", "a1"))
         assert process.snapshot() == state
         assert fresh.snapshot() != state
 
     def test_base_class_cannot_capture(self):
-        from repro.sim.process import ProcessEnv, ProtocolProcess
-
         process = ProtocolProcess("p1", ProcessEnv("p1", make_process_ids(2)))
         assert process.snapshot() is None
         with pytest.raises(NotImplementedError):
