@@ -488,7 +488,7 @@ def test_kernel_baseline_json():
 # calibration chunk that runs no repro code (benchmarks/e2e/speed.py),
 # may grow by at most the tolerance.  Outside smoke mode the bench also
 # asserts the effective coverage rate (unreduced states per DPOR CPU
-# second) is at least 5x the PR 3 fingerprint-POR explorer's 41,866.
+# second) is at least 5x the retired fingerprint-POR explorer's 41,866.
 
 EXPLORE_NS = (2, 3, 4)
 EXPLORE_HORIZON = 8
@@ -496,7 +496,7 @@ EXPLORE_DEEP_N = 6  # completed n=6 horizon-8 enumeration (experiment X02)
 EXPLORE_TIMED_N = 4
 EXPLORE_ROUNDS = 31
 BENCH_EXPLORE_JSON = REPO_ROOT / "BENCH_explore.json"
-PR3_STATES_PER_S = 41_866.0  # the PR 3 fingerprint-POR explorer at n=4
+PR3_STATES_PER_S = 41_866.0
 
 #: ExploreStats fields recorded per walk, exactly as the gate compares them
 SEARCH_COUNTERS = {
@@ -610,14 +610,14 @@ def test_explore_baseline_json():
     in_chunks, cpu_s, chunk_s = _calibrated_cpu_s(
         lambda: explore(timed, cache=None), EXPLORE_ROUNDS
     )
-    at_timed = results[f"n={EXPLORE_TIMED_N}"]
-    at_timed.update(
+    at4 = results[f"n={EXPLORE_TIMED_N}"]
+    at4.update(
         {
             "dpor_cpu_s": cpu_s,
             "calibration_s": chunk_s,
             "dpor_chunks": in_chunks,
             # effective coverage: unreduced space states per DPOR second
-            "states_per_s": at_timed["baseline_states"] / cpu_s,
+            "states_per_s": at4["baseline_states"] / cpu_s,
         }
     )
 
@@ -662,5 +662,5 @@ def test_explore_baseline_json():
     BENCH_EXPLORE_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     if not SMOKE:
-        assert at_timed["states_per_s"] >= 5.0 * PR3_STATES_PER_S, at_timed
+        assert at4["states_per_s"] >= 5.0 * PR3_STATES_PER_S, at4
         assert results[f"n={EXPLORE_DEEP_N}"]["runs"] > 0

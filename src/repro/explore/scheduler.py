@@ -228,7 +228,7 @@ class _BoundedExecution:
 
     def _snapshot(self, tick: int) -> _Snapshot | None:
         """The state at the start of ``tick`` (None: a protocol opted out)."""
-        processes = []
+        processes: list[_ProcessState] = []
         for p in self.processes:
             state = self.protocols[p].snapshot()
             if state is None:
