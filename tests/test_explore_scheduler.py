@@ -26,9 +26,12 @@ from repro.core.protocols import NUDCProcess, ReliableUDCProcess
 from repro.explore import PredicateMonitor
 from repro.detectors.properties import PropertyVerdict
 from repro.knowledge import Crashed, GroupChecker, ModelChecker
+from repro.model.context import ChannelSemantics
 from repro.model.run import Point
 from repro.runtime import EnsembleSpec, RunCache, run_ensemble
+from repro.sim.executor import ExecutionConfig, Executor
 from repro.sim.failures import CrashPlan
+from repro.sim.network import ChannelConfig
 from repro.workloads.generators import single_action
 
 PROCS = make_process_ids(3)
@@ -325,6 +328,65 @@ class TestCompleteness:
         with pytest.warns(IncompleteSystemWarning):
             system = report.system()
             system.knows_crashed("p1", Point(system.runs[0], 0), "p2")
+
+
+def horizon_cut(run, horizon):
+    """Every process's timeline up to ``horizon``."""
+    return tuple(
+        tuple(entry for entry in run.timeline(p) if entry[0] <= horizon)
+        for p in run.processes
+    )
+
+
+class TestSampledRunsExplored:
+    """The explorer replaces the executor's rng with choices, so every run
+    the seeded executor samples must be cut from some explored run."""
+
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize(
+        "protocol,budget",
+        [
+            (NUDCProcess, 1),
+            (NUDCProcess, 2),
+            (NUDCProcess, None),
+            (ReliableUDCProcess, None),
+        ],
+        ids=["nudc-lossy-1", "nudc-lossy-2", "nudc-reliable", "reliable-udc"],
+    )
+    def test_every_sampled_cut_is_explored(self, protocol, budget):
+        lossy = budget is not None
+        spec = nudc_spec(
+            protocol=uniform_protocol(protocol),
+            horizon=6,
+            crash_ticks=(1, 3),
+            lossy=lossy,
+            max_consecutive_drops=budget or 2,
+        )
+        explored = {
+            horizon_cut(run, spec.horizon) for run in explore(spec, cache=None).runs
+        }
+        if lossy:
+            channel = ChannelConfig(max_consecutive_drops=budget)
+        else:
+            channel = ChannelConfig(semantics=ChannelSemantics.RELIABLE)
+        config = ExecutionConfig(channel=channel, activation_prob=1.0)
+        missing = []
+        plans = spec.crash_plans()
+        for plan in plans:
+            for seed in self.SEEDS:
+                run = Executor(
+                    spec.processes,
+                    spec.protocol,
+                    crash_plan=plan,
+                    workload=spec.workload,
+                    config=config,
+                    seed=seed,
+                ).run()
+                if horizon_cut(run, spec.horizon) not in explored:
+                    missing.append((plan, seed))
+        sampled = len(plans) * len(self.SEEDS)
+        assert not missing, f"{len(missing)} of {sampled} unexplored: {missing[:3]}"
 
 
 class TestReportSurface:
