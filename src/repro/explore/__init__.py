@@ -13,8 +13,8 @@ Entry points:
   (``reduction="dpor"``, the default, or the unreduced reference
   ``reduction="none"``; both yield the same run set);
 * :func:`explore` -- enumerate a spec into an
-  :class:`~repro.runtime.report.ExploreReport`, optionally sharding the
-  frontier across ``workers`` processes;
+  :class:`~repro.runtime.report.ExploreReport`, depth-first (resuming
+  branches from tick-start snapshots) or breadth-first;
 * :func:`replay` -- re-execute one branch from its
   ``(crash_plan, trace)`` coordinates;
 * :mod:`~repro.explore.monitors` -- per-run property monitors

@@ -68,7 +68,7 @@ class ExploreStats:
     * ``truncated`` -- the ``max_executions`` budget stopped exploration
       early (the resulting system is *not* complete);
     * ``stopped_on_violation`` -- a monitor short-circuited exploration;
-    * ``reduction`` / ``workers`` -- the mode and worker count that ran.
+    * ``reduction`` -- the mode that ran.
     """
 
     executions: int = 0
@@ -85,7 +85,6 @@ class ExploreStats:
     truncated: bool = False
     stopped_on_violation: bool = False
     reduction: str = "dpor"
-    workers: int = 1
 
     @property
     def exhaustive(self) -> bool:
@@ -95,20 +94,6 @@ class ExploreStats:
     def as_dict(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def merge_shard(self, other: "ExploreStats") -> None:
-        """Fold one worker shard's counters into the driver's stats.
-
-        Only the additive search counters merge; mode flags and
-        monitor/dedup counters are driver-owned.
-        """
-        self.executions += other.executions
-        self.states_expanded += other.states_expanded
-        self.choice_points += other.choice_points
-        self.branches_scheduled += other.branches_scheduled
-        self.deliveries_collapsed += other.deliveries_collapsed
-        self.drops_elided += other.drops_elided
-        self.max_frontier = max(self.max_frontier, other.max_frontier)
-
     def render(self) -> str:
         """One readable line of the headline counters."""
         tail = ""
@@ -116,8 +101,6 @@ class ExploreStats:
             tail = "; TRUNCATED (budget)"
         elif self.stopped_on_violation:
             tail = "; stopped on violation"
-        if self.workers > 1:
-            tail += f"; {self.workers} workers"
         return (
             f"explore: {self.runs_unique} runs "
             f"({self.runs_enumerated} leaves) from {self.executions} "

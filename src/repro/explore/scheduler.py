@@ -2,10 +2,9 @@
 
 Where :class:`repro.sim.executor.Executor` *samples* one adversary
 schedule per seed, the explorer *enumerates* them.  A run is produced by
-a deterministic replay executor that mirrors the seeded executor's tick
-semantics exactly (same per-tick event priority, same crash handling,
-same channel bookkeeping) but replaces every ``random.Random`` draw with
-an explicit **choice**:
+an ``Executor`` subclass that plays the executor's own tick (same crash
+landing, same per-tick event priority) but takes every adversary
+decision as an explicit **choice** instead of a ``random.Random`` draw:
 
 * the crash pattern is a top-level branch -- one root per plan from
   :meth:`repro.explore.spec.ExploreSpec.crash_plans` (A1/A5_t, bounded
@@ -36,10 +35,9 @@ complete run while recording how many options each fresh decision had,
 and every untaken alternative becomes a new frontier entry.  The
 depth-first drain resumes an entry from a snapshot taken at the start
 of the tick that holds its last choice instead of replaying the prefix
-from tick 1.  Every leaf is still a pure function of its coordinates
-(:func:`replay`), which is what makes the search *shardable*: any slice
-of the frontier can be drained in any process
-(:mod:`repro.explore.sharding`) and the leaves merged deterministically.
+from tick 1.  Every leaf is still a pure function of its coordinates:
+:func:`replay` re-executes it from tick 1 and is the reference the
+drain is tested against.
 
 Scope: the explored nondeterminism is crash timing and channel
 behaviour -- the two adversary dimensions the paper's proofs quantify
@@ -55,9 +53,9 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Deque, Iterable, Iterator, NamedTuple, Sequence
+from typing import Deque, Iterator, NamedTuple, Sequence
 
-from repro.detectors.base import GroundTruthView, NoDetector
+from repro.detectors.base import NoDetector
 from repro.explore.monitors import RunMonitor, Violation
 from repro.explore.reduction import (
     ExploreStats,
@@ -65,20 +63,10 @@ from repro.explore.reduction import (
     group_deliverable,
 )
 from repro.explore.spec import ExploreSpec
-from repro.model.events import (
-    ActionId,
-    CrashEvent,
-    DoEvent,
-    Event,
-    InitEvent,
-    Message,
-    ProcessId,
-    ReceiveEvent,
-    SendEvent,
-    SuspectEvent,
-)
+from repro.model.events import ActionId, Event, Message, ProcessId
 from repro.model.run import Run, validate_run
 from repro.runtime.report import ExploreReport
+from repro.sim.executor import Executor
 from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelKey, Envelope
 from repro.sim.process import ProcessEnv
@@ -93,10 +81,6 @@ Trace = tuple[int, ...]
 Leaf = tuple[CrashPlan, Trace, Run]
 
 _CACHE_DEFAULT = object()  # sentinel: "use the process-wide default cache"
-
-#: Driver-side breadth-first widening target, per worker, before the
-#: frontier is striped into shards.
-_WIDEN_FACTOR = 8
 
 
 class ExecutionResult:
@@ -138,19 +122,27 @@ class _Snapshot(NamedTuple):
 _Entry = tuple[CrashPlan, Trace, _Snapshot | None]
 
 
-class _BoundedExecution:
+class _BoundedExecution(Executor):
     """One replay: (spec, crash plan, choice trace) -> Run, deterministically.
 
-    Mirrors :class:`repro.sim.executor.Executor` tick-for-tick with the
-    rng replaced by :meth:`_choose`.  Out-of-range prefix choices are
-    clamped (never produced by the frontier, but shrink candidates may
-    mutate a trace into a region where fewer options exist).
+    Plays :class:`repro.sim.executor.Executor`'s tick with every adversary
+    decision taken by :meth:`_choose` instead of an rng: processes step
+    in a fixed order, the execution is its own channel (:meth:`submit`,
+    :meth:`discard_for`, :meth:`_pick_delivery`), and the loop stops at
+    the horizon.  Out-of-range prefix choices are clamped (never
+    produced by the frontier, but shrink candidates may mutate a trace
+    into a region where fewer options exist).
 
     From a ``snapshot`` it resumes at the snapshot's tick, in ``reuse``'s
     envs and protocols if given.  With ``save`` it records ``(index of
     the tick's first choice, snapshot)`` in ``marks`` for every tick --
     unless the spec has a detector (oracle and rng are not captured).
     """
+
+    # No injected faults and no skipped activations: a skipped tick is a
+    # defer plus a delayed step, which the delivery choices already cover.
+    _injector = None
+    _skips = False
 
     def __init__(
         self,
@@ -162,8 +154,11 @@ class _BoundedExecution:
         save: bool = False,
         reuse: _BoundedExecution | None = None,
     ) -> None:
+        # Executor.__init__ is not called: it builds a channel, an rng and
+        # fresh protocols, where a resumed execution reuses envs and
+        # protocols and only a detector draws from an rng.
         self.spec = spec
-        self.plan = plan
+        self.crash_plan = plan
         self.prefix = prefix
         self.stats = stats
         self._group = spec.reduction == "dpor"
@@ -177,37 +172,14 @@ class _BoundedExecution:
         else:  # restoring overwrites their state; only send memos carry over
             self.envs = reuse.envs
             self.protocols = reuse.protocols
-        self._poll = spec.detector is not None
-        if self._poll:
-            self.detector = (spec.detector or NoDetector()).fresh()
-            self._rng = random.Random(0)  # consumed only by detector oracles
-            self._detector_name = self.detector.name
-        else:
-            # No detector: skip oracle + rng construction on the hot path
-            self.detector = None
-            self._rng = None
-            self._detector_name = NoDetector.name
+        detector = spec.detector
+        self._poll = detector is not None
+        if detector is not None:
+            self.detector = detector.fresh()
+            self.rng = random.Random(0)  # consumed only by detector oracles
         self._save = save and not self._poll
         self.marks: list[tuple[int, _Snapshot]] = []
-        self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
-            p: [] for p in self.processes
-        }
-        self._crashed: set[ProcessId] = set()
-        self._actual_crash_ticks: dict[ProcessId, int] = {}
-        self.truth = GroundTruthView(
-            self.processes, plan.faulty, self._actual_crash_ticks
-        )
-        by_tick: dict[int, list[ProcessId]] = {}
-        for pid in self.processes:
-            planned = plan.crash_tick(pid)
-            if planned is not None:
-                by_tick.setdefault(max(planned, 1), []).append(pid)
-        self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
-        self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
-            p: [] for p in self.processes
-        }
-        for tick, pid, action in sorted(spec.workload):
-            self._pending_inits[pid].append((tick, action))
+        self._init_state(plan, spec.workload)
         self._in_flight: dict[ProcessId, list[Envelope]] = {}
         self._next_uid = 0
         self._streaks: dict[ChannelKey, int] = {}
@@ -223,6 +195,18 @@ class _BoundedExecution:
         self._resumed = snapshot
         if snapshot is not None:
             self._restore(snapshot)
+
+    @property
+    def channel(self) -> _BoundedExecution:  # type: ignore[override]
+        """The execution is its own channel.  A property, not an attribute:
+        ``self.channel = self`` would keep every execution in a reference
+        cycle until the cyclic collector runs."""
+        return self
+
+    def _order(self) -> list[ProcessId]:
+        """Process order, fixed: it sets the envelope uids, and with them
+        the choice indices and traces."""
+        return self._live
 
     # -- snapshots ------------------------------------------------------------
 
@@ -253,7 +237,7 @@ class _BoundedExecution:
         )
 
     def _restore(self, snapshot: _Snapshot) -> None:
-        """Load ``snapshot`` over the fresh state ``__init__`` built."""
+        """Load ``snapshot`` over the state before tick 1."""
         for p, (timeline, outbox, performed, now, state, inits) in zip(
             self.processes, snapshot.processes
         ):
@@ -264,6 +248,7 @@ class _BoundedExecution:
             self._pending_inits[p] = list(inits)
         self._actual_crash_ticks.update(snapshot.crash_ticks)
         self._crashed.update(self._actual_crash_ticks)
+        self._live = [p for p in self.processes if p not in self._crashed]
         self._in_flight = {p: list(queue) for p, queue in snapshot.in_flight}
         self._streaks = dict(snapshot.streaks)
         self._submission_log = {key: list(uids) for key, uids in snapshot.submissions}
@@ -287,7 +272,7 @@ class _BoundedExecution:
 
     # -- channel ------------------------------------------------------------
 
-    def _submit(
+    def submit(
         self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int
     ) -> None:
         spec = self.spec
@@ -333,6 +318,9 @@ class _BoundedExecution:
         )
         self._next_uid += 1
 
+    def discard_for(self, receiver: ProcessId) -> None:
+        self._in_flight.pop(receiver, None)
+
     def _pick_delivery(self, pid: ProcessId, tick: int) -> Envelope | None:
         pending = self._in_flight.get(pid)
         if not pending:
@@ -371,47 +359,7 @@ class _BoundedExecution:
             self._delivered_uids.add(envelope.uid)
         return envelope
 
-    # -- the tick loop ------------------------------------------------------
-
-    def _due_init(self, pid: ProcessId, tick: int) -> ActionId | None:
-        queue = self._pending_inits[pid]
-        if queue and queue[0][0] <= tick:
-            return queue.pop(0)[1]
-        return None
-
-    def _step_event(self, pid: ProcessId, tick: int) -> Event | None:
-        env = self.envs[pid]
-        if self._poll:
-            report = self.detector.poll(pid, tick, self.truth, self._rng)
-            if report is not None:
-                return SuspectEvent(pid, report)
-        if env.outbox:
-            return env.outbox.popleft()
-        action = self._due_init(pid, tick)
-        if action is not None:
-            return InitEvent(pid, action)
-        envelope = self._pick_delivery(pid, tick)
-        if envelope is not None:
-            return ReceiveEvent(pid, envelope.sender, envelope.message)
-        self.protocols[pid].on_tick()
-        if env.outbox:
-            return env.outbox.popleft()
-        return None
-
-    def _dispatch(self, pid: ProcessId, event: Event, tick: int) -> None:
-        protocol = self.protocols[pid]
-        if isinstance(event, SendEvent):
-            self._submit(event.sender, event.receiver, event.message, tick)
-        elif isinstance(event, ReceiveEvent):
-            protocol.on_receive(event.sender, event.message)
-        elif isinstance(event, SuspectEvent):
-            protocol.on_suspect(event.report)
-        elif isinstance(event, InitEvent):
-            protocol.on_init(event.action)
-        elif isinstance(event, DoEvent):
-            pass
-        else:  # pragma: no cover - crash events never reach here
-            raise AssertionError(f"unexpected event {event!r}")
+    # -- the bounded run ----------------------------------------------------
 
     def _final_flags(self) -> tuple[bool, int]:
         """Classify the final cut: (quiescent, synthesized drops).
@@ -423,17 +371,8 @@ class _BoundedExecution:
         the old drop-branch leaf with identical timelines.
         """
         horizon = self.spec.horizon
-        live = [p for p in self.processes if p not in self._crashed]
-        base = (
-            all(not self.envs[p].outbox for p in live)
-            and all(
-                not queue or pid in self._crashed
-                for pid, queue in self._pending_inits.items()
-            )
-            and all(t <= horizon for t in self._crash_index)
-            and all(not self.protocols[p].wants_to_act() for p in live)
-        )
-        if not base:
+        live = self._live
+        if not self._settled(horizon):
             return False, 0
         if all(not self._in_flight.get(p) for p in live):
             return True, 0
@@ -473,7 +412,7 @@ class _BoundedExecution:
             saved = marks[mark][1] if mark >= 0 else None
             stats.choice_points += 1
             for alternative in range(1, counts[i]):
-                frontier.append((self.plan, taken[:i] + (alternative,), saved))
+                frontier.append((self.crash_plan, taken[:i] + (alternative,), saved))
                 stats.branches_scheduled += 1
 
     def execute(self) -> ExecutionResult:
@@ -492,22 +431,7 @@ class _BoundedExecution:
                     self._save = False  # a protocol opted out: replay instead
                 else:
                     self.marks.append((len(self._taken), snapshot))
-            for pid in self._crash_index.get(tick, ()):
-                self._timelines[pid].append((tick, CrashEvent(pid)))
-                self._crashed.add(pid)
-                self._actual_crash_ticks[pid] = tick
-                self.envs[pid].outbox.clear()
-                self._in_flight.pop(pid, None)
-            for pid in self.processes:
-                if pid in self._crashed:
-                    continue
-                env = self.envs[pid]
-                env.now = tick
-                event = self._step_event(pid, tick)
-                if event is None:
-                    continue
-                self._timelines[pid].append((tick, event))
-                self._dispatch(pid, event, tick)
+            self._tick(tick)
             stats.states_expanded += 1
         stats.drops_elided += self._elided
         quiescent, synthesized = self._final_flags()
@@ -517,9 +441,9 @@ class _BoundedExecution:
             duration=horizon,
             meta={
                 "explored": True,
-                "crash_plan": self.plan,
+                "crash_plan": self.crash_plan,
                 "trace": tuple(self._taken),
-                "detector": self._detector_name,
+                "detector": self.detector.name if self._poll else NoDetector.name,
                 "quiescent": quiescent,
                 "dropped": self._dropped + (synthesized if quiescent else 0),
                 "delivered": self._delivered,
@@ -545,20 +469,16 @@ def replay(spec: ExploreSpec, plan: CrashPlan, trace: Trace) -> Run:
     return _BoundedExecution(spec, plan, tuple(trace), ExploreStats()).execute().run
 
 
-def drain_frontier(
-    spec: ExploreSpec, entries: Iterable[tuple[CrashPlan, Trace]]
-) -> tuple[list[Leaf], ExploreStats]:
-    """Exhaustively drain a frontier slice; pure and side-effect free.
+def drain_frontier(spec: ExploreSpec, stats: ExploreStats) -> Iterator[Leaf]:
+    """Drain the search from one root per crash plan, yielding every leaf.
 
-    This is the sharding work unit: leaves are pure functions of their
-    coordinates, so any partition of the frontier drains to the same
-    leaf multiset in any process.  No monitors, no cache, no budget --
-    the driver owns those.
+    Depth-first (``spec.strategy``) resumes each entry from the snapshot
+    of the tick that holds its last choice; breadth-first replays it from
+    tick 1 (a wide frontier would hold a snapshot per entry).  The search
+    is counted in ``stats``; a caller stops it by ceasing to iterate.
     """
-    stats = ExploreStats(reduction=spec.reduction)
-    frontier: Deque[_Entry] = deque((plan, prefix, None) for plan, prefix in entries)
+    frontier: Deque[_Entry] = deque((plan, (), None) for plan in spec.crash_plans())
     dfs = spec.strategy == "dfs"
-    leaves: list[Leaf] = []
     last: _BoundedExecution | None = None
     while frontier:
         if len(frontier) > stats.max_frontier:
@@ -567,8 +487,7 @@ def drain_frontier(
         last = _BoundedExecution(spec, plan, prefix, stats, snapshot, dfs, last)
         result = last.execute()
         last.push_alternatives(result, frontier)
-        leaves.append((plan, result.taken, result.run))
-    return leaves, stats
+        yield plan, result.taken, result.run
 
 
 def _rep_key(run: Run, plan_order: dict[CrashPlan, int]) -> tuple[int, int, Trace]:
@@ -577,7 +496,7 @@ def _rep_key(run: Run, plan_order: dict[CrashPlan, int]) -> tuple[int, int, Trac
     Quiescent variants win (their final cut is a fixpoint, so liveness
     verdicts are exact), then the smallest ``(plan, trace)`` coordinate.
     Being discovery-order-independent is what makes the final run list
-    identical across worker counts.
+    identical for either frontier discipline.
     """
     meta = run.meta
     return (
@@ -593,7 +512,6 @@ def explore(
     monitors: Sequence[RunMonitor] = (),
     stop_on_violation: bool = False,
     cache: object = _CACHE_DEFAULT,
-    workers: int = 1,
 ) -> ExploreReport:
     """Enumerate every run of ``spec``'s context up to its horizon.
 
@@ -607,12 +525,6 @@ def explore(
     them.  Only exhaustive explorations are cached (key:
     ``spec.digest()``), so a cache hit can never hide part of the run
     set; monitors re-run over cached runs.
-
-    ``workers > 1`` shards the frontier across worker processes
-    (:mod:`repro.explore.sharding`).  The run list, stats that describe
-    the search space, and violations are identical for every worker
-    count; with ``stop_on_violation`` the short-circuit happens at shard
-    granularity, so *which* single violation is reported may differ.
     """
     from repro.runtime.cache import RunCache, default_run_cache
 
@@ -643,93 +555,29 @@ def explore(
 
     plans = spec.crash_plans()
     plan_order = {plan: i for i, plan in enumerate(plans)}
-    workers = max(1, workers)
-    if spec.max_executions is not None or digest is None:
-        workers = 1  # budgeted search is inherently serial; pools need pickling
-    stats = ExploreStats(reduction=spec.reduction, workers=workers)
+    stats = ExploreStats(reduction=spec.reduction)
+    budget = spec.max_executions
 
     # -- the search ----------------------------------------------------------
-    dfs = spec.strategy == "dfs"
     unique: dict[Run, Run] = {}
     violations: list[Violation] = []
-    reported: set[tuple[str, Run]] = set()
-
-    def consume(plan: CrashPlan, trace: Trace, run: Run) -> None:
+    for plan, trace, run in drain_frontier(spec, stats):
         stats.runs_enumerated += 1
         stored = unique.get(run)
-        if stored is not None and _rep_key(stored, plan_order) <= _rep_key(
-            run, plan_order
-        ):
-            return
-        unique[run] = run
-        if stop_on_violation:
-            for monitor in monitors:
-                key = (monitor.name, run)
-                if key in reported:
-                    continue
-                stats.monitor_checks += 1
-                verdict = monitor.check(run)
-                if not verdict:
-                    reported.add(key)
-                    stats.violations += 1
-                    violations.append(
-                        Violation(
-                            monitor=monitor.name,
-                            verdict=verdict,
-                            run=run,
-                            crash_plan=plan,
-                            trace=trace,
-                        )
-                    )
+        if stored is None or _rep_key(run, plan_order) < _rep_key(stored, plan_order):
+            unique[run] = run
+            if stop_on_violation:
+                violations.extend(
+                    _check_monitors((run,), monitors, stats, stop_on_violation=True)
+                )
+                if violations:
                     stats.stopped_on_violation = True
-                    return
-
-    frontier: Deque[_Entry] = deque((plan, (), None) for plan in plans)
-
-    def drain() -> None:
-        """Exhaust the frontier: serial expansion, then shards if wide."""
-        widen = workers * _WIDEN_FACTOR if workers > 1 else 0
-        last: _BoundedExecution | None = None
-        while frontier and not stats.stopped_on_violation:
-            if (
-                spec.max_executions is not None
-                and stats.executions >= spec.max_executions
-            ):
-                stats.truncated = True
-                return
-            if len(frontier) > stats.max_frontier:
-                stats.max_frontier = len(frontier)
-            if widen and len(frontier) >= widen:
-                break  # wide enough: hand the rest to the shard pool
-            if widen:
-                plan, prefix, snapshot = frontier.popleft()  # widen breadth-first
-            else:
-                plan, prefix, snapshot = frontier.pop() if dfs else frontier.popleft()
-            # Only depth-first saves snapshots: a wide frontier would hold one per entry.
-            save = dfs and not widen
-            last = _BoundedExecution(spec, plan, prefix, stats, snapshot, save, last)
-            result = last.execute()
-            last.push_alternatives(result, frontier)
-            consume(plan, result.taken, result.run)
-        if not frontier or stats.stopped_on_violation:
-            return
-        from repro.explore.sharding import run_sharded
-
-        shard_results = run_sharded(
-            spec, [(plan, prefix) for plan, prefix, _ in frontier], workers
-        )
-        frontier.clear()
-        try:
-            for shard_leaves, shard_stats in shard_results:
-                stats.merge_shard(shard_stats)
-                for leaf in shard_leaves:
-                    consume(*leaf)
-                    if stats.stopped_on_violation:
-                        return
-        finally:
-            shard_results.close()
-
-    drain()
+                    break
+        if budget is not None and stats.executions >= budget:
+            # Entries left on the frontier: one per root and pushed branch,
+            # less one per execution.  Only if some are left is it cut short.
+            stats.truncated = stats.executions < len(plans) + stats.branches_scheduled
+            break
 
     # -- canonical ordering --------------------------------------------------
     runs_final = tuple(

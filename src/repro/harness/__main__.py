@@ -69,7 +69,6 @@ usage: python -m repro.harness explore [options]
   --drop-budget K            max consecutive drops per channel (default 2)
   --monitor udc|nudc         uniformity monitor to attach    (default udc)
   --reduction MODE           none|dpor                       (default dpor)
-  --workers N                frontier shards (process pool)  (default 1)
   --strategy dfs|bfs         frontier discipline             (default dfs)
   --stop-on-violation        halt at the first violation
   --shrink                   minimize the first violation
@@ -99,7 +98,6 @@ def _explore_main(argv: list[str]) -> int:
         "--drop-budget": "2",
         "--monitor": "udc",
         "--reduction": "dpor",
-        "--workers": "1",
         "--strategy": "dfs",
     }
     flags = {"--lossy", "--stop-on-violation", "--shrink", "--help", "-h"}
@@ -149,7 +147,6 @@ def _explore_main(argv: list[str]) -> int:
         spec,
         monitors=[monitor],
         stop_on_violation="--stop-on-violation" in given,
-        workers=int(opts["--workers"]),
     )
     print(report.summary())
     if report.violations and "--shrink" in given:

@@ -17,6 +17,11 @@ Per-tick priority for the single event slot of a live process:
 pending protocol event (outbox) > due ``init`` from the workload >
 due detector report > message delivery > ``on_tick`` retransmissions.
 
+One tick (:meth:`Executor._tick`) lands the tick's crashes and then gives
+each live process its step.  The bounded explorer
+(:mod:`repro.explore.scheduler`) plays the same tick in a subclass that
+takes the adversary's decisions from an enumerated choice trace.
+
 Termination: runs are driven to *quiescence* -- a configurable number of
 consecutive ticks in which no event is appended anywhere, all outboxes
 are empty, no message is in flight to a live process, the workload is
@@ -160,6 +165,16 @@ class Executor:
         self.protocols = {
             p: protocol_factory(p, self.envs[p]) for p in self.processes
         }
+        # NoDetector never reports and never draws: skip the poll.
+        self._poll = type(self.detector) is not NoDetector
+        self._skips = self.config.activation_prob < 1.0
+        self._skip_streak: dict[ProcessId, int] = {p: 0 for p in self.processes}
+        self._init_state(crash_plan, workload)
+
+    def _init_state(self, crash_plan: CrashPlan, workload: InitSchedule) -> None:
+        """The state before tick 1: empty timelines, every process live,
+        the plan's crashes indexed by the tick they land on, and the
+        workload queued per process."""
         self._actual_crash_ticks: dict[ProcessId, int] = {}
         self.truth = GroundTruthView(
             self.processes, crash_plan.faulty, self._actual_crash_ticks
@@ -170,8 +185,6 @@ class Executor:
         self._crashed: set[ProcessId] = set()
         # The live processes in process order, updated as crashes land.
         self._live: list[ProcessId] = list(self.processes)
-        # NoDetector never reports and never draws: skip the poll.
-        self._poll = type(self.detector) is not NoDetector
         # tick -> processes whose planned crash lands on that tick (ticks
         # start at 1, so a plan's tick 0 lands on the first tick).
         by_tick: dict[int, list[ProcessId]] = {}
@@ -183,7 +196,6 @@ class Executor:
             t: tuple(pids) for t, pids in by_tick.items()
         }
         self._last_crash_tick = max(self._crash_index, default=0)
-        self._skip_streak: dict[ProcessId, int] = {p: 0 for p in self.processes}
         # Per-process queues of pending inits, in schedule order.
         self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
             p: [] for p in self.processes
@@ -233,17 +245,76 @@ class Executor:
         self.channel.consume(envelope)
         return envelope
 
-    def _workload_exhausted(self) -> bool:
-        return all(
-            not queue or pid in self._crashed
-            for pid, queue in self._pending_inits.items()
+    def _settled(self, tick: int) -> bool:
+        """Nothing is left to do at ``tick`` but deliver what is in flight:
+        live outboxes are empty, the workload is exhausted, every planned
+        crash has landed, and no live protocol wants to act."""
+        live = self._live
+        return (
+            all(not self.envs[p].outbox for p in live)
+            and all(
+                not queue or pid in self._crashed
+                for pid, queue in self._pending_inits.items()
+            )
+            and tick >= self._last_crash_tick
+            and all(not self.protocols[p].wants_to_act() for p in live)
         )
 
-    def _crashes_done(self, tick: int) -> bool:
-        """Every planned crash has landed at or before ``tick``."""
-        return tick >= self._last_crash_tick
+    def _order(self) -> list[ProcessId]:
+        """The order the live processes step in this tick: the adversary's."""
+        order = self._live.copy()
+        self.rng.shuffle(order)
+        return order
 
     # -- main loop ----------------------------------------------------------------
+
+    def _tick(self, tick: int) -> bool:
+        """Play one tick; True iff some event was appended."""
+        appended = False
+        timelines = self._timelines
+        envs = self.envs
+        channel = self.channel
+
+        # 1. planned crashes land first; a crash occupies the tick.
+        for pid in self._crash_index.get(tick, ()):
+            timelines[pid].append((tick, CrashEvent(pid)))
+            self._crashed.add(pid)
+            self._live.remove(pid)
+            self._actual_crash_ticks[pid] = tick
+            envs[pid].outbox.clear()
+            channel.discard_for(pid)
+            appended = True
+
+        # 2. live processes take their steps in the tick's order; the
+        # adversary may skip a process (model of relative speeds),
+        # bounded by the scheduling-fairness budget.
+        injector = self._injector
+        skips = self._skips
+        for pid in self._order():
+            if injector is not None and injector.stalled(pid, tick):
+                continue  # injected stall: no step, no rng consumption
+            if skips:
+                cfg = self.config
+                streak = self._skip_streak
+                if (
+                    streak[pid] < cfg.max_consecutive_skips
+                    and self.rng.random() >= cfg.activation_prob
+                ):
+                    streak[pid] += 1
+                    continue
+                streak[pid] = 0
+            env = envs[pid]
+            env.now = tick
+            event = self._step_event(pid, env, tick)
+            if event is None:
+                continue
+            appended = True
+            timelines[pid].append((tick, event))
+            if type(event) is SendEvent:
+                channel.submit(event.sender, event.receiver, event.message, tick)
+            else:
+                self._dispatch(pid, event)
+        return appended
 
     def run(self) -> Run:
         """Execute to quiescence (or the tick cap) and return the run."""
@@ -255,13 +326,7 @@ class Executor:
         cfg = self.config
         deadline = cfg.deadline
         started_at = time.perf_counter() if deadline is not None else 0.0
-        rng = self.rng
         channel = self.channel
-        envs = self.envs
-        timelines = self._timelines
-        injector = self._injector
-        skips = cfg.activation_prob < 1.0
-        skip_streak = self._skip_streak
         live = self._live
         while tick < cfg.max_ticks:
             if (
@@ -272,54 +337,11 @@ class Executor:
                     f"run (seed={self.seed}) exceeded its {deadline:.3f}s "
                     f"deadline at tick {tick}"
                 )
-            appended_this_tick = False
-
-            # 1. planned crashes land first; a crash occupies the tick.
-            for pid in self._crash_index.get(tick, ()):
-                timelines[pid].append((tick, CrashEvent(pid)))
-                self._crashed.add(pid)
-                live.remove(pid)
-                self._actual_crash_ticks[pid] = tick
-                envs[pid].outbox.clear()
-                channel.discard_for(pid)
-                appended_this_tick = True
-
-            # 2. live processes take their steps in adversary order; the
-            # adversary may skip a process (model of relative speeds),
-            # bounded by the scheduling-fairness budget.
-            order = live.copy()
-            rng.shuffle(order)
-            for pid in order:
-                if injector is not None and injector.stalled(pid, tick):
-                    continue  # injected stall: no step, no rng consumption
-                if skips:
-                    if (
-                        skip_streak[pid] < cfg.max_consecutive_skips
-                        and rng.random() >= cfg.activation_prob
-                    ):
-                        skip_streak[pid] += 1
-                        continue
-                    skip_streak[pid] = 0
-                env = envs[pid]
-                env.now = tick
-                event = self._step_event(pid, env, tick)
-                if event is None:
-                    continue
-                appended_this_tick = True
-                timelines[pid].append((tick, event))
-                if type(event) is SendEvent:
-                    channel.submit(event.sender, event.receiver, event.message, tick)
-                else:
-                    self._dispatch(pid, event)
-
-            # 3. quiescence detection.
+            appended = self._tick(tick)
             quiet = (
-                not appended_this_tick
-                and all(not envs[p].outbox for p in live)
+                not appended
                 and channel.in_flight_to(live) == 0
-                and self._workload_exhausted()
-                and self._crashes_done(tick)
-                and all(not self.protocols[p].wants_to_act() for p in live)
+                and self._settled(tick)
             )
             quiet_streak = quiet_streak + 1 if quiet else 0
             if quiet_streak >= cfg.quiescence_window:

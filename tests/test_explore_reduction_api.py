@@ -1,11 +1,11 @@
-"""Tests for the exploration API: the two reduction modes, frontier
-sharding, and the v4 cache round trip.
+"""Tests for the exploration API: the two reduction modes and the v4
+cache round trip.
 
 The load-bearing checks are the differential ones: ``reduction="dpor"``
 must produce the *same ordered run list*, the same violation sets, and
 bit-identical ``Knows``/``C_G`` answers as the unreduced
-``reduction="none"`` baseline — for any worker count.  That is what
-licenses running the reduction by default.
+``reduction="none"`` baseline.  That is what licenses running the
+reduction by default.
 """
 
 import hashlib
@@ -149,26 +149,6 @@ class TestDifferential:
         for violation in report.violations:
             again = replay(spec, violation.crash_plan, violation.trace)
             assert run_key(again) == run_key(violation.run)
-
-
-class TestSharding:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_count_invisible_in_results(self, workers):
-        spec = DIFFERENTIAL_SPECS["crash"].with_(reduction="dpor")
-        serial = explore(spec, cache=None, workers=1)
-        sharded = explore(spec, cache=None, workers=workers)
-        assert ordered_keys(sharded) == ordered_keys(serial)
-        assert sharded.stats.runs_unique == serial.stats.runs_unique
-        assert sharded.stats.workers == workers
-
-    def test_budgeted_search_forces_serial(self):
-        report = explore(
-            spec_of(max_executions=5, reduction="dpor"),
-            cache=None,
-            workers=4,
-        )
-        assert report.stats.workers == 1
-        assert report.stats.truncated
 
 
 def _entry_path(tmp_path, spec):

@@ -24,6 +24,7 @@ from repro import (
 )
 from repro.core.protocols import NUDCProcess, ReliableUDCProcess
 from repro.explore import PredicateMonitor
+from repro.harness.__main__ import main as harness_main
 from repro.detectors.properties import PropertyVerdict
 from repro.knowledge import Crashed, GroupChecker, ModelChecker
 from repro.model.context import ChannelSemantics
@@ -399,3 +400,13 @@ class TestReportSurface:
         assert "[complete]" in text
         assert "violations" in text
         assert "[reduction: dpor]" in text
+
+
+class TestExploreCLI:
+    def test_search_exits_zero_without_violations(self, capsys):
+        assert harness_main(["explore", "--horizon", "4"]) == 0
+        assert "[complete]" in capsys.readouterr().out
+
+    def test_workers_option_is_gone(self, capsys):
+        assert harness_main(["explore", "--workers", "2"]) == 2
+        assert "unknown explore option '--workers'" in capsys.readouterr().out
