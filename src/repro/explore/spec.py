@@ -79,6 +79,9 @@ class ExploreSpec:
         object.__setattr__(self, "workload", tuple(sorted(self.workload)))
         if not self.processes:
             raise ValueError("an ExploreSpec needs at least one process")
+        unknown = {pid for _, pid, _ in self.workload} - set(self.processes)
+        if unknown:
+            raise ValueError(f"workload names unknown processes {sorted(unknown)}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.max_failures <= len(self.processes):

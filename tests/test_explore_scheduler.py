@@ -73,6 +73,8 @@ class TestExploreSpec:
             nudc_spec(strategy="random")
         with pytest.raises(ValueError):
             nudc_spec(processes=())
+        with pytest.raises(ValueError, match="p9"):
+            nudc_spec(workload=single_action("p9", tick=1))
 
     def test_crash_plans_enumerate_bounded_adversary(self):
         plans = nudc_spec(crash_ticks=(1, 3)).crash_plans()
@@ -406,6 +408,10 @@ class TestExploreCLI:
     def test_search_exits_zero_without_violations(self, capsys):
         assert harness_main(["explore", "--horizon", "4"]) == 0
         assert "[complete]" in capsys.readouterr().out
+
+    def test_unknown_initiator_is_a_usage_error(self, capsys):
+        assert harness_main(["explore", "--init", "p9:1"]) == 2
+        assert "unknown processes ['p9']" in capsys.readouterr().out
 
     def test_workers_option_is_gone(self, capsys):
         assert harness_main(["explore", "--workers", "2"]) == 2
