@@ -155,6 +155,13 @@ def _entry_path(tmp_path, spec):
     return tmp_path / f"explore-{spec.digest()}.json"
 
 
+def _write_signed(path, payload):
+    """Write an edited cache entry back with its body digest recomputed."""
+    canonical = json.dumps(payload["body"], sort_keys=True, separators=(",", ":"))
+    payload["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload))
+
+
 class TestCacheRoundTrip:
     def test_v4_disk_round_trip(self, tmp_path):
         spec = spec_of(reduction="dpor")
@@ -181,15 +188,28 @@ class TestCacheRoundTrip:
         first = explore(spec, cache=RunCache(tmp_path))
         path = _entry_path(tmp_path, spec)
         payload = json.loads(path.read_text())
-        body = payload["body"]
-        body["leaves"] = [[[], [], True, 0]]
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        payload["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        path.write_text(json.dumps(payload))
+        payload["body"]["leaves"] = [[[], [], True, 0]]
+        _write_signed(path, payload)
         reloaded = RunCache(tmp_path)
         hit = explore(spec, cache=reloaded)
         assert hit.cached
         assert reloaded.quarantined == []
+        assert ordered_keys(hit) == ordered_keys(first)
+
+    def test_v4_entry_with_a_retired_stats_key_still_loads(self, tmp_path):
+        """Entries written while the frontier could be sharded carry a
+        ``workers`` counter; the loader drops stats keys it does not know."""
+        spec = spec_of(reduction="dpor")
+        first = explore(spec, cache=RunCache(tmp_path))
+        path = _entry_path(tmp_path, spec)
+        payload = json.loads(path.read_text())
+        payload["body"]["stats"]["workers"] = 1
+        _write_signed(path, payload)
+        reloaded = RunCache(tmp_path)
+        hit = explore(spec, cache=reloaded)
+        assert hit.cached
+        assert reloaded.quarantined == []
+        assert hit.stats == first.stats
         assert ordered_keys(hit) == ordered_keys(first)
 
 

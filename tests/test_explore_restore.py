@@ -317,6 +317,13 @@ class TestEarlyStops:
         assert len(report.runs) == count
         assert run_list_digest(spec, report.runs) == digest
 
+    def test_budget_of_the_whole_search_leaves_it_complete(self):
+        executions = PINNED_STATS[2, "dpor"][0]
+        for budget, complete in ((executions - 1, False), (executions, True)):
+            report = explore(bench_spec(2, max_executions=budget), cache=None)
+            assert report.stats.executions == budget
+            assert report.complete is complete
+
     @pytest.mark.parametrize("reduction", ["none", "dpor"])
     def test_stop_on_violation(self, reduction):
         spec = spec_of(
