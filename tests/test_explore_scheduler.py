@@ -24,8 +24,8 @@ from repro import (
 )
 from repro.core.protocols import NUDCProcess, ReliableUDCProcess
 from repro.explore import PredicateMonitor
-from repro.harness.__main__ import main as harness_main
 from repro.detectors.properties import PropertyVerdict
+from repro.harness.__main__ import main as harness_main
 from repro.knowledge import Crashed, GroupChecker, ModelChecker
 from repro.model.context import ChannelSemantics
 from repro.model.run import Point
