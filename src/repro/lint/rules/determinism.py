@@ -364,7 +364,7 @@ class IdentityKeyRule(Rule):
 
 
 #: worklist-flavoured names whose iteration order the explorer's
-#: shard-merge and dedup contracts depend on
+#: trace coordinates and dedup contract depend on
 _WORKLIST_NAME = re.compile(
     r"(?:^|_)(frontier|sleep|orbit|worklist)(?:_|s?$|set)", re.IGNORECASE
 )
@@ -455,21 +455,21 @@ class _WorklistIndex:
 
 @register
 class UnorderedWorklistRule(Rule):
-    """DET006: the explorer's dedup, shard merge, and cache layers all
-    assume frontier/worklist containers iterate in one deterministic
-    order (results must be identical for any worker count).  Iterating a
-    worklist-named container that is not provably an ordered sequence
-    risks silently breaking that contract."""
+    """DET006: the explorer's frontier pop order is its trace namespace,
+    and its dedup and cache layers assume frontier/worklist containers
+    iterate in one deterministic order.  Iterating a worklist-named
+    container that is not provably an ordered sequence risks silently
+    breaking that contract."""
 
     id = "DET006"
     summary = "iteration over a worklist container of unproven order"
     hint = (
         "keep frontier/sleep-set/orbit/worklist state in a list or "
         "deque (or iterate sorted(...)); sets and opaque values have no "
-        "stable order and break worker-count-independent results"
+        "stable order and make traces depend on the hash seed"
     )
 
-    #: only the explorer package carries the shard-merge contract
+    #: only the explorer package carries the frontier-order contract
     _PACKAGES = ("repro.explore",)
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:

@@ -1,7 +1,7 @@
 # repro: lint-module[repro.explore.fixture_det006]
 """Known-bad fixture: DET006 worklist containers of unproven order.
 
-The explorer's shard merge and dedup layers require frontier-shaped
+The explorer's trace coordinates and dedup layer require frontier-shaped
 containers to iterate in one deterministic order; this fixture binds
 them to opaque and set-flavoured values and iterates.
 """
