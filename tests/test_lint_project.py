@@ -319,6 +319,18 @@ def helper():
 """
 
 
+def test_blocking_helper_in_one_file_flags_its_caller_in_another(
+    tmp_path: Path,
+) -> None:
+    root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_CLEAN})
+    assert lint_paths([root]).findings == ()
+
+    (root / "b.py").write_text(textwrap.dedent(_SERVE_B_BLOCKING))
+    findings = lint_paths([root]).findings
+    assert [f.rule for f in findings] == ["ASY003"]
+    assert findings[0].file.endswith("a.py")
+
+
 class TestIncrementalCache:
     def test_warm_run_is_byte_identical_and_parse_free(
         self, tmp_path: Path
