@@ -11,13 +11,12 @@ effect fixpoint — so violations hidden behind helper functions are
 still caught.  See DESIGN.md §11 for the rule catalog and §16 for the
 whole-program analysis.
 
-Entry points: ``python -m repro.harness lint`` or
-:func:`repro.lint.engine.lint_paths` (pass ``cache_dir`` for warm
-incremental re-lints).
+Entry points: ``python -m repro.harness lint`` (or ``python -m
+repro.lint``) and :func:`repro.lint.engine.lint_paths`.
 """
 
 from .context import ModuleUnderLint, Suppression
-from .engine import LintReport, lint_file, lint_paths
+from .engine import LintReport, lint_paths
 from .findings import LintFinding, Severity
 from .project import FileSummary, ProjectIndex
 from .registry import ProjectRule, Rule, all_rules, known_rule_ids, register
@@ -34,7 +33,6 @@ __all__ = [
     "Suppression",
     "all_rules",
     "known_rule_ids",
-    "lint_file",
     "lint_paths",
     "register",
 ]

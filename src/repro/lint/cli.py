@@ -2,11 +2,11 @@
 
 Exit codes, kept strict so CI can tell failure modes apart:
 
-- **0** — clean (no findings after baseline filtering, no parse errors)
+- **0** — clean (no error findings, no parse errors)
 - **1** — findings: the lint ran to completion and found violations
 - **2** — usage or internal error: bad flags, unknown rule ids, missing
-  paths, unreadable baseline, or an analyzer crash — the run's verdict
-  means nothing and CI must not treat it as either clean or dirty
+  paths, or an analyzer crash — the run's verdict means nothing and CI
+  must not treat it as either clean or dirty
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import LintReport, lint_paths
-from .registry import all_rules, known_rule_ids, select_rules
-from .sarif import to_sarif
+from .registry import all_rules, known_rule_ids
 
 
 class UsageError(Exception):
@@ -57,7 +55,7 @@ def _make_selector(spec: str) -> Callable[[str], bool]:
     return lambda rule_id: rule_id in wanted
 
 
-def _render_text(report: LintReport, absorbed: int) -> str:
+def _render_text(report: LintReport) -> str:
     lines = [finding.render() for finding in report.findings]
     lines.extend(f"parse error: {err}" for err in report.parse_errors)
     counts = report.counts()
@@ -69,8 +67,6 @@ def _render_text(report: LintReport, absorbed: int) -> str:
         summary += (
             " [" + ", ".join(f"{rid}:{n}" for rid, n in counts.items()) + "]"
         )
-    if absorbed:
-        summary += f" ({absorbed} baselined)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -91,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -104,37 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        metavar="DIR",
-        help=(
-            "incremental analysis cache directory: warm runs re-parse "
-            "only files whose content changed"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        metavar="FILE",
-        help=(
-            "suppress findings recorded in this baseline file; only new "
-            "findings are reported and affect the exit code"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the --baseline file with the current findings and "
-            "exit 0 (parse errors still exit 1)"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache statistics to stderr after the run",
     )
     return parser
 
@@ -165,57 +130,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     selector = _make_selector(args.select) if args.select else None
-    if args.update_baseline and args.baseline is None:
-        raise UsageError("--update-baseline requires --baseline FILE")
     paths = list(args.paths) or _default_paths()
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise UsageError(f"no such path: {', '.join(missing)}")
 
-    report = lint_paths(paths, selector, cache_dir=args.cache_dir)
-    if args.stats:
-        print(
-            f"cache: {report.cache_hits} hit(s), "
-            f"{report.files_reparsed} file(s) re-parsed",
-            file=sys.stderr,
-        )
-
-    if args.update_baseline:
-        write_baseline(args.baseline, report.findings)
-        print(
-            f"baseline updated: {len(report.findings)} finding(s) recorded "
-            f"in {args.baseline}",
-            file=sys.stderr,
-        )
-        return 1 if report.parse_errors else 0
-
-    absorbed = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        fresh, absorbed = apply_baseline(report.findings, baseline)
-        report = LintReport(
-            findings=fresh,
-            files_scanned=report.files_scanned,
-            parse_errors=report.parse_errors,
-            cache_hits=report.cache_hits,
-            files_reparsed=report.files_reparsed,
-        )
-
+    report = lint_paths(paths, selector)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=False))
-    elif args.format == "sarif":
-        print(
-            json.dumps(
-                to_sarif(report, select_rules(selector)),
-                indent=2,
-                sort_keys=False,
-            )
-        )
     else:
-        print(_render_text(report, absorbed))
+        print(_render_text(report))
     return 1 if report.failed else 0
 
 

@@ -12,12 +12,6 @@ import enum
 from dataclasses import dataclass
 
 
-def _as_int(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected int, got {type(value).__name__}")
-    return value
-
-
 class Severity(enum.Enum):
     """Per-rule severity.
 
@@ -66,16 +60,3 @@ class LintFinding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "LintFinding":
-        """Inverse of :meth:`as_dict` (used by the analysis cache)."""
-        return cls(
-            file=str(data["file"]),
-            line=_as_int(data["line"]),
-            col=_as_int(data["col"]),
-            rule=str(data["rule"]),
-            severity=Severity(data["severity"]),
-            message=str(data["message"]),
-            hint=str(data["hint"]),
-        )

@@ -7,9 +7,7 @@ away was invisible.  The whole-program engine fixes that in two phases:
 1. Each file is parsed once into a :class:`FileSummary` — the symbol
    table (functions, classes, imports), every call site with a
    best-effort *reference* to its callee, intrinsic effect sites, spec
-   placements, and the per-file rule findings.  Summaries are plain
-   data: they serialize to JSON (see :mod:`repro.lint.cache`) so a warm
-   run can skip re-parsing unchanged files entirely.
+   placements, and the ``lint-ok`` suppressions.
 2. The :class:`ProjectIndex` joins the summaries: module name → summary,
    global function table, import resolution *within the linted set* —
    the substrate :mod:`repro.lint.callgraph` and
@@ -30,11 +28,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .context import ModuleUnderLint
-from .findings import LintFinding
-
-#: Bump when summary layout or extraction logic changes: stale cache
-#: entries from an older analyzer must never feed the fixpoint.
-ANALYSIS_VERSION = 1
 
 #: Reference kinds a call site may carry (see :class:`Ref`).
 REF_KINDS = ("name", "self", "attr", "typed")
@@ -149,7 +142,6 @@ class FileSummary:
     """Everything phase 2 needs to know about one parsed file."""
 
     display_path: str
-    sha256: str
     module: str | None
     functions: tuple[FunctionDecl, ...] = ()
     classes: tuple[ClassDecl, ...] = ()
@@ -158,7 +150,6 @@ class FileSummary:
     intrinsics: tuple[IntrinsicEffect, ...] = ()
     placements: tuple[SpecPlacement, ...] = ()
     suppressions: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    findings: tuple[LintFinding, ...] = ()  # per-file rule findings
 
     def import_map(self) -> dict[str, str]:
         return dict(self.imports)
@@ -743,9 +734,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                     )
 
 
-def summarize(
-    mod: ModuleUnderLint, sha256: str, findings: Sequence[LintFinding]
-) -> FileSummary:
+def summarize(mod: ModuleUnderLint) -> FileSummary:
     """Build the :class:`FileSummary` for one parsed file."""
     builder = _SummaryBuilder(mod)
     for stmt in mod.tree.body:
@@ -758,7 +747,6 @@ def summarize(
     )
     return FileSummary(
         display_path=mod.display_path,
-        sha256=sha256,
         module=mod.module,
         functions=tuple(builder.functions),
         classes=tuple(builder.classes),
@@ -767,7 +755,6 @@ def summarize(
         intrinsics=tuple(builder.intrinsics),
         placements=tuple(builder.placements),
         suppressions=suppressions,
-        findings=tuple(findings),
     )
 
 

@@ -6,8 +6,8 @@ coroutine calling a helper (in any linted module) that reaches
 ``time.sleep`` two hops down.  All three run over the phase-2
 :class:`~repro.lint.project.ProjectIndex` + effect fixpoint
 (:mod:`repro.lint.effects`), and all three land at WARNING severity:
-resolution is best-effort, so new findings should gate CI only after a
-baseline review (the ``--baseline`` workflow in the CLI).
+resolution is best-effort, so their findings are reported but do not
+fail the run on their own.
 """
 
 from __future__ import annotations

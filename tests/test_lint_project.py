@@ -1,38 +1,15 @@
 """Whole-program analysis tests: project index, call graph, effect
-fixpoint, incremental cache, baseline workflow, and SARIF export.
-
-The cache tests pin the PR's acceptance criteria directly: a warm run
-re-parses only changed files while emitting findings byte-identical to
-a cold run, and an edit to a *helper* file updates transitive findings
-in files that were never re-parsed.
-"""
+fixpoint, and the cross-file findings they produce."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint import LintFinding, ModuleUnderLint, Severity, lint_paths
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import (
-    AnalysisCache,
-    file_digest,
-    ruleset_signature,
-    summary_from_dict,
-    summary_to_dict,
-)
+from repro.lint import ModuleUnderLint, lint_paths
 from repro.lint.callgraph import CallGraph
 from repro.lint.effects import analyze
 from repro.lint.project import ProjectIndex, summarize
-from repro.lint.registry import select_rules
-from repro.lint.sarif import to_sarif
 
 
 def _index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
@@ -43,7 +20,7 @@ def _index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
         mod = ModuleUnderLint(path, name, source)
-        summaries.append(summarize(mod, file_digest(source.encode()), ()))
+        summaries.append(summarize(mod))
     return ProjectIndex.build(summaries)
 
 
@@ -289,7 +266,7 @@ class TestEffects:
         assert w1.via == "repro.serve.m::b"
 
 
-# -- incremental cache --------------------------------------------------------
+# -- cross-file findings -----------------------------------------------------
 
 
 _SERVE_A = """\
@@ -331,121 +308,6 @@ def test_blocking_helper_in_one_file_flags_its_caller_in_another(
     assert findings[0].file.endswith("a.py")
 
 
-class TestIncrementalCache:
-    def test_warm_run_is_byte_identical_and_parse_free(
-        self, tmp_path: Path
-    ) -> None:
-        root = _write(
-            tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_BLOCKING}
-        )
-        cache_dir = tmp_path / "cache"
-        cold = lint_paths([root], cache_dir=cache_dir)
-        warm = lint_paths([root], cache_dir=cache_dir)
-        assert cold.files_reparsed == 2 and cold.cache_hits == 0
-        assert warm.files_reparsed == 0 and warm.cache_hits == 2
-        assert json.dumps(cold.as_dict()) == json.dumps(warm.as_dict())
-        assert any(f.rule == "ASY003" for f in cold.findings)
-
-    def test_helper_edit_updates_findings_in_unreparsed_file(
-        self, tmp_path: Path
-    ) -> None:
-        root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_CLEAN})
-        cache_dir = tmp_path / "cache"
-        clean = lint_paths([root], cache_dir=cache_dir)
-        assert clean.findings == ()
-
-        (root / "b.py").write_text(textwrap.dedent(_SERVE_B_BLOCKING))
-        warm = lint_paths([root], cache_dir=cache_dir)
-        # only the edited helper was re-parsed...
-        assert warm.files_reparsed == 1 and warm.cache_hits == 1
-        # ...yet the transitive finding lands in the *unchanged* file
-        assert [f.rule for f in warm.findings] == ["ASY003"]
-        assert warm.findings[0].file.endswith("a.py")
-        # and matches a cold run exactly
-        cold = lint_paths([root])
-        assert cold.findings == warm.findings
-
-    def test_rule_selection_invalidates_the_cache(self, tmp_path: Path) -> None:
-        root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_CLEAN})
-        cache_dir = tmp_path / "cache"
-        lint_paths([root], cache_dir=cache_dir)
-        narrowed = lint_paths(
-            [root], select=lambda rid: rid == "ASY003", cache_dir=cache_dir
-        )
-        assert narrowed.files_reparsed == 2  # different ruleset signature
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path: Path) -> None:
-        root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_BLOCKING})
-        cache_dir = tmp_path / "cache"
-        lint_paths([root], cache_dir=cache_dir)
-        (cache_dir / "analysis.json").write_text("{not json")
-        report = lint_paths([root], cache_dir=cache_dir)
-        assert report.files_reparsed == 2
-        assert any(f.rule == "ASY003" for f in report.findings)
-
-    def test_parse_errors_are_cached_and_replayed(self, tmp_path: Path) -> None:
-        root = _write(tmp_path, {"bad.py": "def broken(:\n"})
-        cache_dir = tmp_path / "cache"
-        cold = lint_paths([root], cache_dir=cache_dir)
-        warm = lint_paths([root], cache_dir=cache_dir)
-        assert cold.parse_errors and warm.parse_errors == cold.parse_errors
-        assert warm.files_reparsed == 0
-        assert cold.failed and warm.failed
-
-    def test_summary_roundtrips_through_json(self, tmp_path: Path) -> None:
-        source = textwrap.dedent(
-            """\
-            # repro: lint-module[repro.serve.rt]
-            import time
-            from repro.serve.state import Store
-
-
-            class Svc:
-                def __init__(self, store: Store) -> None:
-                    self.store = store
-
-                def tick(self):  # repro: lint-ok[ASY003]
-                    time.sleep(0)
-                    self.store.load()
-            """
-        )
-        path = tmp_path / "rt.py"
-        path.write_text(source)
-        mod = ModuleUnderLint(path, "rt.py", source)
-        finding = LintFinding(
-            file="rt.py",
-            line=1,
-            col=0,
-            rule="DET001",
-            severity=Severity.ERROR,
-            message="m",
-            hint="h",
-        )
-        summary = summarize(mod, file_digest(source.encode()), (finding,))
-        encoded = json.dumps(summary_to_dict(summary), sort_keys=True)
-        decoded = summary_from_dict(json.loads(encoded))
-        assert decoded == summary
-
-    def test_ruleset_signature_tracks_rules(self) -> None:
-        full = ruleset_signature(select_rules(None))
-        narrowed = ruleset_signature(
-            select_rules(lambda rid: rid == "DET001")
-        )
-        assert full != narrowed
-        assert ruleset_signature(select_rules(None)) == full
-
-    def test_cache_prunes_entries_outside_the_lint_set(
-        self, tmp_path: Path
-    ) -> None:
-        root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_CLEAN})
-        cache_dir = tmp_path / "cache"
-        lint_paths([root], cache_dir=cache_dir)
-        (root / "b.py").unlink()
-        lint_paths([root], cache_dir=cache_dir)
-        cache = AnalysisCache.open(cache_dir, select_rules(None))
-        assert all("b.py" not in key for key in cache.entries)
-
-
 # -- whole-program findings respect suppressions ------------------------------
 
 
@@ -471,77 +333,3 @@ def test_project_findings_respect_lint_ok_comments(tmp_path: Path) -> None:
     )
     report = lint_paths([root])
     assert report.findings == ()
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-def _finding(file: str, line: int, rule: str, message: str) -> LintFinding:
-    return LintFinding(
-        file=file,
-        line=line,
-        col=0,
-        rule=rule,
-        severity=Severity.WARNING,
-        message=message,
-        hint="",
-    )
-
-
-class TestBaseline:
-    def test_roundtrip_absorbs_recorded_findings(self, tmp_path: Path) -> None:
-        path = tmp_path / "baseline.json"
-        old = _finding("a.py", 3, "ASY003", "blocks via x")
-        write_baseline(path, [old])
-        baseline = load_baseline(path)
-        shifted = _finding("a.py", 9, "ASY003", "blocks via x")  # moved lines
-        new = _finding("a.py", 4, "ASY004", "rmw race")
-        fresh, absorbed = apply_baseline([shifted, new], baseline)
-        assert absorbed == 1
-        assert fresh == (new,)
-
-    def test_multiset_matching_absorbs_exact_counts(
-        self, tmp_path: Path
-    ) -> None:
-        path = tmp_path / "baseline.json"
-        one = _finding("a.py", 1, "ASY003", "same message")
-        write_baseline(path, [one])
-        dup = _finding("a.py", 8, "ASY003", "same message")
-        fresh, absorbed = apply_baseline([one, dup], load_baseline(path))
-        assert absorbed == 1 and len(fresh) == 1
-
-    def test_bad_baseline_raises_value_error(self, tmp_path: Path) -> None:
-        path = tmp_path / "baseline.json"
-        path.write_text("[]")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-        with pytest.raises(ValueError):
-            load_baseline(tmp_path / "missing.json")
-
-
-# -- sarif --------------------------------------------------------------------
-
-
-def test_sarif_export_shape(tmp_path: Path) -> None:
-    root = _write(tmp_path, {"a.py": _SERVE_A, "b.py": _SERVE_B_BLOCKING})
-    report = lint_paths([root])
-    doc = to_sarif(report, select_rules(None))
-    assert doc["version"] == "2.1.0"
-    runs = doc["runs"]
-    assert isinstance(runs, list) and len(runs) == 1
-    run = runs[0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.lint"
-    rule_ids = [r["id"] for r in driver["rules"]]
-    assert "ASY003" in rule_ids
-    results = run["results"]
-    assert results, "expected SARIF results"
-    for result in results:
-        assert result["level"] in ("error", "warning")
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-
-
-def test_finding_from_dict_roundtrip() -> None:
-    finding = _finding("x.py", 2, "ASY004", "race")
-    assert LintFinding.from_dict(finding.as_dict()) == finding

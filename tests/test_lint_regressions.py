@@ -101,19 +101,16 @@ class TestWholeProgramAudit:
             _split_rules,
             iter_python_files,
         )
-        from repro.lint.cache import file_digest
         from repro.lint.project import ProjectIndex
         from repro.lint.registry import select_rules
 
         file_rules, _ = _split_rules(select_rules(None))
         summaries = []
         for path in iter_python_files([self._src()]):
-            data = path.read_bytes()
             result = _parse_one(
                 path,
                 _display_path(path),
-                file_digest(data),
-                data.decode("utf-8"),
+                path.read_bytes().decode("utf-8"),
                 file_rules,
             )
             assert result.parse_error is None, result.parse_error

@@ -19,9 +19,7 @@ from repro.lint import (
     LintFinding,
     ModuleUnderLint,
     Severity,
-    all_rules,
     known_rule_ids,
-    lint_file,
     lint_paths,
 )
 from repro.lint.context import module_name_for_path
@@ -42,9 +40,9 @@ def expected_findings(path: Path) -> set[tuple[int, str]]:
 
 
 def actual_findings(path: Path) -> list[LintFinding]:
-    findings, parse_error = lint_file(path, all_rules())
-    assert parse_error is None, parse_error
-    return findings
+    report = lint_paths([path])
+    assert not report.parse_errors, report.parse_errors
+    return list(report.findings)
 
 
 @pytest.mark.parametrize("name", FIXTURE_FILES)
