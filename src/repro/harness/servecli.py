@@ -20,7 +20,9 @@ import json
 import os
 import threading
 import warnings
-from typing import Any
+from typing import Any, Callable, TypeVar
+
+_N = TypeVar("_N", int, float)
 
 _SERVE_USAGE = """\
 usage: python -m repro.harness serve [options]
@@ -73,21 +75,25 @@ def _parse(
     opts: dict[str, str],
     usage: str,
     flags: dict[str, bool] | None = None,
-) -> dict[str, list[str]] | None:
-    """Tiny option parser in the harness house style; None = exit 2."""
+) -> dict[str, list[str]] | int:
+    """Tiny option parser in the harness house style.
+
+    Returns the repeated options, or the exit code when parsing ends
+    the command: 0 after ``--help``, 2 after a usage error.
+    """
     repeated: dict[str, list[str]] = {}
     args = list(argv)
     while args:
         arg = args.pop(0)
         if arg in ("-h", "--help"):
             print(usage)
-            return None
+            return 0
         if flags is not None and arg in flags:
             flags[arg] = True
         elif arg in opts or arg == "--preload":
             if not args:
                 print(f"{arg} needs a value\n{usage}")
-                return None
+                return 2
             value = args.pop(0)
             if arg == "--preload":
                 repeated.setdefault(arg, []).append(value)
@@ -95,8 +101,16 @@ def _parse(
                 opts[arg] = value
         else:
             print(f"unknown option {arg!r}\n{usage}")
-            return None
+            return 2
     return repeated
+
+
+def _number(opts: dict[str, str], name: str, kind: Callable[[str], _N]) -> _N:
+    """``opts[name]`` as a number; a ``ValueError`` names the option."""
+    try:
+        return kind(opts[name])
+    except ValueError:
+        raise ValueError(f"{name} needs a number, got {opts[name]!r}") from None
 
 
 def serve_main(argv: list[str]) -> int:
@@ -118,7 +132,22 @@ def serve_main(argv: list[str]) -> int:
     }
     flags = {"--no-fsync": False}
     repeated = _parse(argv, opts, _SERVE_USAGE, flags)
-    if repeated is None:
+    if isinstance(repeated, int):
+        return repeated
+    # Every value is checked before a journal, cache or socket exists.
+    try:
+        port = _number(opts, "--port", int)
+        if not 0 <= port <= 65535:
+            raise ValueError(f"--port must be in 0..65535, got {port}")
+        deadline = _number(opts, "--request-deadline", float)
+        limits = ServerLimits(
+            max_inflight=_number(opts, "--max-inflight", int),
+            max_pending=_number(opts, "--max-pending", int),
+            request_deadline=deadline if deadline > 0 else None,
+            idle_timeout=_number(opts, "--idle-timeout", float),
+        )
+    except ValueError as exc:
+        print(exc)
         return 2
     cache = RunCache(opts["--cache"]) if opts["--cache"] else None
     journal = None
@@ -141,21 +170,9 @@ def serve_main(argv: list[str]) -> int:
     for digest in repeated.get("--preload", []):
         state.load_digest(digest, digest)
         print(f"preloaded {digest} ({len(state.sessions[digest].system.runs)} runs)")
-    deadline = float(opts["--request-deadline"])
-    limits = ServerLimits(
-        max_inflight=int(opts["--max-inflight"]),
-        max_pending=int(opts["--max-pending"]),
-        request_deadline=deadline if deadline > 0 else None,
-        idle_timeout=float(opts["--idle-timeout"]),
-    )
     try:
         asyncio.run(
-            serve_forever(
-                state,
-                host=opts["--host"],
-                port=int(opts["--port"]),
-                limits=limits,
-            )
+            serve_forever(state, host=opts["--host"], port=port, limits=limits)
         )
     except KeyboardInterrupt:
         print("\nrepro.serve stopped")
@@ -167,8 +184,9 @@ def bench_serve_main(argv: list[str]) -> int:
     from repro.serve.bench import run_serve_bench
 
     opts = {"--out": "BENCH_serve.json"}
-    if _parse(argv, opts, _BENCH_USAGE) is None:
-        return 2
+    parsed = _parse(argv, opts, _BENCH_USAGE)
+    if isinstance(parsed, int):
+        return parsed
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     payload = run_serve_bench(smoke=smoke)
     for key, entry in payload["results"].items():
@@ -559,16 +577,23 @@ def serve_soak_main(argv: list[str]) -> int:
         "--rounds": "24",
         "--kill-round": "12",
     }
-    if _parse(argv, opts, _SOAK_USAGE) is None:
+    parsed = _parse(argv, opts, _SOAK_USAGE)
+    if isinstance(parsed, int):
+        return parsed
+    # Exit 1 means a wrong answer or a failed recovery, so a bad value
+    # must exit 2 before anything starts.
+    try:
+        seed = _number(opts, "--seed", int)
+        n_clients = _number(opts, "--clients", int)
+        rounds = _number(opts, "--rounds", int)
+        kill_round = _number(opts, "--kill-round", int)
+    except ValueError as exc:
+        print(exc)
         return 2
-    seed = int(opts["--seed"])
-    n_clients = int(opts["--clients"])
-    rounds = int(opts["--rounds"])
-    kill_round = int(opts["--kill-round"])
     if n_clients < 1 or rounds < 1:
         print("--clients and --rounds must be positive")
         return 2
-    if kill_round >= rounds:
+    if not 0 <= kill_round < rounds:
         print("--kill-round must be below --rounds (or 0 to disable)")
         return 2
 
