@@ -123,6 +123,9 @@ def _explore_main(argv: list[str]) -> int:
     if opts["--protocol"] not in protocols:
         print(f"unknown protocol {opts['--protocol']!r} (nudc | reliable)")
         return 2
+    if opts["--monitor"] not in ("udc", "nudc"):
+        print(f"unknown monitor {opts['--monitor']!r} (udc | nudc)")
+        return 2
     init_proc, _, init_tick = opts["--init"].partition(":")
     try:
         spec = ExploreSpec(

@@ -35,6 +35,10 @@ from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelConfig
 from repro.workloads.generators import single_action
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.model.system.IncompleteSystemWarning"
+)
+
 PROCS = make_process_ids(3)
 
 
@@ -416,3 +420,7 @@ class TestExploreCLI:
     def test_workers_option_is_gone(self, capsys):
         assert harness_main(["explore", "--workers", "2"]) == 2
         assert "unknown explore option '--workers'" in capsys.readouterr().out
+
+    def test_unknown_monitor_is_a_usage_error(self, capsys):
+        assert harness_main(["explore", "--monitor", "UDC"]) == 2
+        assert "unknown monitor 'UDC' (udc | nudc)" in capsys.readouterr().out
