@@ -33,6 +33,10 @@ from repro.model.run import Point
 from repro.runtime import RunCache
 from repro.workloads.generators import single_action
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.model.system.IncompleteSystemWarning"
+)
+
 
 def spec_of(n=3, protocol=NUDCProcess, **overrides):
     base = dict(

@@ -34,6 +34,10 @@ from repro.workloads.generators import single_action
 from tests.test_explore_reduction_api import DIFFERENTIAL_SPECS, spec_of
 from tests.test_sim_executor import EchoProcess
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.model.system.IncompleteSystemWarning"
+)
+
 STAT_FIELDS = (
     "executions",
     "states_expanded",

@@ -22,6 +22,10 @@ from repro.core.protocols import NUDCProcess
 from repro.sim.failures import CrashPlan
 from repro.workloads.generators import single_action
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::repro.model.system.IncompleteSystemWarning"
+)
+
 MONITOR = UniformityMonitor()  # udc
 
 
