@@ -4,11 +4,11 @@ The per-object model (:mod:`repro.model`) keeps every run as a dict of
 timelines and every local history as a linked list of events.  That is
 the right representation for *constructing* runs, but the epistemic hot
 paths -- index build, the Knows sweep, the E^k/C_G fixpoint -- and the
-process-pool transfer paths only ever need the *shape* of a run set:
-which event happened when, for whom.  This package flattens a batch of
-runs into a handful of contiguous ``int64`` buffers (a :class:`RunArena`)
-plus two small interning tables (the event alphabet and per-run meta
-dicts), and builds the epistemic kernel on top of it:
+run cache only ever need the *shape* of a run set: which event happened
+when, for whom.  This package flattens a batch of runs into a handful
+of contiguous ``int64`` buffers (a :class:`RunArena`) plus two small
+interning tables (the event alphabet and per-run meta dicts), and
+builds the epistemic kernel on top of it:
 
 * :mod:`repro.columnar.arena` -- lossless ``encode_runs`` /
   ``decode_runs`` round trips between ``tuple[Run, ...]`` and the arena;
@@ -16,8 +16,6 @@ dicts), and builds the epistemic kernel on top of it:
   evaluation of crash masks, ~_p classes (CSR layout), Knows and the
   C_G/E^k fixpoints; every :class:`~repro.model.system.System` answers
   its knowledge queries through one, built lazily;
-* :mod:`repro.columnar.transfer` -- ships arenas to/from pool workers
-  via ``multiprocessing.shared_memory`` with a tiny pickled header;
 * :mod:`repro.columnar.jsonio` -- stable JSON form of an arena for the
   v4 RunCache exploration entries.
 
@@ -30,7 +28,6 @@ package -- lint rule INV004 flags writes from any other module.
 from repro.columnar.arena import RunArena, decode_runs, encode_runs, extend_arena
 from repro.columnar.backend import numpy_or_none
 from repro.columnar.kernel import ColumnarKernel, build_kernel
-from repro.columnar.transfer import ShippedRuns, receive_runs, ship_runs
 
 __all__ = [
     "RunArena",
@@ -39,8 +36,5 @@ __all__ = [
     "extend_arena",
     "ColumnarKernel",
     "build_kernel",
-    "ShippedRuns",
-    "ship_runs",
-    "receive_runs",
     "numpy_or_none",
 ]

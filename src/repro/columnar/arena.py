@@ -12,8 +12,8 @@ tuple) into four contiguous int64 buffers plus two small tables:
 * ``tl_times`` / ``tl_events`` -- the flattened ``(time, event_id)``
   timeline entries, run-major then process-major then time order;
 * ``metas[i]`` -- run ``i``'s meta dict, carried by reference.  The
-  arena itself never interprets metas; the transfer layer pickles them
-  and the cache layer applies the JSON meta contract.
+  arena itself never interprets metas; the cache layer applies the
+  JSON meta contract.
 
 The encoding is exact: ``decode_runs(encode_runs(runs)) == runs`` with
 equal hashes, timelines, durations, and metas.  Times past a run's

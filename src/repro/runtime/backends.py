@@ -164,7 +164,7 @@ def _execute_spec(spec: RunSpec) -> TimedRun:
     return run, elapsed
 
 
-#: Tagged per-spec outcome shipped back from workers (must pickle).
+#: Tagged per-spec outcome returned from workers (must pickle).
 _WireOutcome = tuple[str, object]
 
 def _execute_chunk_safe(
@@ -190,77 +190,6 @@ def _execute_chunk_safe(
             )
         else:
             out.append((index, ("ok", timed)))
-    return out
-
-
-def _execute_chunk_shipped(chunk: list[tuple[int, RunSpec]]) -> object:
-    """Worker entry point with arena transfer.
-
-    Executes the chunk, then parks the successful runs in one shared
-    memory arena (:func:`repro.columnar.ship_runs`) so only a small
-    header -- not the pickled run graph -- crosses the result pipe.
-    Falls back to the plain pickled form when the chunk's runs span
-    distinct process tuples or when shared memory is unavailable; the
-    driver detects the form, so the fallback is invisible to the retry
-    machinery.
-    """
-    results = _execute_chunk_safe(chunk)
-    ok_slots = [
-        (pos, index) for pos, (index, (tag, _)) in enumerate(results) if tag == "ok"
-    ]
-    if not ok_slots:
-        return results
-    runs: list[Run] = []
-    for pos, _ in ok_slots:
-        run, _elapsed = results[pos][1][1]  # type: ignore[index]
-        runs.append(run)
-    procs = runs[0].processes
-    if any(run.processes != procs for run in runs):
-        return results
-    try:
-        from repro.columnar.transfer import ship_runs
-
-        shipped = ship_runs(runs)
-    except Exception:  # pragma: no cover - environmental
-        return results
-    stripped = list(results)
-    for slot, (pos, index) in enumerate(ok_slots):
-        _run, elapsed = results[pos][1][1]  # type: ignore[index]
-        stripped[pos] = (index, ("ok-shipped", (slot, elapsed)))
-    return ("shipped", stripped, shipped)
-
-
-def _unship_chunk(raw: object) -> list[tuple[int, _WireOutcome]]:
-    """Driver side: normalize a chunk result back to the plain form.
-
-    Shipped chunks have their runs pulled out of shared memory and
-    spliced back into ``("ok", (run, elapsed))`` outcomes; a transfer
-    failure downgrades just those entries to retryable errors (the
-    block is unlinked either way).
-    """
-    if not (isinstance(raw, tuple) and len(raw) == 3 and raw[0] == "shipped"):
-        return raw  # type: ignore[return-value]
-    _tag, results, shipped = raw
-    try:
-        from repro.columnar.transfer import receive_runs
-
-        runs = receive_runs(shipped)
-    except Exception as exc:
-        return [
-            (
-                (index, ("error", f"arena transfer failed: {exc!r}"))
-                if tag == "ok-shipped"
-                else (index, (tag, payload))
-            )
-            for index, (tag, payload) in results
-        ]
-    out: list[tuple[int, _WireOutcome]] = []
-    for index, (tag, payload) in results:
-        if tag == "ok-shipped":
-            slot, elapsed = payload  # type: ignore[misc]
-            out.append((index, ("ok", (runs[slot], elapsed))))
-        else:
-            out.append((index, (tag, payload)))
     return out
 
 
@@ -375,8 +304,10 @@ class ProcessPoolBackend(ExecutionBackend):
     """Parallel execution over a worker-process pool.
 
     Specs are dispatched in contiguous chunks (amortizing pickling and
-    task overhead) and results are re-assembled by index, so the output
-    order is deterministic regardless of which worker finished first.
+    task overhead); workers return their outcomes pickled (``Run``
+    pickles as its constructor arguments) and results are re-assembled
+    by index, so the output order is deterministic regardless of which
+    worker finished first.
     A dead worker breaks the whole pool (``BrokenProcessPool``); this
     backend respawns it and requeues the affected specs individually,
     bounded by the retry policy.
@@ -384,7 +315,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process-pool"
 
-    def __init__(self, max_workers: int | None = None, chunksize: int | None = None):
+    def __init__(self, max_workers: int | None = None):
         if max_workers is not None:
             if isinstance(max_workers, bool) or not isinstance(max_workers, int):
                 raise TypeError(
@@ -393,16 +324,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 )
             if max_workers < 1:
                 raise ValueError("max_workers must be >= 1")
-        if chunksize is not None:
-            if isinstance(chunksize, bool) or not isinstance(chunksize, int):
-                raise TypeError(
-                    f"chunksize must be an int or None, got "
-                    f"{type(chunksize).__name__} ({chunksize!r})"
-                )
-            if chunksize < 1:
-                raise ValueError("chunksize must be >= 1")
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
-        self.chunksize = chunksize
 
     def _check_picklable(self, specs: Sequence[RunSpec]) -> None:
         for i, spec in enumerate(specs):
@@ -426,7 +348,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if n == 1 or self.max_workers == 1:
             return SerialBackend().run_all_safe(specs, policy)
         self._check_picklable(specs)
-        chunksize = self.chunksize or max(1, -(-n // (self.max_workers * 4)))
+        chunksize = max(1, -(-n // (self.max_workers * 4)))
 
         outcomes: list[TimedRun | FailedRun | None] = [None] * n
         attempts = [0] * n
@@ -442,12 +364,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 # spec then only takes itself down on the retry.
                 csize = chunksize if first_round else 1
                 chunks = [queue[i : i + csize] for i in range(0, len(queue), csize)]
-                futures: list[tuple[Future[object], list[int]]] = []
+                futures: list[
+                    tuple[Future[list[tuple[int, _WireOutcome]]], list[int]]
+                ] = []
                 pool_broken = False
                 for chunk in chunks:
                     try:
                         future = pool.submit(
-                            _execute_chunk_shipped, [(i, specs[i]) for i in chunk]
+                            _execute_chunk_safe, [(i, specs[i]) for i in chunk]
                         )
                     except BrokenExecutor:
                         pool_broken = True
@@ -461,7 +385,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 retry: list[int] = []
                 for future, chunk in futures:
                     try:
-                        results = _unship_chunk(future.result())
+                        results = future.result()
                     except BrokenExecutor as exc:
                         pool_broken = True
                         for i in chunk:

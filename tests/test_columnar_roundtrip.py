@@ -1,12 +1,12 @@
-"""Round-trip tests for the columnar run arena (encode/decode, JSON, shm).
+"""Round-trip tests for the columnar run arena (encode/decode, JSON).
 
 The arena's contract is *losslessness*: ``decode_runs(encode_runs(rs))``
 gives back value-equal runs (same hashes, timelines, durations, metas),
-through every representation the arena travels in -- in-memory buffers,
-the v4 cache's JSON form, and the shared-memory transfer header.  The
-hypothesis property drives randomized batches through all three; the
-explicit tests pin the edge cases (crashes, empty batches, events past
-the duration, mixed process tuples) and buffer immutability.
+through both representations the arena travels in -- in-memory buffers
+and the v4 cache's JSON form.  The hypothesis property drives
+randomized batches through both; the explicit tests pin the edge cases
+(crashes, empty batches, events past the duration, mixed process
+tuples) and buffer immutability.
 
 Every test runs twice: once with whatever buffer backend is available,
 once with ``REPRO_COLUMNAR_NUMPY=0`` forcing the stdlib ``array``
@@ -23,16 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import (
-    RunArena,
-    decode_runs,
-    encode_runs,
-    numpy_or_none,
-    receive_runs,
-    ship_runs,
-)
+from repro.columnar import RunArena, decode_runs, encode_runs, numpy_or_none
 from repro.columnar.jsonio import arena_from_jsonable, arena_to_jsonable
-from repro.columnar.transfer import header_bytes
 from repro.model.context import make_process_ids
 from repro.model.events import CrashEvent, DoEvent
 from repro.model.run import Run
@@ -202,21 +194,6 @@ def test_jsonable_rejects_unknown_format(backend):
     data["format"] = "repro-arena-v999"
     with pytest.raises(ValueError, match="unsupported arena format"):
         arena_from_jsonable(data)
-
-
-def test_shared_memory_transfer_roundtrip(backend):
-    runs = make_batch(3, 10, seed=9)
-    shipped = ship_runs(runs)
-    try:
-        received = receive_runs(shipped)
-    except Exception:  # pragma: no cover - /dev/shm-less environments
-        pytest.skip("shared memory unavailable")
-    assert_lossless(runs, received)
-    # The header is what crosses the pickled result pipe; it must stay
-    # tiny relative to pickling the run objects themselves.
-    import pickle
-
-    assert header_bytes(shipped) < len(pickle.dumps(runs))
 
 
 def test_alphabet_interns_each_event_once(backend):

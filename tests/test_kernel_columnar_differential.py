@@ -8,15 +8,16 @@ both ways the one epistemic kernel is constructed -- a from-scratch
 half-system's kernel -- over the primitives (Knows,
 indistinguishability), the E^k ladder, and the C_G fixpoint.  Every
 case runs under both buffer backends (numpy and the stdlib ``array``
-fallback), and once more on runs that made a round trip through the
-shared-memory transfer path.
+fallback), and once more on runs that made a pickle round trip, the
+form in which pool workers return them.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.columnar import receive_runs, ship_runs
 from repro.knowledge import Crashed, GroupChecker, ModelChecker, Not
 from repro.knowledge.group import e_iterated
 from repro.knowledge.reference import (
@@ -192,27 +193,24 @@ def test_foreign_points_agree(kernels):
 
 
 def test_transfer_roundtrip_preserves_answers(kernels):
-    """Runs received over the shared-memory path index into a system
-    that answers identically to the original."""
-    try:
-        received = receive_runs(ship_runs(kernels.runs))
-    except Exception:  # pragma: no cover - /dev/shm-less environments
-        pytest.skip("shared memory unavailable")
+    """Runs rebuilt from the bytes a pool worker sends back (the pickled
+    runs) index into a system that answers identically to the original."""
+    received = pickle.loads(pickle.dumps(kernels.runs))
     assert received == kernels.runs
-    shipped_system = System(received)
+    received_system = System(received)
     original = kernels.system
     victim = original.processes[-1]
     group = tuple(original.processes)
     for p in original.processes:
-        for pt in shipped_system.points():
+        for pt in received_system.points():
             for q in original.processes:
-                assert shipped_system.knows_crashed(p, pt, q) == original.knows_crashed(
+                assert received_system.knows_crashed(p, pt, q) == original.knows_crashed(
                     p, Point(original.runs[original.run_index(pt.run)], pt.time), q
                 )
     gc_orig = GroupChecker(ModelChecker(original))
-    gc_ship = GroupChecker(ModelChecker(shipped_system))
+    gc_received = GroupChecker(ModelChecker(received_system))
     phi = Crashed(victim)
-    assert gc_ship.common_knowledge_points(group, phi) == (
+    assert gc_received.common_knowledge_points(group, phi) == (
         gc_orig.common_knowledge_points(group, phi)
     )
 

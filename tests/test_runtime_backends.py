@@ -28,10 +28,10 @@ from repro.workloads.generators import single_action
 PROCS = make_process_ids(4)
 
 
-def e07_style_spec(t=2, seeds=(0, 1, 2)):
+def e07_style_spec(t=2, seeds=(0, 1, 2), procs=PROCS):
     """A t-useful detector sweep, as in E07 -- crash plans x seeds."""
     return EnsembleSpec.a5t(
-        PROCS,
+        procs,
         uniform_protocol(GeneralizedFDUDCProcess, t=t),
         t=t,
         workload=single_action("p1", tick=1) + single_action("p3", tick=10, name="c0"),
@@ -56,10 +56,23 @@ class TestSerialPoolEquivalence:
                 assert a.timeline(p) == b.timeline(p)
             assert a == b
 
+    def test_batch_spanning_two_process_tuples(self):
+        """n=4 and n=3 specs in one batch, one chunk holding both."""
+        specs = [
+            *e07_style_spec(seeds=(0,)).expand(),
+            *e07_style_spec(t=1, seeds=(0, 1), procs=make_process_ids(3)).expand(),
+        ]
+        assert [len(s.processes) for s in specs] == [4] * 11 + [3] * 8
+        serial = run_ensemble(specs, backend=SerialBackend(), cache=None)
+        pooled = run_ensemble(
+            specs, backend=ProcessPoolBackend(max_workers=2), cache=None
+        )
+        assert list(pooled.runs) == list(serial.runs)
+
     def test_order_is_spec_order_not_completion_order(self):
         spec = e07_style_spec(seeds=(5, 3, 1))
         report = run_ensemble(
-            spec, backend=ProcessPoolBackend(max_workers=2, chunksize=1), cache=None
+            spec, backend=ProcessPoolBackend(max_workers=2), cache=None
         )
         assert [m.seed for m in report.metrics] == [s.seed for s in spec.expand()]
 
@@ -85,8 +98,6 @@ class TestPoolValidation:
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(chunksize=0)
 
 
 class TestBackendSelection:

@@ -148,8 +148,6 @@ class TestPoolHardening:
             ProcessPoolBackend(max_workers=2.5)
         with pytest.raises(TypeError, match="max_workers must be an int"):
             ProcessPoolBackend(max_workers=True)
-        with pytest.raises(TypeError, match="chunksize must be an int"):
-            ProcessPoolBackend(chunksize="4")
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
 
