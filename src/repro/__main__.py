@@ -64,7 +64,7 @@ def main(argv: list[str]) -> int:
     if argv[0] == "demo":
         return demo()
     print(__doc__)
-    return 2
+    return 0 if argv[0] in ("-h", "--help") else 2
 
 
 if __name__ == "__main__":

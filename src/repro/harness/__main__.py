@@ -268,6 +268,12 @@ def _chaos_main(argv: list[str]) -> int:
     return 0 if ok else 1
 
 
+def _usage() -> str:
+    """The ``Usage::`` block of this module's docstring."""
+    block = (__doc__ or "").partition("Usage::\n\n")[2].split("\n\n", 1)[0]
+    return "usage:\n" + block
+
+
 def main(argv: list[str]) -> int:
     """Run the requested experiments (all by default) and print results."""
     args = list(argv)
@@ -295,6 +301,9 @@ def main(argv: list[str]) -> int:
         from repro.harness.servecli import serve_soak_main
 
         return serve_soak_main(args[1:])
+    if "--help" in args or "-h" in args:
+        print(_usage())
+        return 0
     if "--list" in args:
         print(registry.describe())
         return 0
@@ -307,14 +316,16 @@ def main(argv: list[str]) -> int:
             print("--backend needs a value: serial | process | process:N")
             return 2
         del args[at : at + 2]
-    if backend is not None:
-        from repro.runtime import set_default_backend
+    from repro.runtime import get_default_backend, set_default_backend
 
-        try:
+    try:
+        if backend is not None:
             set_default_backend(backend)
-        except ValueError as exc:
-            print(exc)
-            return 2
+        else:
+            get_default_backend()  # resolves REPRO_BACKEND
+    except ValueError as exc:
+        print(exc)
+        return 2
 
     wanted = [a.upper() for a in args] or registry.experiment_ids()
     unknown = [e for e in wanted if e not in registry.experiment_ids()]

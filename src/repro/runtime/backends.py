@@ -475,7 +475,12 @@ def backend_from_name(name: str) -> ExecutionBackend:
     if name == "process":
         return ProcessPoolBackend()
     if name.startswith("process:"):
-        return ProcessPoolBackend(max_workers=int(name.split(":", 1)[1]))
+        try:
+            max_workers = int(name.split(":", 1)[1])
+        except ValueError:
+            pass  # not a worker count: an unknown backend, reported below
+        else:
+            return ProcessPoolBackend(max_workers=max_workers)
     raise ValueError(
         f"unknown backend {name!r}; expected 'serial', 'process', or 'process:N'"
     )

@@ -73,6 +73,55 @@ class TestBackendSelection:
         assert backend.batch_sizes, "E12's sweep bypassed the default backend"
 
 
+class TestCLI:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_prints_usage_and_exits_zero(self, flag, capsys):
+        from repro.harness.__main__ import main
+
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:\n    python -m repro.harness [--list]")
+        assert "unknown experiment ids" not in out
+
+    def test_top_level_help_exits_zero(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["--help"]) == 0
+        assert "experiments [IDs...]" in capsys.readouterr().out
+        assert main(["experiments", "--help"]) == 0
+        assert main(["bogus"]) == 2
+
+    def test_unknown_experiment_id_exits_two(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["E99"]) == 2
+        assert "unknown experiment ids: E99" in capsys.readouterr().out
+
+    def test_bad_repro_backend_exits_two_before_any_experiment(
+        self, monkeypatch, capsys
+    ):
+        from repro.harness.__main__ import main
+        from repro.runtime import set_default_backend
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        set_default_backend(None)
+        try:
+            assert main(["E01"]) == 2
+        finally:
+            set_default_backend(None)
+        out = capsys.readouterr().out
+        assert out == (
+            "unknown backend 'bogus'; expected 'serial', 'process', or "
+            "'process:N'\n"
+        )
+
+    def test_bad_backend_flag_exits_two(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["--backend", "process:x", "E01"]) == 2
+        assert "unknown backend 'process:x'" in capsys.readouterr().out
+
+
 # One test per experiment, so failures localize.  These run the real
 # experiment functions (at their default, already-modest scale).
 

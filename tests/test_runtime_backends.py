@@ -105,8 +105,11 @@ class TestBackendSelection:
         assert isinstance(backend_from_name("serial"), SerialBackend)
         assert isinstance(backend_from_name("process"), ProcessPoolBackend)
         assert backend_from_name("process:3").max_workers == 3
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend_from_name("gpu")
+        for name in ("gpu", "process:x", "process:", "process:2.5"):
+            with pytest.raises(ValueError, match="unknown backend.*'process:N'"):
+                backend_from_name(name)
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            backend_from_name("process:0")
 
     def test_run_ensemble_accepts_backend_names(self):
         spec = e07_style_spec(seeds=(0,))
