@@ -12,6 +12,7 @@ times out against it.
 from __future__ import annotations
 
 import asyncio
+import select
 import socket
 import threading
 import time
@@ -230,6 +231,56 @@ def test_server_side_request_deadline_applies_without_client_optin() -> None:
                 "s", [knows_query("p1", Crashed("p2"), 0, 2)] * 3
             )
             assert [r["ok"] for r in results].count(False) >= 1
+    finally:
+        live.close()
+
+
+def test_second_connection_is_answered_during_a_long_batch() -> None:
+    """With two connections open, a batch yields between its queries, so
+    a ping on the other connection is answered before the batch ends."""
+    state = _state_with_session()
+    live = LiveServer(state, ServerLimits())
+    try:
+        session = state.sessions["s"]
+        original = type(session).run_query
+
+        def slow_query(query, epoch=None):
+            time.sleep(0.05)  # holds the loop, like an expensive query
+            return original(session, query, epoch)
+
+        session.run_query = slow_query
+        with live.connect() as batcher, live.connect() as prober:
+            assert batcher.ping() and prober.ping()  # both connections are open
+            queries = [knows_query("p1", Crashed("p2"), 0, 2)] * 20
+            batcher._sock.sendall(
+                encode_message({"op": "query", "system": "s", "queries": queries})
+            )
+            time.sleep(0.2)  # the 1 s batch is under way
+            assert prober.ping()
+            # The batch is still running: no byte of its response yet.
+            assert select.select([batcher._sock], [], [], 0)[0] == []
+            response = decode_message(batcher._reader.readline())
+            assert response["ok"] is True
+            assert [r["ok"] for r in response["results"]] == [True] * 20
+    finally:
+        live.close()
+
+
+def test_shutdown_closes_an_idle_connection_within_the_drain_grace() -> None:
+    """A ``shutdown`` on one connection shortens the idle read of another
+    to the drain grace: it closes far sooner than ``idle_timeout``."""
+    state = _state_with_session()
+    live = LiveServer(state, ServerLimits(drain_grace=0.2, idle_timeout=60.0))
+    try:
+        idler = live.connect()
+        assert idler.ping()
+        with live.connect() as other:
+            other.shutdown()
+        t0 = time.monotonic()
+        assert idler._reader.readline() == b""  # closed by the server
+        assert time.monotonic() - t0 < 5 * 0.2
+        idler.close()
+        assert live.server.metrics["reaped_idle"] == 0
     finally:
         live.close()
 

@@ -229,6 +229,29 @@ def test_complete_and_missing_runs_surface(service) -> None:
     assert response["complete"] is True
 
 
+@pytest.mark.filterwarnings("error::repro.model.system.IncompleteSystemWarning")
+def test_sampled_system_warning_never_escapes_the_server(service) -> None:
+    """Incompleteness reaches clients in the envelope, never as a warning
+    in the server: with the warning an error, a sampled system still
+    answers ``ok``, before and after an ingest swaps its epoch."""
+    client, _ = service
+    base = _sampled_runs()
+    client.create("s", base.runs)
+    procs = list(base.processes)
+    queries = [
+        knows_query(procs[0], Crashed(procs[1]), 0, 3),
+        ck_query(procs, Crashed(procs[1]), 0, 3),
+    ]
+    rng = random.Random(5)
+    for generation in (0, 1):
+        response = client.query_response("s", queries)
+        assert response["generation"] == generation
+        assert response["complete"] is False
+        assert all(r["ok"] for r in response["results"]), response["results"]
+        extra = [synthetic_run(base.processes, rng, duration=5, alphabet=3) for _ in range(4)]
+        assert client.ingest("s", extra)["added"] > 0
+
+
 def test_load_from_cache_and_corrupt_degradation(service, tmp_path) -> None:
     client, cache_dir = service
     # Seed the server's cache directory with a real v4 exploration entry.
