@@ -24,21 +24,24 @@ the deadline is checked per query, so one expensive query sheds the
 by a write timeout, idle ones are reaped, and shutdown drains: the
 listener closes, in-flight requests finish (or shed) within
 ``drain_timeout``, already-pipelined lines get a ``drain_grace`` window,
-and the journals are fsynced last.
+and the journals are fsynced last.  Each read waits under one timeout
+scope (``idle_timeout``, or ``drain_grace`` once stopping) that
+stopping shortens, so a served request costs no extra task.
 
 Consistency.  A query batch captures its session's
-:class:`~repro.serve.state.SessionEpoch` once, then yields to the loop
-between queries -- a concurrent ingest swaps the epoch without
-disturbing the batch, and every answer matches the ``generation`` its
-envelope reports.  Mutations follow the write-ahead discipline
-(prepare on the loop, journal on the executor, commit on the loop)
-under a per-session lock so journal order is apply order.
+:class:`~repro.serve.state.SessionEpoch` once, then, while another
+connection is open, yields to the loop between queries -- a concurrent
+ingest swaps the epoch without disturbing the batch, and every answer
+matches the ``generation`` its envelope reports.  Mutations follow the
+write-ahead discipline (prepare on the loop, journal on the executor,
+commit on the loop) under a per-session lock so journal order is apply
+order.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -130,6 +133,7 @@ class EpistemicServer:
         self._gate = asyncio.Semaphore(self.limits.max_inflight)
         self._pending = 0
         self._conn_tasks: set[asyncio.Task[None]] = set()
+        self._read_scopes: set[asyncio.Timeout] = set()
         self._session_locks: dict[str, asyncio.Lock] = {}
         self.metrics: dict[str, int] = {
             "requests": 0,
@@ -160,7 +164,7 @@ class EpistemicServer:
     async def stop(self) -> None:
         """Graceful drain: close the listener, let in-flight work land,
         cancel stragglers, then settle the journals on disk."""
-        self._stopping.set()
+        self._begin_stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -190,48 +194,34 @@ class EpistemicServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _next_line(self, reader: asyncio.StreamReader) -> bytes:
-        """One request line, racing shutdown and the idle timeout.
+    def _begin_stop(self) -> None:
+        """Enter drain mode: every open read gets at most ``drain_grace``
+        more, for lines its client already pipelined."""
+        self._stopping.set()
+        deadline = asyncio.get_running_loop().time() + self.limits.drain_grace
+        for scope in self._read_scopes:
+            when = scope.when()
+            # An expired scope is past the deadline and cannot be rescheduled.
+            if when is not None and when > deadline:
+                scope.reschedule(deadline)
 
-        Returns ``b""`` to close the connection (EOF, or the drain
-        grace expired); raises :class:`asyncio.TimeoutError` for an
-        idle reap; propagates readline's oversize ``ValueError``.
+    async def _next_line(self, reader: asyncio.StreamReader) -> bytes:
+        """One request line, read under one timeout scope.
+
+        The scope is ``idle_timeout``, or ``drain_grace`` once stopping
+        (:meth:`_begin_stop` shortens the open ones).  Returns ``b""``
+        at EOF; raises :class:`TimeoutError` when the scope expires (an
+        idle reap, or the drain grace ran out); propagates readline's
+        oversize ``ValueError``.
         """
-        if self._stopping.is_set():
-            # Drain mode: only lines the client already pipelined.
-            return await asyncio.wait_for(
-                reader.readline(), timeout=self.limits.drain_grace
-            )
-        read = asyncio.ensure_future(reader.readline())
-        stop = asyncio.ensure_future(self._stopping.wait())
-        try:
-            done, _pending = await asyncio.wait(
-                {read, stop},
-                timeout=self.limits.idle_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        except BaseException:
-            read.cancel()
-            stop.cancel()
-            raise
-        if read in done:
-            stop.cancel()
-            return read.result()
-        if stop in done:
-            # Shutdown arrived while this connection idled: grant the
-            # drain grace to bytes already in flight, then close.
+        limits = self.limits
+        delay = limits.drain_grace if self._stopping.is_set() else limits.idle_timeout
+        async with asyncio.timeout(delay) as scope:
+            self._read_scopes.add(scope)
             try:
-                return await asyncio.wait_for(
-                    read, timeout=self.limits.drain_grace
-                )
-            except asyncio.TimeoutError:
-                return b""
-        # Idle timeout: reap.
-        read.cancel()
-        stop.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await read
-        raise asyncio.TimeoutError
+                return await reader.readline()
+            finally:
+                self._read_scopes.discard(scope)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -243,11 +233,10 @@ class EpistemicServer:
             while True:
                 try:
                     line = await self._next_line(reader)
-                except asyncio.TimeoutError:
-                    if self._stopping.is_set():
-                        break  # drain grace expired: clean close
-                    self.metrics["reaped_idle"] += 1
-                    break
+                except TimeoutError:
+                    if not self._stopping.is_set():
+                        self.metrics["reaped_idle"] += 1
+                    break  # idle reap, or the drain grace ran out
                 except (ValueError, asyncio.LimitOverrunError):
                     # A line beyond the stream limit: answer and drop the
                     # connection (the stream cannot resynchronize).
@@ -268,16 +257,15 @@ class EpistemicServer:
                 response = await self._respond(line)
                 writer.write(encode_message(response))
                 try:
-                    await asyncio.wait_for(
-                        writer.drain(), timeout=self.limits.write_timeout
-                    )
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(self.limits.write_timeout):
+                        await writer.drain()
+                except TimeoutError:
                     # Slow client: its socket buffer stayed full past the
                     # write timeout.  Drop it rather than hold memory.
                     self.metrics["timed_out_writes"] += 1
                     break
                 if response.get("stopping"):
-                    self._stopping.set()
+                    self._begin_stop()
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass  # client vanished mid-write; nothing to answer
@@ -355,21 +343,20 @@ class EpistemicServer:
     def _deadline_for(self, request: dict[str, Any]) -> Deadline:
         """The effective deadline: sooner of the client's and the server's."""
         ms = request.get("deadline_ms")
+        # NaN fails both comparisons; the upper bound rejects infinity
+        # and integers too large to become a float.
         if ms is not None and (
-            not isinstance(ms, (int, float)) or isinstance(ms, bool) or ms < 0
+            not isinstance(ms, (int, float))
+            or isinstance(ms, bool)
+            or not 0 <= ms <= sys.float_info.max
         ):
             raise WireError(
-                "bad-request", "'deadline_ms' must be a non-negative number"
+                "bad-request", "'deadline_ms' must be a finite non-negative number"
             )
-        seconds = [
-            s
-            for s in (
-                self.limits.request_deadline,
-                None if ms is None else float(ms) / 1000.0,
-            )
-            if s is not None
-        ]
-        return Deadline.after(min(seconds) if seconds else None)
+        seconds = self.limits.request_deadline
+        if ms is not None and (seconds is None or ms / 1000.0 < seconds):
+            seconds = ms / 1000.0
+        return Deadline.after(seconds)
 
     def _session_lock(self, name: str) -> asyncio.Lock:
         """The per-session mutation lock (journal order == apply order)."""
@@ -436,8 +423,8 @@ class EpistemicServer:
             prepared = state.prepare_create(
                 request.get("system"),
                 request.get("arena"),
-                complete=bool(request.get("complete", False)),
-                missing_runs=int(request.get("missing_runs", 0)),
+                complete=request.get("complete", False),
+                missing_runs=request.get("missing_runs", 0),
             )
             try:
                 await self._journal_append(prepared.record)
@@ -474,7 +461,9 @@ class EpistemicServer:
             raise WireError("bad-request", "'queries' must be a list")
         # One epoch for the whole batch: the yields below let other
         # connections (including ingests) interleave without this batch
-        # ever seeing a half-switched system.
+        # ever seeing a half-switched system.  With no other connection
+        # open nothing can interleave, and each yield would cost a full
+        # loop turn (an epoll_wait included), so a lone batch runs through.
         epoch = session.epoch
         results: list[dict[str, Any]] = []
         for query in queries:
@@ -491,7 +480,8 @@ class EpistemicServer:
                 )
                 continue
             results.append(session.run_query(query, epoch))
-            await asyncio.sleep(0)  # cooperative yield between batch queries
+            if len(self._conn_tasks) > 1:
+                await asyncio.sleep(0)
         return {**session.envelope(epoch), "results": results}
 
 

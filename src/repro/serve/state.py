@@ -84,6 +84,11 @@ class SessionEpoch:
     Epochs are immutable after construction; an ingest builds the next
     epoch and the session swaps one reference, so concurrent readers
     holding an old epoch stay coherent.
+
+    A sampled system spends its one-time warning here, silenced (the
+    envelope reports ``complete``), so queries need no warning filter.
+    Complete systems skip it: cache loads build their epoch on an
+    executor thread, and ``catch_warnings`` is not thread-safe.
     """
 
     __slots__ = ("system", "checker", "group", "generation")
@@ -93,6 +98,10 @@ class SessionEpoch:
         self.checker = ModelChecker(system)
         self.group = GroupChecker(self.checker)
         self.generation = generation
+        if not system.complete:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IncompleteSystemWarning)
+                system.note_knowledge_query()
 
 
 class SystemSession:
@@ -223,82 +232,77 @@ class SystemSession:
         kind = query.get("kind")
         checker = epoch.checker
         group_checker = epoch.group
-        # Sampled-system warnings surface structurally (the response
-        # envelope's "complete"/"missing_runs" fields), not as Python
-        # warnings inside the server process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncompleteSystemWarning)
-            if kind == "holds":
-                result: dict[str, Any] = {
-                    "result": checker.holds(
-                        self._formula(query), self._point(epoch, query)
-                    )
-                }
-            elif kind == "knows":
-                process = self._process(epoch, query)
-                formula = self._formula(query)
-                key = f"knows:{process}:{formula_wire_key(query['formula'])}"
-                wrapped = self._formulas.get(key)
-                if wrapped is None:
-                    wrapped = Knows(process, formula)
-                    self._formulas[key] = wrapped
-                result = {"result": checker.holds(wrapped, self._point(epoch, query))}
-            elif kind == "e":
-                group = self._group(epoch, query)
-                depth = self._depth(query, "depth", 1)
-                formula = self._formula(query)
-                point = self._point(epoch, query)
-                if depth == 0:
-                    value = checker.holds(formula, point)
-                else:
-                    value = (
-                        group_checker.max_e_depth(group, formula, point, cap=depth)
-                        == depth
-                    )
-                result = {"result": value}
-            elif kind == "max_e_depth":
-                result = {
-                    "result": group_checker.max_e_depth(
-                        self._group(epoch, query),
-                        self._formula(query),
-                        self._point(epoch, query),
-                        cap=self._depth(query, "cap", 10),
-                    )
-                }
-            elif kind == "ck":
-                result = {
-                    "result": group_checker.common_knowledge(
-                        self._group(epoch, query),
-                        self._formula(query),
-                        self._point(epoch, query),
-                    )
-                }
-            elif kind == "ck_points":
-                points = group_checker.common_knowledge_points(
-                    self._group(epoch, query), self._formula(query)
+        if kind == "holds":
+            result: dict[str, Any] = {
+                "result": checker.holds(
+                    self._formula(query), self._point(epoch, query)
                 )
-                result = {"result": [list(p) for p in sorted(points)]}
-            elif kind == "known_crashed":
-                known = epoch.system.known_crashed_set(
-                    self._process(epoch, query), self._point(epoch, query)
-                )
-                result = {"result": sorted(known)}
-            elif kind == "valid":
-                witness = checker.counterexample(self._formula(query))
-                counterexample: list[int] | None = None
-                if witness is not None:
-                    run_index = epoch.system.run_index(witness.run)
-                    assert run_index is not None  # counterexamples are in-system
-                    counterexample = [run_index, witness.time]
-                result = {
-                    "result": witness is None,
-                    "counterexample": counterexample,
-                }
+            }
+        elif kind == "knows":
+            process = self._process(epoch, query)
+            formula = self._formula(query)
+            key = f"knows:{process}:{formula_wire_key(query['formula'])}"
+            wrapped = self._formulas.get(key)
+            if wrapped is None:
+                wrapped = Knows(process, formula)
+                self._formulas[key] = wrapped
+            result = {"result": checker.holds(wrapped, self._point(epoch, query))}
+        elif kind == "e":
+            group = self._group(epoch, query)
+            depth = self._depth(query, "depth", 1)
+            formula = self._formula(query)
+            point = self._point(epoch, query)
+            if depth == 0:
+                value = checker.holds(formula, point)
             else:
-                raise WireError(
-                    "bad-request",
-                    f"unknown query kind {kind!r}; expected one of {list(QUERY_KINDS)}",
+                value = (
+                    group_checker.max_e_depth(group, formula, point, cap=depth)
+                    == depth
                 )
+            result = {"result": value}
+        elif kind == "max_e_depth":
+            result = {
+                "result": group_checker.max_e_depth(
+                    self._group(epoch, query),
+                    self._formula(query),
+                    self._point(epoch, query),
+                    cap=self._depth(query, "cap", 10),
+                )
+            }
+        elif kind == "ck":
+            result = {
+                "result": group_checker.common_knowledge(
+                    self._group(epoch, query),
+                    self._formula(query),
+                    self._point(epoch, query),
+                )
+            }
+        elif kind == "ck_points":
+            points = group_checker.common_knowledge_points(
+                self._group(epoch, query), self._formula(query)
+            )
+            result = {"result": [list(p) for p in sorted(points)]}
+        elif kind == "known_crashed":
+            known = epoch.system.known_crashed_set(
+                self._process(epoch, query), self._point(epoch, query)
+            )
+            result = {"result": sorted(known)}
+        elif kind == "valid":
+            witness = checker.counterexample(self._formula(query))
+            counterexample: list[int] | None = None
+            if witness is not None:
+                run_index = epoch.system.run_index(witness.run)
+                assert run_index is not None  # counterexamples are in-system
+                counterexample = [run_index, witness.time]
+            result = {
+                "result": witness is None,
+                "counterexample": counterexample,
+            }
+        else:
+            raise WireError(
+                "bad-request",
+                f"unknown query kind {kind!r}; expected one of {list(QUERY_KINDS)}",
+            )
         self.queries_answered += 1
         result.update({"ok": True, "kind": kind})
         return result
@@ -506,14 +510,19 @@ class ServeState:
         name: Any,
         arena_payload: Any,
         *,
-        complete: bool = False,
-        missing_runs: int = 0,
+        complete: Any = False,
+        missing_runs: Any = 0,
     ) -> PreparedCreate:
         """Validate a ``create`` and claim its name (journal-safe step).
 
+        ``complete`` and ``missing_runs`` arrive raw from the wire.
         Balanced by :meth:`commit_create`, or :meth:`release` on a
         journal failure in between.
         """
+        if not isinstance(complete, bool):
+            raise WireError("bad-request", "'complete' must be a boolean")
+        if not isinstance(missing_runs, int) or isinstance(missing_runs, bool) or missing_runs < 0:
+            raise WireError("bad-request", "'missing_runs' must be a non-negative integer")
         name = self.claim(name)
         try:
             runs = _decode_arena_runs(arena_payload)

@@ -235,6 +235,25 @@ def test_server_side_request_deadline_applies_without_client_optin() -> None:
         live.close()
 
 
+@pytest.mark.parametrize(
+    "deadline_ms", [float("nan"), float("1e309"), 10**400], ids=["nan", "inf", "huge-int"]
+)
+def test_non_finite_deadline_is_a_bad_request(deadline_ms) -> None:
+    state = _state_with_session()
+    live = LiveServer(state, ServerLimits())
+    try:
+        with live.connect() as client:
+            with pytest.raises(ServeClientError) as excinfo:
+                client.query_response(
+                    "s", [knows_query("p1", Crashed("p2"), 0, 2)], deadline_ms=deadline_ms
+                )
+            assert excinfo.value.code == "bad-request"
+            assert "finite" in str(excinfo.value)
+            assert client.ping()  # the connection survives
+    finally:
+        live.close()
+
+
 def test_second_connection_is_answered_during_a_long_batch() -> None:
     """With two connections open, a batch yields between its queries, so
     a ping on the other connection is answered before the batch ends."""

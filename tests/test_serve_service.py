@@ -229,6 +229,29 @@ def test_complete_and_missing_runs_surface(service) -> None:
     assert response["complete"] is True
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("complete", "false"),
+        ("missing_runs", -5),
+        ("missing_runs", "x"),
+        ("missing_runs", float("1e309")),  # a JSON number that decodes to inf
+        ("missing_runs", True),
+    ],
+    ids=["complete-string", "missing-negative", "missing-string", "missing-inf", "missing-bool"],
+)
+def test_create_rejects_malformed_flags(service, field, value) -> None:
+    client, _ = service
+    base = _sampled_runs()
+    flags = {"complete": False, "missing_runs": 0, field: value}
+    with pytest.raises(ServeClientError) as excinfo:
+        client.create("s", base.runs, **flags)
+    assert excinfo.value.code == "bad-request"
+    assert field in str(excinfo.value)
+    # Rejected before the name was claimed: the same name still creates.
+    assert client.create("s", base.runs)["complete"] is False
+
+
 @pytest.mark.filterwarnings("error::repro.model.system.IncompleteSystemWarning")
 def test_sampled_system_warning_never_escapes_the_server(service) -> None:
     """Incompleteness reaches clients in the envelope, never as a warning
