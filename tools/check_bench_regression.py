@@ -48,11 +48,13 @@ The gate dispatches on the ``benchmark`` field of the committed file
     Gates the journaling overhead recorded in the ``journal`` section:
     journal-on query p50 must stay within the tolerance (default 15%)
     of journal-off.  The ratio is measured within one process on one
-    machine, so no normalization applies and the *fresh* file alone is
-    gated (the committed file's ratio is printed for reference).  The
-    query path never touches the journal -- a breach means journal
-    work leaked onto the read path.  Ingest durability overhead (one
-    fsynced segment per batch) is printed for audit but not gated.
+    machine, from a journal-off and a journal-on server driven
+    alternately request by request, so no normalization applies and
+    the *fresh* file alone is gated (the committed file's ratio is
+    printed for reference).  The query path never touches the journal
+    -- a breach means journal work leaked onto the read path.  Ingest
+    durability overhead (one fsynced segment per batch) is printed for
+    audit but not gated.
 """
 
 from __future__ import annotations
