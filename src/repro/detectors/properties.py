@@ -17,6 +17,8 @@ transformed runs with the original oracle's events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.detectors.base import (
@@ -248,14 +250,14 @@ def atd_accuracy(run: Run, *, derived: bool = False) -> PropertyVerdict:
     current: dict[ProcessId, frozenset[ProcessId]] = {
         p: frozenset() for p in run.processes
     }
-    changes: list[tuple[int, int, ProcessId, frozenset[ProcessId] | None]] = []
+    changes: list[tuple[int, ProcessId, frozenset[ProcessId] | None]] = []
     for p in run.processes:
         for tick, report in _standard_reports(run, p, derived):
-            changes.append((tick, 0, p, report.suspects))
+            changes.append((tick, p, report.suspects))
         crash_tick = run.crash_time(p)
         if crash_tick is not None:
-            changes.append((crash_tick, 1, p, None))
-    changes.sort(key=lambda c: (c[0], c[1]))
+            changes.append((crash_tick, p, None))
+    changes.sort(key=itemgetter(0))
 
     def some_correct_unsuspected() -> bool:
         union: set[ProcessId] = set()
@@ -265,8 +267,11 @@ def atd_accuracy(run: Run, *, derived: bool = False) -> PropertyVerdict:
 
     if not some_correct_unsuspected():
         return PropertyVerdict.fail("all correct processes suspected at time 0")
-    for tick, _, p, suspects in changes:
-        current[p] = frozenset() if suspects is None else suspects
+    # Judge each time once all of its changes have landed: a state
+    # halfway through one tick's changes is in no cut of the run.
+    for tick, at_tick in groupby(changes, key=itemgetter(0)):
+        for _, p, suspects in at_tick:
+            current[p] = frozenset() if suspects is None else suspects
         if not some_correct_unsuspected():
             return PropertyVerdict.fail(
                 f"at time {tick} every correct process is suspected by someone"

@@ -3,6 +3,8 @@
 Each checker gets a positive and a negative hand-crafted run, so the
 checkers themselves are validated independently of the oracles."""
 
+import random
+
 from repro.detectors.properties import (
     PropertyVerdict,
     atd_accuracy,
@@ -297,6 +299,78 @@ class TestAtdAccuracy:
             }
         )
         assert atd_accuracy(r)
+
+
+def _atd_by_scan(run):
+    """ATD accuracy by a per-time scan of the live suspected sets."""
+    correct = run.correct()
+    if not correct:
+        return True
+    last = max([run.duration] + [t for p in run.processes for t, _ in run.timeline(p)])
+    for m in range(last + 1):
+        suspected = set()
+        for p in run.processes:
+            crash = run.crash_time(p)
+            if crash is not None and crash <= m:
+                continue  # a crashed observer's reports no longer count
+            reports = [
+                e.report.suspects
+                for t, e in run.timeline(p)
+                if t <= m and isinstance(e, SuspectEvent)
+            ]
+            if reports:
+                suspected |= reports[-1]
+        if correct <= suspected:
+            return False
+    return True
+
+
+class TestAtdAccuracyPerTick:
+    """All of a tick's report and crash changes land before it is judged."""
+
+    PROCS4 = ("p1", "p2", "p3", "p4")
+
+    def _run(self, a, b):
+        # a and b crash at 5; b suspects p3 at 1; at 2, a suspects p4
+        # and b retracts.  Suspected: {p3} at 1, {p4} at 2, so some
+        # correct process is always unsuspected.
+        return Run(
+            self.PROCS4,
+            {
+                a: [(2, sus(a, {"p4"})), (5, CrashEvent(a))],
+                b: [(1, sus(b, {"p3"})), (2, sus(b, set())), (5, CrashEvent(b))],
+            },
+            10,
+        )
+
+    def test_simultaneous_changes(self):
+        assert atd_accuracy(self._run("p1", "p2"))
+
+    def test_simultaneous_changes_swapped(self):
+        assert atd_accuracy(self._run("p2", "p1"))
+
+    def test_matches_per_time_scan(self):
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(400):
+            procs = PROCS if rng.random() < 0.5 else self.PROCS4
+            timelines = {}
+            for p in procs:
+                ticks = sorted(rng.sample(range(1, 9), rng.randint(0, 4)))
+                crash = rng.choice([None, None, rng.randint(1, 9)])
+                events = [
+                    (t, sus(p, {q for q in procs if rng.random() < 0.4}))
+                    for t in ticks
+                    if crash is None or t < crash
+                ]
+                if crash is not None:
+                    events.append((crash, CrashEvent(p)))
+                timelines[p] = events
+            run = Run(procs, timelines, rng.randint(4, 9))
+            verdict = bool(atd_accuracy(run))
+            assert verdict == _atd_by_scan(run), timelines
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestSystemSatisfies:
