@@ -187,6 +187,7 @@ class ColumnarKernel:
         self._points_cache: dict[int, list[Point]] = {}
         self._known_set_cache: dict[int, frozenset[ProcessId]] = {}
         self._count_cache: dict[tuple[int, int], int] = {}
+        self._count_tables: dict[int, list[int]] = {}
         self._class_bits_int: list[int] | None = None
         self._singletons: list[History] | None = None
         self._atom_sets: dict[tuple[int, tuple[int, ...]], PointSet] = {}
@@ -412,6 +413,12 @@ class ColumnarKernel:
         row = self.point_class_rows[j]
         return int(row[point_id])
 
+    def class_row(self, j: int, start: int, stop: int) -> list[int]:
+        """Global class ids of process index ``j`` at point ids ``start``
+        up to ``stop`` (exclusive)."""
+        row = self.point_class_rows[j][start:stop]
+        return row if isinstance(row, list) else row.tolist()
+
     def _node_class_for(self, j: int) -> dict[int, int]:
         """Trie node id -> global class id for process index ``j``."""
         table = self._node_class[j]
@@ -505,6 +512,44 @@ class ColumnarKernel:
             )
             self._count_cache[key] = cached
         return cached
+
+    def count_min_table(self, subset_mask: int) -> list[int]:
+        """:meth:`count_min` of every class at once, cached per mask.
+
+        The vectorized path counts bits through a 2^n lookup table (any
+        numpy version; callers enumerate 2^n subsets anyway, so n is
+        small) and takes each class's minimum in one ``reduceat``.
+        """
+        table = self._count_tables.get(subset_mask)
+        if table is None:
+            np = self.np
+            if (
+                np is not None
+                and self.crash_mask_rows is not None
+                and self.total_classes
+            ):
+                popcount = np.zeros(1 << self.n, dtype=np.int64)
+                for b in range(self.n):
+                    popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+                member_rows = self.crash_mask_rows[self.class_points_csr]
+                table = np.minimum.reduceat(
+                    popcount[member_rows & subset_mask],
+                    self.class_offsets_csr[:-1],
+                ).tolist()
+            else:
+                members = self.class_points_csr
+                if self.np is not None and not isinstance(members, list):
+                    members = members.tolist()
+                crash = self.crash_rows
+                table = [
+                    min(
+                        (crash[members[k]] & subset_mask).bit_count()
+                        for k in range(start, stop)
+                    )
+                    for start, stop in self._csr_slices_list()
+                ]
+            self._count_tables[subset_mask] = table
+        return table
 
     # -- point sets ----------------------------------------------------------
 

@@ -9,6 +9,11 @@ no bitsets, and no caching.  They exist for two reasons:
   these semantics point-for-point on randomized systems;
 * the kernel microbenchmarks report speedups against this baseline.
 
+The point-at-a-time run transformations f and f' of Theorems 3.6 and
+4.3 live here for the same reasons: :mod:`repro.core.simulation_theorem`
+builds them from the kernel's class rows, and the differential tests
+and the ``transform`` benchmark row compare it with these.
+
 Never use them in production paths -- they are O(points x candidates)
 per query by construction.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from repro.core.simulation_theorem import subset_order
 from repro.knowledge.formulas import (
     And,
     Atom,
@@ -35,8 +41,15 @@ from repro.knowledge.formulas import (
     _Const,
 )
 from repro.knowledge.semantics import ModelChecker
-from repro.model.events import ProcessId
-from repro.model.run import Point
+from repro.model.events import (
+    Event,
+    GeneralizedSuspicion,
+    ProcessId,
+    StandardSuspicion,
+    SuspectEvent,
+    Suspicion,
+)
+from repro.model.run import Point, Run
 from repro.model.system import System
 
 
@@ -211,3 +224,69 @@ def naive_max_e_depth(
             break
         depth += 1
     return depth
+
+
+def _transformed_timelines(
+    run: Run,
+    system: System,
+    report_for: Callable[[ProcessId, Point], Suspicion],
+) -> dict[ProcessId, list[tuple[int, Event]]]:
+    """Shared skeleton of f and f': copy non-FD events to even times and
+    splice derived reports (``report_for(p, point)``) at odd times."""
+    # Query through the system's own object for the run, so each point
+    # lookup resolves by identity instead of a deep Run.__eq__.
+    pos = system.run_index(run)
+    own = run if pos is None else system.runs[pos]
+    timelines: dict[ProcessId, list[tuple[int, Event]]] = {}
+    for p in run.processes:
+        crash_tick = run.crash_time(p)
+        merged: list[tuple[int, Event]] = []
+        for m in range(run.duration + 1):
+            if crash_tick is not None and m >= crash_tick:
+                break  # R4: nothing follows the crash event
+            report = report_for(p, Point(own, m))
+            if report is not None:
+                merged.append((2 * m + 1, SuspectEvent(p, report, derived=True)))
+        for t, event in run.timeline(p):
+            if isinstance(event, SuspectEvent):
+                continue  # P2 deletes the original failure-detector events
+            merged.append((2 * t, event))
+        merged.sort(key=lambda te: te[0])
+        timelines[p] = merged
+    return timelines
+
+
+def naive_transform_run_f(run: Run, system: System) -> Run:
+    """The transformation f of Theorem 3.6 (P1-P3), one query per point."""
+
+    def report_for(p: ProcessId, point: Point) -> StandardSuspicion:
+        return StandardSuspicion(system.known_crashed_set(p, point))
+
+    timelines = _transformed_timelines(run, system, report_for)
+    return Run(
+        run.processes,
+        timelines,
+        duration=2 * run.duration + 1,
+        meta={**run.meta, "transformed": "f"},
+    )
+
+
+def naive_transform_run_f_prime(run: Run, system: System) -> Run:
+    """The transformation f' of Theorem 4.3 (P1, P2, P3'), one query per point."""
+    subsets = subset_order(run.processes)
+    modulus = len(subsets)
+
+    def report_for(p: ProcessId, point: Point) -> GeneralizedSuspicion:
+        # P3': the subset index is the length of r_p(m+1) mod 2^n.
+        history_len = len(run.history(p, min(point.time + 1, run.duration)))
+        subset = subsets[history_len % modulus]
+        k = system.known_crash_count(p, point, subset)
+        return GeneralizedSuspicion(subset, k)
+
+    timelines = _transformed_timelines(run, system, report_for)
+    return Run(
+        run.processes,
+        timelines,
+        duration=2 * run.duration + 1,
+        meta={**run.meta, "transformed": "f'"},
+    )

@@ -87,8 +87,8 @@ def _systems(backend: str) -> dict[str, System]:
     return {"fresh": fresh, "refined": refined, "clipped": clipped, "explored": explored}
 
 
-def _foreign_points(system: System) -> list[Point]:
-    """Points of runs outside ``system``.
+def _foreign_runs(system: System) -> list[Run]:
+    """Runs outside ``system``.
 
     The spliced run takes p1/p2 from one system run and p3 from another,
     and outlasts both, so every one of its local histories occurs in the
@@ -103,7 +103,12 @@ def _foreign_points(system: System) -> list[Point]:
     alien = synthetic_system(3, 2, seed=99, duration=6).runs
     runs = [spliced, *alien]
     assert all(system.run_index(run) is None for run in runs)
-    return [Point(run, m) for run in runs for m in range(run.duration + 2)]
+    return runs
+
+
+def _foreign_points(system: System) -> list[Point]:
+    """Every point of :func:`_foreign_runs`, and one past each duration."""
+    return [Point(run, m) for run in _foreign_runs(system) for m in range(run.duration + 2)]
 
 
 def _check(system: System, formula: Formula) -> None:
