@@ -94,6 +94,7 @@ def run_e01(n: int = 4, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
+    # The default run cache: E13 rebuilds this ensemble's t=1 part.
     system = run_ensemble(
         EnsembleSpec.a5t(
             procs,
@@ -102,7 +103,6 @@ def run_e01(n: int = 4, seeds: Sequence[int] = (0, 1, 2)) -> ExperimentResult:
             workload=single_action("p1", tick=1),
             seeds=seeds,
         ),
-        cache=None,
     ).system()
     ok = sum(1 for r in system if nudc_holds(r))
     result.row("runs", len(system))
@@ -396,6 +396,7 @@ def run_e06(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
         passed=True,
     )
     procs = make_process_ids(n)
+    # The default run cache: A17 rebuilds this ensemble.
     system = run_ensemble(
         EnsembleSpec.a5t(
             procs,
@@ -405,7 +406,6 @@ def run_e06(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
             detector=PerfectOracle(),
             seeds=seeds,
         ),
-        cache=None,
     ).system()
     result.row("ensemble size", len(system))
     result.require(
@@ -994,12 +994,12 @@ def run_e13(n: int = 4, seeds: Sequence[int] = (0, 1)) -> ExperimentResult:
     action = ("p1", "a0")
 
     def mixed_ensemble(factory):
+        # The default run cache: E01 builds the plain protocol's runs.
         with_action = run_ensemble(
             EnsembleSpec.a5t(
                 procs, factory, t=1,
                 workload=single_action("p1", tick=1), seeds=seeds,
             ),
-            cache=None,
         ).system()
         without_action = run_ensemble(
             EnsembleSpec.a5t(procs, factory, t=1, seeds=seeds), cache=None
@@ -1146,6 +1146,7 @@ def run_a17(n: int = 4) -> ExperimentResult:
     procs = make_process_ids(n)
 
     def ensemble(num_seeds):
+        # The default run cache: E06 builds seeds 0-1 of this grid.
         return run_ensemble(
             EnsembleSpec.a5t(
                 procs,
@@ -1157,7 +1158,6 @@ def run_a17(n: int = 4) -> ExperimentResult:
                 detector=PerfectOracle(),
                 seeds=tuple(range(num_seeds)),
             ),
-            cache=None,
         ).system()
 
     sizes = (1, 2, 3)

@@ -3,9 +3,15 @@ scale, results render, and Table 1 reproduces the paper's shape."""
 
 import pytest
 
+from repro.core.protocols import NUDCProcess
 from repro.harness.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.harness.results import ExperimentResult, render_result, render_results
 from repro.harness.table1 import REGIMES, build_table1, render_table1, run_e09
+from repro.model.context import make_process_ids
+from repro.runtime import EnsembleSpec, RunCache, SerialBackend, set_default_backend
+from repro.runtime.cache import default_run_cache, set_default_run_cache
+from repro.sim.process import uniform_protocol
+from repro.workloads.generators import single_action
 
 
 class TestResults:
@@ -46,23 +52,26 @@ class TestExperimentRegistry:
         assert result.exp_id == "A14"
 
 
+class RecordingBackend(SerialBackend):
+    """The serial backend, remembering every spec it executes."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.batch_sizes = []
+        self.specs = []
+
+    def run_all_safe(self, specs, policy=None):
+        self.batch_sizes.append(len(specs))
+        self.specs.extend(specs)
+        return super().run_all_safe(specs, policy)
+
+
 class TestBackendSelection:
     def test_ensemble_sweeps_follow_the_default_backend(self):
         """``--backend`` installs the process-wide default backend; an
         experiment's A5_t sweep must run on it, not on a serial backend
         chosen behind the caller's back."""
-        from repro.runtime import SerialBackend, set_default_backend
-
-        class RecordingBackend(SerialBackend):
-            name = "recording"
-
-            def __init__(self):
-                self.batch_sizes = []
-
-            def run_all_safe(self, specs, policy=None):
-                self.batch_sizes.append(len(specs))
-                return super().run_all_safe(specs, policy)
-
         backend = RecordingBackend()
         set_default_backend(backend)
         try:
@@ -71,6 +80,50 @@ class TestBackendSelection:
             set_default_backend(None)
         assert result.passed, render_result(result)
         assert backend.batch_sizes, "E12's sweep bypassed the default backend"
+
+
+class TestSharedRuns:
+    """A17 rebuilds E06's ensemble and E13 the t=1 part of E01's: those
+    ensembles go through the default run cache, so each shared run is
+    simulated once."""
+
+    @pytest.fixture
+    def backend(self):
+        previous = default_run_cache()
+        set_default_run_cache(RunCache())
+        backend = RecordingBackend()
+        set_default_backend(backend)
+        try:
+            yield backend
+        finally:
+            set_default_backend(None)
+            set_default_run_cache(previous)
+
+    def _executed(self, backend, exp_id):
+        before = len(backend.specs)
+        result = run_experiment(exp_id)
+        assert result.passed, render_result(result)
+        return backend.specs[before:]
+
+    def test_a17_simulates_only_the_runs_e06_lacks(self, backend):
+        # E06: 15 crash plans x seeds 0-1.  A17 asks for seeds 0, 0-1
+        # and 0-2: only seed 2 is new (90 specs without the cache).
+        assert len(self._executed(backend, "E06")) == 30
+        assert len(self._executed(backend, "A17")) == 15
+
+    def test_e13_takes_its_plain_with_action_runs_from_e01(self, backend):
+        self._executed(backend, "E01")
+        shared = EnsembleSpec.a5t(
+            make_process_ids(4),
+            uniform_protocol(NUDCProcess),
+            t=1,
+            workload=single_action("p1", tick=1),
+            seeds=(0, 1),
+        ).expand()
+        hits = default_run_cache().hits
+        executed = self._executed(backend, "E13")
+        assert not set(shared) & set(executed)
+        assert default_run_cache().hits - hits == len(shared) == 10
 
 
 class TestCLI:
