@@ -1,7 +1,8 @@
 """Microbenchmarks for the substrates: executor throughput, knowledge
 model checking, the indistinguishability index, and the f transformation
 -- plus the epistemic-kernel family (index build, Knows sweep, CK
-fixpoint, each against the naive reference) whose measurements are
+fixpoint, each against the naive reference, and the f/f' transforms
+against their point-at-a-time reference) whose measurements are
 written to ``BENCH_kernel.json`` at the repo root as the committed
 performance baseline.
 
@@ -23,7 +24,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.protocols import NUDCProcess, StrongFDUDCProcess
-from repro.core.simulation_theorem import transform_run_f
+from repro.core.simulation_theorem import (
+    simulate_generalized_detectors,
+    simulate_perfect_detectors,
+    transform_run_f,
+)
 from repro.detectors.standard import PerfectOracle
 from repro.knowledge import Crashed, GroupChecker, Knows, ModelChecker
 from repro.knowledge.formulas import And, Box, Diamond, Implies, Not, Or
@@ -32,6 +37,8 @@ from repro.knowledge.reference import (
     naive_common_knowledge_points,
     naive_holds,
     naive_known_crashed_set,
+    naive_transform_run_f,
+    naive_transform_run_f_prime,
 )
 from repro.model.context import make_process_ids
 from repro.model.run import Point
@@ -313,15 +320,53 @@ def _naive_valid(system, formula):
     )
 
 
+#: interleaved rounds of each transform pair (f, f')
+TRANSFORM_ROUNDS = 21
+
+
+def _transform_entry():
+    """R^f and R^{f'} from class rows against the point-at-a-time
+    reference, over ``small_system()`` (n=4, PerfectOracle, so the runs
+    carry detector events).  The kernel is warm: both sides read the
+    same class tables, and each call of the row path starts with fresh
+    report memos, as one ``simulate_*`` call does."""
+    system = small_system()
+    pairs = (
+        ("f", simulate_perfect_detectors, naive_transform_run_f),
+        ("f_prime", simulate_generalized_detectors, naive_transform_run_f_prime),
+    )
+    entry = {"runs": len(system), "points": system.point_count}
+    for name, simulate, reference in pairs:
+        assert list(simulate(system).runs) == [reference(r, system) for r in system]
+        naive_s, rows_s, speedup = _timed_pair(
+            [
+                (
+                    lambda reference=reference: [reference(r, system) for r in system],
+                    lambda simulate=simulate: simulate(system),
+                )
+            ],
+            repeat=TRANSFORM_ROUNDS,
+            batch_s=TIMING_BATCH_S,
+        )
+        entry.update(
+            {
+                f"{name}_s": rows_s,
+                f"naive_{name}_s": naive_s,
+                f"{name}_speedup": speedup,
+            }
+        )
+    return entry
+
+
 def test_kernel_baseline_json():
-    """Measure the kernel family (columnar vs naive) and write
-    ``BENCH_kernel.json``.  The ``valid()`` and temporal rows are
-    recorded for the trajectory, not gated.
+    """Measure the kernel family (columnar vs naive) and the transform
+    row, and write ``BENCH_kernel.json``.  The ``valid()`` and temporal
+    rows are recorded for the trajectory, not gated.
 
     The gates -- columnar >= 5x naive on the Knows sweep and on the C_G
-    fixpoint at n=10 -- are the acceptance criteria; under
-    REPRO_BENCH_SMOKE=1 only the correctness assertions are enforced,
-    never the timing ratios.
+    fixpoint at n=10, class rows >= 3x point-at-a-time for f and f' --
+    are the acceptance criteria; under REPRO_BENCH_SMOKE=1 only the
+    correctness assertions are enforced, never the timing ratios.
     """
     results = {}
     for n in KERNEL_NS:
@@ -409,6 +454,8 @@ def test_kernel_baseline_json():
 
         results[f"n={n}"] = entry
 
+    results["transform"] = _transform_entry()
+
     baseline = {
         "benchmark": "epistemic-kernel",
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -426,7 +473,9 @@ def test_kernel_baseline_json():
                 "*_speedup the median per-round ratio; "
                 f"naive/columnar rounds interleaved at n <= {NAIVE_MAX_N}; "
                 "warm run objects; valid/temporal rows cold per round (naive "
-                "valid: one run)"
+                "valid: one run); transform: R^f and R^{f'} of the n=4 "
+                f"PerfectOracle A5_2 ensemble, {TRANSFORM_ROUNDS} interleaved "
+                "rounds against the point-at-a-time reference, warm kernel"
             ),
         },
         "results": results,
@@ -437,6 +486,9 @@ def test_kernel_baseline_json():
         at10 = results["n=10"]
         assert at10["knows_speedup"] >= 5.0, at10
         assert at10["ck_speedup"] >= 5.0, at10
+        transform = results["transform"]
+        assert transform["f_speedup"] >= 3.0, transform
+        assert transform["f_prime_speedup"] >= 3.0, transform
 
 
 # -- explorer family ----------------------------------------------------------
