@@ -154,7 +154,6 @@ class TestCLI:
         self, monkeypatch, capsys
     ):
         from repro.harness.__main__ import main
-        from repro.runtime import set_default_backend
 
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         set_default_backend(None)
