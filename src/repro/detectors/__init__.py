@@ -7,13 +7,10 @@
   inaccurate ones for the negative experiments.
 * :mod:`repro.detectors.generalized` -- generalized (S, k) detectors and
   t-usefulness (Section 4).
-* :mod:`repro.detectors.gstandard`   -- g-standard report mappings.
 * :mod:`repro.detectors.properties`  -- checkers for all six
   accuracy/completeness properties, and for the generalized ones.
 * :mod:`repro.detectors.conversions` -- Propositions 2.1 and 2.2, and the
   n-useful <-> perfect conversions of Section 4.
-* :mod:`repro.detectors.heartbeat`   -- an ACT97-style heartbeat detector
-  (extension; footnote 10 of the paper).
 """
 
 from repro.detectors.atd import AtdRotatingOracle
@@ -23,12 +20,6 @@ from repro.detectors.base import (
     NoDetector,
     suspects_at,
     suspicion_history,
-)
-from repro.detectors.hierarchy import (
-    classify_system,
-    convertible,
-    satisfied_classes,
-    strongest_class,
 )
 from repro.detectors.generalized import (
     GeneralizedOracle,
@@ -61,11 +52,7 @@ __all__ = [
     "StrongOracle",
     "TrivialSubsetOracle",
     "WeakOracle",
-    "classify_system",
-    "convertible",
     "is_t_useful_event",
-    "satisfied_classes",
-    "strongest_class",
     "suspects_at",
     "suspicion_history",
 ]

@@ -18,19 +18,17 @@ Entry points:
 * :func:`replay` -- re-execute one branch from its
   ``(crash_plan, trace)`` coordinates;
 * :mod:`~repro.explore.monitors` -- per-run property monitors
-  (UDC/uniformity, detector properties) that can short-circuit the
+  (UDC/uniformity, arbitrary predicates) that can short-circuit the
   search;
 * :func:`~repro.explore.shrink.shrink_violation` -- delta-debugging
   minimization of a violating run.
 """
 
 from repro.explore.monitors import (
-    DetectorPropertyMonitor,
     PredicateMonitor,
     RunMonitor,
     UniformityMonitor,
     Violation,
-    detector_monitor_suite,
     is_quiescent,
 )
 from repro.explore.reduction import ExploreStats
@@ -39,7 +37,6 @@ from repro.explore.shrink import ShrinkResult, shrink_violation
 from repro.explore.spec import REDUCTION_MODES, ExploreSpec
 
 __all__ = [
-    "DetectorPropertyMonitor",
     "ExecutionResult",
     "ExploreSpec",
     "ExploreStats",
@@ -49,7 +46,6 @@ __all__ = [
     "ShrinkResult",
     "UniformityMonitor",
     "Violation",
-    "detector_monitor_suite",
     "explore",
     "is_quiescent",
     "replay",

@@ -5,17 +5,17 @@ it is found, so a violating branch can short-circuit the search
 (``explore(..., stop_on_violation=True)``) and hand its coordinates to
 the shrinker.
 
-The finite-horizon subtlety: DC1/DC2 (and detector completeness) are
-*liveness* clauses evaluated at the final cut, so a run truncated at the
-horizon mid-protocol would flag them spuriously -- the obligation might
-have been met one tick past T.  The explorer marks each run with
-``meta["quiescent"]``: True iff the final cut is a fixpoint (no pending
-sends, in-flight messages, workload, crashes, or protocol intent), which
-under the final-cut-repeats-forever convention makes the finite verdict
-exact.  Liveness monitors therefore *skip* non-quiescent runs by
-default; safety clauses (DC3, accuracy) are checked on every run.  A
-violation reported by a monitor is thus genuine: it survives every
-infinite extension of the run.
+The finite-horizon subtlety: DC1/DC2 are *liveness* clauses evaluated
+at the final cut, so a run truncated at the horizon mid-protocol would
+flag them spuriously -- the obligation might have been met one tick
+past T.  The explorer marks each run with ``meta["quiescent"]``: True
+iff the final cut is a fixpoint (no pending sends, in-flight messages,
+workload, crashes, or protocol intent), which under the
+final-cut-repeats-forever convention makes the finite verdict exact.
+Liveness monitors therefore *skip* non-quiescent runs by default; the
+safety clause DC3 is checked on every run.  A violation reported by a
+monitor is thus genuine: it survives every infinite extension of the
+run.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ from repro.model.run import Run
 from repro.sim.failures import CrashPlan
 
 __all__ = [
-    "DetectorPropertyMonitor",
     "PredicateMonitor",
     "RunMonitor",
     "UniformityMonitor",
     "Violation",
-    "detector_monitor_suite",
     "is_quiescent",
 ]
 
@@ -112,60 +110,6 @@ class UniformityMonitor:
             if not verdict:
                 return verdict
         return PropertyVerdict.ok()
-
-
-@dataclass(frozen=True)
-class DetectorPropertyMonitor:
-    """One detector property checker from :mod:`repro.detectors.properties`.
-
-    ``checker`` is e.g. ``strong_completeness`` or ``weak_accuracy``;
-    extra keyword arguments (``derived=True`` and friends) ride along.
-    Completeness properties are liveness ("eventually suspects") and are
-    skipped on non-quiescent runs unless ``safety=True`` declares the
-    checker horizon-exact (accuracy properties are).
-    """
-
-    checker: Callable[..., PropertyVerdict]
-    safety: bool = False
-    kwargs: tuple[tuple[str, object], ...] = ()
-    label: str = ""
-
-    @property
-    def name(self) -> str:
-        return self.label or getattr(self.checker, "__name__", "detector")
-
-    def check(self, run: Run) -> PropertyVerdict:
-        if not self.safety and not is_quiescent(run):
-            return PropertyVerdict.ok()
-        return self.checker(run, **dict(self.kwargs))
-
-
-def detector_monitor_suite(
-    *, derived: bool = False, weak: bool = False
-) -> tuple[DetectorPropertyMonitor, ...]:
-    """The standard monitor battery for a detector's property class.
-
-    Accuracy is a safety clause (exact on any finite prefix, so checked
-    even on non-quiescent runs); completeness is liveness (judged only
-    at certified-quiescent final cuts).  ``weak=True`` selects the weak
-    variants of both.  This is what the negative-path fault-injection
-    tests attach under :func:`repro.explore.explore` to prove that
-    detector lies and omissions are actually caught.
-    """
-    from repro.detectors.properties import (
-        strong_accuracy,
-        strong_completeness,
-        weak_accuracy,
-        weak_completeness,
-    )
-
-    accuracy = weak_accuracy if weak else strong_accuracy
-    completeness = weak_completeness if weak else strong_completeness
-    kwargs = (("derived", derived),) if derived else ()
-    return (
-        DetectorPropertyMonitor(accuracy, safety=True, kwargs=kwargs),
-        DetectorPropertyMonitor(completeness, kwargs=kwargs),
-    )
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,8 @@ class _BoundedExecution(Executor):
     unless the spec has a detector (oracle and rng are not captured).
     """
 
-    # No injected faults and no skipped activations: a skipped tick is a
-    # defer plus a delayed step, which the delivery choices already cover.
-    _injector = None
+    # No skipped activations: a skipped tick is a defer plus a delayed
+    # step, which the delivery choices already cover.
     _skips = False
 
     def __init__(

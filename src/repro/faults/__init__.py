@@ -1,17 +1,7 @@
-"""Deterministic fault injection, inside and outside the simulated world.
+"""Deterministic fault injection outside the simulated world.
 
-Two layers, one package:
-
-* **Model-level faults** (:class:`FaultPlan` riding inside
-  ``ExecutionConfig.fault_plan``): message duplication / corruption /
-  extra delay / unfair drops, detector omissions and lies, per-process
-  stalls.  Seeded and replayable -- the same plan against the same spec
-  injects byte-identical faults -- and transparent at zero: an empty
-  plan leaves runs bit-identical to the un-instrumented executor.  These
-  exist to *negatively* test the paper's property checkers and protocol
-  claims: a detector wrapped in :class:`FaultyDetectorOracle` with
-  ``suppress`` violates completeness on purpose, and the checkers in
-  :mod:`repro.detectors.properties` must say so.
+The paper's fault model (crash failures, fair-lossy channels) is the
+simulator's; nothing here changes a run.  Two layers, one package:
 
 * **Infrastructure faults** (:class:`InfraFaultPlan`, installed
   process-wide): worker death, hung runs, cache corruption -- chaos for
@@ -25,12 +15,9 @@ Two layers, one package:
   corruption -- chaos for the hardened serve layer (admission control,
   deadlines, checksums, journal recovery) to survive.
 
-See DESIGN.md §10 for the line between the paper's fault *model* and
-this package's fault *injection*.
+See DESIGN.md §10.
 """
 
-from repro.faults.channel import FaultyChannel
-from repro.faults.detector import FaultyDetectorOracle
 from repro.faults.infra import (
     InfraFaultPlan,
     active_infra_faults,
@@ -38,22 +25,10 @@ from repro.faults.infra import (
     install_infra_faults,
     use_infra_faults,
 )
-from repro.faults.plan import (
-    ChannelFaults,
-    DetectorFaults,
-    FaultInjector,
-    FaultPlan,
-)
 from repro.faults.proxy import ChaosProxy, WireFaultInjector, WireFaultPlan
 
 __all__ = [
-    "ChannelFaults",
     "ChaosProxy",
-    "DetectorFaults",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultyChannel",
-    "FaultyDetectorOracle",
     "InfraFaultPlan",
     "WireFaultInjector",
     "WireFaultPlan",

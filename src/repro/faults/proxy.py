@@ -1,15 +1,14 @@
 """A seeded TCP chaos proxy: wire faults between real sockets.
 
-:class:`FaultPlan` injects failures inside the simulated world and
-:class:`InfraFaultPlan` inside the runtime's own process; this module
-closes the remaining gap -- the *network* between a real client and a
-real server.  :class:`ChaosProxy` sits on a local port, relays every
-connection to an upstream address, and perturbs the byte stream
-according to a :class:`WireFaultPlan`: added latency, bandwidth
+:class:`~repro.faults.infra.InfraFaultPlan` injects failures inside the
+runtime's own process; this module covers the *network* between a real
+client and a real server.  :class:`ChaosProxy` sits on a local port,
+relays every connection to an upstream address, and perturbs the byte
+stream according to a :class:`WireFaultPlan`: added latency, bandwidth
 throttling, partial writes (frames delivered a few bytes at a time),
 mid-frame disconnects, and single-byte corruption.
 
-The package invariants carry over:
+Two invariants hold:
 
 * **Replayability.**  Every decision is drawn from a dedicated
   :class:`random.Random` seeded by ``(plan.seed, connection index,

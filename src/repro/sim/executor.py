@@ -57,7 +57,6 @@ from repro.sim.network import ChannelConfig, Envelope, make_channel
 from repro.sim.process import ProcessEnv, ProtocolProcess
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.plan import FaultInjector, FaultPlan
     from repro.runtime.spec import RunSpec
 
 #: (tick, process, action) triples; see repro.workloads.
@@ -88,10 +87,6 @@ class ExecutionConfig:
     #: backends post-check it so pre-run stalls are caught too.  None
     #: disables the check entirely (and costs nothing).
     deadline: float | None = None
-    #: injected faults beyond the paper's model (repro.faults).  An empty
-    #: or None plan is never wired in: runs stay bit-identical to the
-    #: un-instrumented executor.
-    fault_plan: "FaultPlan | None" = None
 
     def with_channel(self, **kwargs) -> "ExecutionConfig":
         """A copy of this config with channel parameters replaced."""
@@ -134,33 +129,8 @@ class Executor:
         self.seed = seed
         self.crash_plan = crash_plan
         self.context = context
-
-        # Fault injection (repro.faults): an empty/None plan is never
-        # wired in at all, keeping un-faulted runs bit-identical.
-        plan = self.config.fault_plan
-        self._injector: "FaultInjector | None" = None
-        if plan is not None and not plan.is_empty:
-            self._injector = plan.injector(seed)
-
-        base_detector = detector or NoDetector()
-        if (
-            self._injector is not None
-            and plan is not None
-            and plan.detector is not None
-            and plan.detector.active
-        ):
-            from repro.faults.detector import FaultyDetectorOracle
-
-            base_detector = FaultyDetectorOracle(
-                base_detector, plan.detector, injector=self._injector
-            )
-        self.detector = base_detector.fresh()
-
+        self.detector = (detector or NoDetector()).fresh()
         self.channel = make_channel(self.config.channel, self.rng)
-        if self._injector is not None and self._injector.channel_faults_active:
-            from repro.faults.channel import FaultyChannel
-
-            self.channel = FaultyChannel(self.channel, self._injector)
         self.envs = {p: ProcessEnv(p, self.processes) for p in self.processes}
         self.protocols = {
             p: protocol_factory(p, self.envs[p]) for p in self.processes
@@ -288,11 +258,8 @@ class Executor:
         # 2. live processes take their steps in the tick's order; the
         # adversary may skip a process (model of relative speeds),
         # bounded by the scheduling-fairness budget.
-        injector = self._injector
         skips = self._skips
         for pid in self._order():
-            if injector is not None and injector.stalled(pid, tick):
-                continue  # injected stall: no step, no rng consumption
             if skips:
                 cfg = self.config
                 streak = self._skip_streak
@@ -357,22 +324,13 @@ class Executor:
             "delivered": self.channel.delivered_count,
             "hit_tick_cap": tick >= cfg.max_ticks,
         }
-        channel_faults = (
-            self._injector is not None and self._injector.channel_faults_active
-        )
-        if self._injector is not None:
-            meta["faults"] = self._injector.summary()
         run = Run(
             self.processes,
             self._timelines,
             duration=tick,
             meta=meta,
         )
-        if (
-            cfg.validate
-            and not channel_faults  # duplicates break R3, extra drops break R5
-            and cfg.channel.semantics is not ChannelSemantics.UNFAIR
-        ):
+        if cfg.validate and cfg.channel.semantics is not ChannelSemantics.UNFAIR:
             # The finite R5 checker flags persistent unreceived sends; a
             # sender may legitimately stop just under the channel's
             # drop budget, so the threshold must exceed it.  Beyond the

@@ -23,7 +23,6 @@ Three channel classes:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from abc import ABC, abstractmethod
@@ -91,16 +90,11 @@ class NetworkChannel(ABC):
 
     # -- API used by the executor ---------------------------------------------
 
-    def submit(self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int) -> bool:
-        """A send event occurred; the copy enters the channel or is lost.
-
-        Returns True iff the copy was accepted into flight (used by the
-        fault-injection wrapper to know whether there is a "last"
-        envelope to delay or duplicate).
-        """
+    def submit(self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int) -> None:
+        """A send event occurred; the copy enters the channel or is lost."""
         if self._should_drop(sender, receiver, message, tick):
             self.dropped_count += 1
-            return False
+            return
         delay = self._rng.randint(self._min_delay, self._max_delay)
         env = Envelope(
             sender=sender,
@@ -111,29 +105,6 @@ class NetworkChannel(ABC):
             uid=next(self._uid),
         )
         self._in_flight.setdefault(receiver, []).append(env)
-        return True
-
-    # -- fault-injection hooks (repro.faults.channel) -----------------------
-
-    def delay_last(self, receiver: ProcessId, extra: int) -> None:
-        """Push the most recently accepted envelope for ``receiver`` a
-        further ``extra`` ticks into the future (delivery past the
-        channel's delay bound -- only fault injection may do this)."""
-        pending = self._in_flight.get(receiver)
-        if not pending:
-            raise ValueError(f"no envelope in flight to {receiver!r}")
-        last = pending[-1]
-        pending[-1] = dataclasses.replace(last, deliver_at=last.deliver_at + extra)
-
-    def duplicate_last(self, receiver: ProcessId) -> None:
-        """Inject a second copy of the most recently accepted envelope for
-        ``receiver`` (same delivery time, fresh uid).  The duplicate has
-        no matching second send event, so runs containing one are outside
-        the R3 validator's model."""
-        pending = self._in_flight.get(receiver)
-        if not pending:
-            raise ValueError(f"no envelope in flight to {receiver!r}")
-        pending.append(dataclasses.replace(pending[-1], uid=next(self._uid)))
 
     def deliverable(self, receiver: ProcessId, tick: int) -> list[Envelope]:
         """Envelopes for ``receiver`` whose delay has elapsed, oldest first."""

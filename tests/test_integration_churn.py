@@ -4,15 +4,8 @@ crashes, layered wrappers, partitions -- everything at once."""
 from repro.core.properties import actions_in, udc_holds
 from repro.core.protocols import StrongFDUDCProcess
 from repro.detectors.conversions import with_gossip
-from repro.detectors.heartbeat import with_heartbeats
 from repro.detectors.standard import ImpermanentWeakOracle, PerfectOracle
 from repro.harness.stats import RunStats, detection_latency
-from repro.model.causality import (
-    causal_graph,
-    is_consistent_cut,
-    lamport_timestamps,
-    time_cut_frontier,
-)
 from repro.model.context import make_process_ids
 from repro.model.serialize import run_from_dict, run_to_dict
 from repro.sim.executor import ExecutionConfig, Executor
@@ -68,37 +61,12 @@ class TestChurn:
         assert set(lat) == {"p2", "p5"}
         assert all(v < 20 for v in lat.values())
 
-    def test_causal_structure_intact(self):
-        run, _ = churn_run()
-        # Kahn's order reaches every node only if there is no cycle.
-        assert len(lamport_timestamps(run)) == len(causal_graph(run).events)
-        for m in range(0, run.duration + 1, 17):
-            assert is_consistent_cut(run, time_cut_frontier(run, m))
-
     def test_serialization_round_trip_at_scale(self):
         run, _ = churn_run()
         assert run_from_dict(run_to_dict(run)) == run
 
 
 class TestLayeredWrappers:
-    def test_gossip_plus_heartbeat_plus_protocol(self):
-        """Three layers deep: heartbeat(gossip(protocol)) still attains
-        UDC with an impermanent-weak oracle."""
-        factory = with_heartbeats(
-            with_gossip(uniform_protocol(StrongFDUDCProcess)),
-            beat_count=8,
-        )
-        run = Executor(
-            PROCS,
-            factory,
-            crash_plan=CrashPlan.of({"p4": 9}),
-            workload=[(1, "p1", action_id("p1", "layered"))],
-            detector=ImpermanentWeakOracle(retract_after=4),
-            seed=0,
-        ).run()
-        verdict = udc_holds(run)
-        assert verdict, verdict.witness
-
     def test_partition_plus_crash_plus_churn(self):
         partitions = (Partition(10, 35, frozenset({"p1", "p2"})),)
         config = ExecutionConfig(
