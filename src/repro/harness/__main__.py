@@ -174,7 +174,11 @@ def _chaos_main(argv: list[str]) -> int:
     from pathlib import Path
 
     from repro.core.protocols import NUDCProcess
-    from repro.faults import InfraFaultPlan, corrupt_cache_entry, use_infra_faults
+    from repro.faults.infra import (
+        InfraFaultPlan,
+        corrupt_cache_entry,
+        use_infra_faults,
+    )
     from repro.model.context import make_process_ids
     from repro.runtime import (
         ProcessPoolBackend,

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.faults import ChaosProxy, WireFaultPlan
+from repro.faults.proxy import ChaosProxy, WireFaultPlan
 from repro.knowledge import Crashed
 from repro.model.synthetic import synthetic_system
 from repro.serve.client import ServeClient, knows_query, runs_to_arena_payload

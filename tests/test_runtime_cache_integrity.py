@@ -5,7 +5,7 @@ import json
 
 
 from repro.core.protocols import NUDCProcess
-from repro.faults import corrupt_cache_entry
+from repro.faults.infra import corrupt_cache_entry
 from repro.model.context import make_process_ids
 from repro.runtime import RunCache, RunSpec, run_ensemble
 from repro.sim.executor import Executor

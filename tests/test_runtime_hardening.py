@@ -1,13 +1,15 @@
 """Tests for the hardened runtime: deadlines, retries with backoff,
 pool respawn after worker death, and graceful ensemble degradation."""
 
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.core.protocols import NUDCProcess
-from repro.faults import InfraFaultPlan, use_infra_faults
+from repro.faults.infra import InfraFaultPlan, use_infra_faults
 from repro.model.context import make_process_ids
 from repro.model.run import Point, Run
 from repro.model.system import IncompleteSystemWarning, System
@@ -207,3 +209,14 @@ class TestIncompleteSystemWarning:
         sys_b, point_b = self._system(missing=1)
         with pytest.warns(IncompleteSystemWarning):
             sys_b.knows("p1", point_b, lambda pt: True)
+
+
+def test_importing_the_runtime_leaves_asyncio_unloaded():
+    """The backends import repro.faults.infra, which runs the package's
+    __init__; that must not pull in the chaos proxy and asyncio."""
+    code = "import sys, repro.runtime; print('asyncio' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
