@@ -1,10 +1,10 @@
 """Infrastructure chaos: worker death, hung runs, and cache corruption.
 
-Where :mod:`repro.faults.plan` injects faults *inside* the simulated
-world, this module injects them into the machinery that executes it --
-the fault classes the hardened runtime (retry/backoff, deadlines, cache
-quarantine, degraded reports) exists to survive.  Everything here is
-test/CI scaffolding: nothing in the runtime imports it except the
+The simulated world has only the paper's faults (crashes and fair-lossy
+channels); this module injects faults into the machinery that executes
+it -- the fault classes the hardened runtime (retry/backoff, deadlines,
+cache quarantine, degraded reports) exists to survive.  Everything here
+is test/CI scaffolding: nothing in the runtime imports it except the
 execution hook below.
 
 An :class:`InfraFaultPlan` is *installed* process-wide (module global)
@@ -90,8 +90,8 @@ _ACTIVE: InfraFaultPlan | None = None
 
 def install_infra_faults(plan: InfraFaultPlan | None) -> None:
     """Install (or clear, with None) the process-wide infra fault plan."""
-    # driver-side singleton: workers receive the plan via env vars, never
-    # by mutating this module in a worker path
+    # parent-side singleton: pool workers inherit the installed plan
+    # through fork (module docstring); no worker path calls this
     global _ACTIVE  # repro: lint-ok[POOL002]
     _ACTIVE = plan
 
