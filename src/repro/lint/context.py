@@ -4,9 +4,16 @@ One :class:`ModuleUnderLint` is built per file: the parsed AST, the
 dotted module name (derived from the path, or overridden by a
 ``# repro: lint-module[...]`` comment so fixture snippets can pretend to
 live anywhere), the suppression table parsed from
-``# repro: lint-ok[RULE,...]`` comments, and the source ranges of
+``# repro: lint-ok[RULE,...]`` comments, the source ranges of
 classes implementing the Protocol interface (determinism rules apply
-inside those regardless of the module's package).
+inside those regardless of the module's package), and the import-alias
+map of the tracked stdlib modules.
+
+The scope tables and the call classifier live here too, so the
+per-file rules (DET001–DET003, ASY001) and the phase-1 intrinsic
+recorder behind the whole-program rules (ASY003, DET007) share one
+answer to "which call blocks, reads the wall clock or draws ambient
+entropy" (DESIGN.md §11, §16).
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 #: suppression comment: ``# repro: lint-ok[DET001]`` or ``[DET001,POOL002]``
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ok\[([A-Za-z0-9_,\s]*)\]")
@@ -31,6 +39,97 @@ PROTOCOL_BASE_NAMES = frozenset(
     {"ProtocolProcess", "_CoordinationBase", "DetectorOracle"}
 )
 
+#: packages whose entire contents must be deterministic
+DET_PACKAGES: tuple[str, ...] = (
+    "repro.core",
+    "repro.sim",
+    "repro.model",
+    "repro.knowledge",
+    "repro.explore",
+    "repro.detectors",
+    "repro.workloads",
+)
+
+#: packages whose coroutines must never block the event loop
+ASYNC_PACKAGES: tuple[str, ...] = ("repro.serve",)
+
+#: spec/protocol-factory constructors whose arguments travel to pool workers
+SPEC_FACTORY_NAMES = frozenset(
+    {
+        "RunSpec",
+        "EnsembleSpec",
+        "ExploreSpec",
+        "UniformProtocol",
+        "ConsensusProtocol",
+        "GossipProtocol",
+        "FullInformationProtocol",
+        "uniform_protocol",
+    }
+)
+
+#: module roots whose imports the alias map records (``asyncio`` for
+#: ASY002's spawns, ``threading``/``socket`` for the unpicklable catalog)
+_TRACKED_ROOTS = frozenset(
+    {
+        "asyncio",
+        "datetime",
+        "os",
+        "random",
+        "secrets",
+        "socket",
+        "subprocess",
+        "threading",
+        "time",
+        "urllib",
+        "uuid",
+    }
+)
+
+#: dotted origins that block the calling thread
+BLOCKING_ORIGINS = frozenset(
+    {
+        "time.sleep",
+        "subprocess.run",
+        "subprocess.call",
+        "subprocess.check_call",
+        "subprocess.check_output",
+        "subprocess.Popen",
+        "urllib.request.urlopen",
+        "socket.create_connection",
+        "os.fsync",
+        "os.fdatasync",
+    }
+)
+
+#: method names that do synchronous file I/O (the pathlib idiom); only
+#: counted when the receiver does not resolve to a tracked module
+BLOCKING_METHODS = frozenset(
+    {"read_text", "write_text", "read_bytes", "write_bytes"}
+)
+
+#: wall-clock reads (DET002 says why the monotonic clocks are absent)
+WALL_CLOCK_ORIGINS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: ambient entropy sources besides the ``secrets.*`` API and the global
+#: ``random.*`` API, which :func:`classify_call` matches by prefix
+ENTROPY_ORIGINS = frozenset(
+    {
+        "os.urandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "random.SystemRandom",
+    }
+)
+
 
 @dataclass
 class Suppression:
@@ -39,6 +138,106 @@ class Suppression:
     line: int
     rules: frozenset[str]
     used: bool = field(default=False, compare=False)
+
+
+def in_packages(module: str | None, packages: tuple[str, ...]) -> bool:
+    """Is the dotted module inside any of the dotted package prefixes?"""
+    if module is None:
+        return False
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
+
+
+def tail_name(node: ast.expr) -> str | None:
+    """``f`` for ``f`` and for ``a.b.f``; ``None`` for any other expression."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Map local names to dotted origins for the tracked modules.
+
+    ``import random as r`` -> ``{"r": "random"}``;
+    ``from random import shuffle as s`` -> ``{"s": "random.shuffle"}``;
+    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
+    """
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                if root in _TRACKED_ROOTS:
+                    aliases[alias.asname or root] = (
+                        alias.name if alias.asname else root
+                    )
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}"
+                    )
+    return aliases
+
+
+def dotted_text(node: ast.expr) -> str | None:
+    """The source-level dotted text of a Name/Attribute chain."""
+    parts: list[str] = []
+    cur: ast.expr = node
+    while isinstance(cur, ast.Attribute):
+        parts.append(cur.attr)
+        cur = cur.value
+    if not isinstance(cur, ast.Name):
+        return None
+    parts.append(cur.id)
+    return ".".join(reversed(parts))
+
+
+def resolve_origin(aliases: Mapping[str, str], node: ast.expr) -> str | None:
+    """Dotted origin of an attribute chain, via the import alias map."""
+    text = dotted_text(node)
+    if text is None:
+        return None
+    root, dot, rest = text.partition(".")
+    base = aliases.get(root)
+    return None if base is None else base + dot + rest
+
+
+def classify_call(
+    aliases: Mapping[str, str], call: ast.Call
+) -> tuple[str, str] | None:
+    """``(effect, detail)`` when ``call`` blocks, reads the wall clock or
+    draws ambient entropy; ``None`` otherwise.
+
+    ``effect`` is ``"blocking"``, ``"wall-clock"`` or ``"entropy"``.
+    ``detail`` is the resolved dotted origin, or ``"open()"`` for the
+    builtin and ``".read_text()"``-style text for the pathlib methods.
+    The global ``random.*`` API is entropy, and so is ``random.Random()``
+    built without a seed; a seeded ``random.Random(seed)`` is not.
+    """
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "blocking", "open()"
+    origin = resolve_origin(aliases, func)
+    if origin is None:
+        if isinstance(func, ast.Attribute) and func.attr in BLOCKING_METHODS:
+            return "blocking", f".{func.attr}()"
+        return None
+    if origin in BLOCKING_ORIGINS:
+        return "blocking", origin
+    if origin in WALL_CLOCK_ORIGINS:
+        return "wall-clock", origin
+    if origin in ENTROPY_ORIGINS or origin.startswith("secrets."):
+        return "entropy", origin
+    if origin.startswith("random."):
+        leaf = origin.split(".", 1)[1]
+        if "." in leaf:
+            return None  # a method on an instance path
+        if leaf == "Random" and (call.args or call.keywords):
+            return None  # seeded construction
+        return "entropy", origin
+    return None
 
 
 def module_name_for_path(path: Path) -> str | None:
@@ -73,6 +272,9 @@ class ModuleUnderLint:
         self.module: str | None = module_name_for_path(path)
         self._scan_comments()
         self.protocol_class_ranges = self._find_protocol_classes()
+        #: local name -> dotted origin for the tracked modules, built
+        #: once for every rule and the summary builder
+        self.aliases = import_aliases(self.tree)
 
     # -- comments -----------------------------------------------------------
 
@@ -119,12 +321,7 @@ class ModuleUnderLint:
 
     def in_packages(self, packages: tuple[str, ...]) -> bool:
         """Is this module inside any of the dotted package prefixes?"""
-        if self.module is None:
-            return False
-        return any(
-            self.module == pkg or self.module.startswith(pkg + ".")
-            for pkg in packages
-        )
+        return in_packages(self.module, packages)
 
     def _find_protocol_classes(self) -> tuple[tuple[int, int], ...]:
         """(first, last) line ranges of Protocol-interface classes."""
@@ -136,7 +333,7 @@ class ModuleUnderLint:
                 if not isinstance(node, ast.ClassDef):
                     continue
                 for base in node.bases:
-                    name = _base_name(base)
+                    name = tail_name(base)
                     if name in protocol_names:
                         protocol_names.add(node.name)
                         span = (node.lineno, node.end_lineno or node.lineno)
@@ -151,11 +348,3 @@ class ModuleUnderLint:
         if line is None:
             return False
         return any(first <= line <= last for first, last in self.protocol_class_ranges)
-
-
-def _base_name(base: ast.expr) -> str | None:
-    if isinstance(base, ast.Name):
-        return base.id
-    if isinstance(base, ast.Attribute):
-        return base.attr
-    return None

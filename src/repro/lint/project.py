@@ -25,31 +25,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .context import ModuleUnderLint
+from .context import (
+    SPEC_FACTORY_NAMES,
+    ModuleUnderLint,
+    classify_call,
+    dotted_text,
+    resolve_origin,
+    tail_name,
+)
 
 #: Reference kinds a call site may carry (see :class:`Ref`).
 REF_KINDS = ("name", "self", "attr", "typed")
-
-#: spawning APIs whose callable arguments run *off* the event loop, so
-#: blocking effects must not propagate through them (the executor cut)
-EXECUTOR_METHODS = frozenset({"run_in_executor", "to_thread"})
-
-#: spec/protocol-factory constructors whose arguments travel to pool
-#: workers (mirrors ``rules.poolsafety.SPEC_FACTORY_NAMES``)
-SPEC_FACTORY_NAMES = frozenset(
-    {
-        "RunSpec",
-        "EnsembleSpec",
-        "ExploreSpec",
-        "UniformProtocol",
-        "ConsensusProtocol",
-        "GossipProtocol",
-        "FullInformationProtocol",
-        "uniform_protocol",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -161,66 +149,6 @@ class FileSummary:
         return False
 
 
-# -- intrinsic effect catalogs ----------------------------------------------
-
-#: module roots tracked for alias-aware origin resolution
-_TRACKED_ROOTS = frozenset(
-    {
-        "time",
-        "datetime",
-        "os",
-        "uuid",
-        "secrets",
-        "random",
-        "subprocess",
-        "urllib",
-        "requests",
-        "socket",
-        "threading",
-    }
-)
-
-_BLOCKING_ORIGINS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "urllib.request.urlopen",
-        "socket.create_connection",
-        "os.fsync",
-        "os.fdatasync",
-    }
-)
-
-#: method names that do synchronous file I/O (the pathlib idiom); only
-#: counted when the receiver does not resolve to a tracked module
-_BLOCKING_METHODS = frozenset(
-    {"read_text", "write_text", "read_bytes", "write_bytes"}
-)
-
-_WALL_CLOCK_ORIGINS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-_ENTROPY_ORIGINS = frozenset(
-    {
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random.SystemRandom",
-    }
-)
-
 #: constructors whose return values never pickle
 _UNPICKLABLE_ORIGINS = frozenset(
     {
@@ -231,55 +159,6 @@ _UNPICKLABLE_ORIGINS = frozenset(
         "socket.socket",
     }
 )
-
-
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local name → dotted origin for the tracked stdlib modules."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve_origin(aliases: Mapping[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
-
-
-def _dotted_text(node: ast.expr) -> str | None:
-    """The source-level dotted text of a Name/Attribute chain."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
 
 
 def _annotation_text(node: ast.expr | None) -> str | None:
@@ -301,12 +180,12 @@ def _annotation_text(node: ast.expr | None) -> str | None:
                 return _annotation_text(side)
         return None
     if isinstance(node, ast.Subscript):
-        base = _dotted_text(node.value)
+        base = dotted_text(node.value)
         if base is not None and base.split(".")[-1] == "Optional":
             inner = node.slice
             return _annotation_text(inner)
         return None
-    return _dotted_text(node)
+    return dotted_text(node)
 
 
 class _SummaryBuilder(ast.NodeVisitor):
@@ -319,7 +198,6 @@ class _SummaryBuilder(ast.NodeVisitor):
         self.calls: list[CallSite] = []
         self.intrinsics: list[IntrinsicEffect] = []
         self.placements: list[SpecPlacement] = []
-        self.aliases = _import_aliases(mod.tree)
         self.imports = self._all_imports(mod.tree, mod.module)
         # scope state
         self._scope: list[str] = []  # qualname parts
@@ -429,7 +307,7 @@ class _SummaryBuilder(ast.NodeVisitor):
             self.generic_visit(node)
             return
         bases = tuple(
-            text for text in (_dotted_text(b) for b in node.bases) if text
+            text for text in (dotted_text(b) for b in node.bases) if text
         )
         methods: list[str] = []
         attr_types: dict[str, str] = {}
@@ -535,7 +413,7 @@ class _SummaryBuilder(ast.NodeVisitor):
             return
         value = node.value
         if isinstance(value, ast.Call):
-            text = _dotted_text(value.func)
+            text = dotted_text(value.func)
             if text is not None and text.split(".")[-1][:1].isupper():
                 self._local_types[-1][target.id] = text
                 return
@@ -565,7 +443,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                     )
                 )
             elif isinstance(sub, ast.Call):
-                name = _dotted_text(sub.func)
+                name = dotted_text(sub.func)
                 if (
                     name is not None
                     and self._local_classes
@@ -581,7 +459,7 @@ class _SummaryBuilder(ast.NodeVisitor):
                         )
                     )
                     continue
-                origin = _resolve_origin(self.aliases, sub.func)
+                origin = resolve_origin(self.mod.aliases, sub.func)
                 if origin in _UNPICKLABLE_ORIGINS:
                     self.intrinsics.append(
                         IntrinsicEffect(
@@ -625,46 +503,12 @@ class _SummaryBuilder(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _record_intrinsics(self, node: ast.Call, qualname: str | None) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
+        classified = classify_call(self.mod.aliases, node)
+        if classified is not None:
+            effect, detail = classified
             self.intrinsics.append(
-                IntrinsicEffect(
-                    qualname, "blocking", "open()", node.lineno, node.col_offset
-                )
+                IntrinsicEffect(qualname, effect, detail, node.lineno, node.col_offset)
             )
-            return
-        origin = _resolve_origin(self.aliases, func)
-        if origin is None:
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _BLOCKING_METHODS
-            ):
-                self.intrinsics.append(
-                    IntrinsicEffect(
-                        qualname,
-                        "blocking",
-                        f".{func.attr}()",
-                        node.lineno,
-                        node.col_offset,
-                    )
-                )
-            return
-        if origin in _BLOCKING_ORIGINS:
-            effect, detail = "blocking", origin
-        elif origin in _WALL_CLOCK_ORIGINS:
-            effect, detail = "wall-clock", origin
-        elif origin in _ENTROPY_ORIGINS or origin.startswith("secrets."):
-            effect, detail = "entropy", origin
-        elif origin.startswith("random."):
-            leaf = origin.split(".", 1)[1]
-            if leaf == "Random" or "." in leaf:
-                return  # seeded construction / instance method path
-            effect, detail = "entropy", origin
-        else:
-            return
-        self.intrinsics.append(
-            IntrinsicEffect(qualname, effect, detail, node.lineno, node.col_offset)
-        )
 
     def _reference(self, func: ast.expr) -> Ref | None:
         if isinstance(func, ast.Name):
@@ -696,11 +540,7 @@ class _SummaryBuilder(ast.NodeVisitor):
         return Ref("attr", (root, *parts))
 
     def _record_placements(self, node: ast.Call, qualname: str | None) -> None:
-        name = None
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
+        name = tail_name(node.func)
         if name not in SPEC_FACTORY_NAMES:
             return
         args: list[ast.expr] = list(node.args)
@@ -792,5 +632,9 @@ class ProjectIndex:
     def module_key(summary: FileSummary) -> str:
         return summary.module or summary.display_path
 
-    def declaration(self, gqn: str) -> FunctionDecl:
-        return self.functions[gqn]
+    def summary_of(self, gqn: str) -> FileSummary | None:
+        """The file a function, or a ``<module-key>::`` top level, is in."""
+        summary = self.function_files.get(gqn)
+        if summary is None:
+            summary = self.modules.get(gqn.partition("::")[0])
+        return summary

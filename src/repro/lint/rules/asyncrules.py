@@ -29,69 +29,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import ModuleUnderLint
+from ..context import (
+    ASYNC_PACKAGES,
+    ModuleUnderLint,
+    classify_call,
+    resolve_origin,
+)
 from ..findings import LintFinding, Severity
 from ..registry import Rule, register
-
-#: packages whose coroutines must never block the event loop
-ASYNC_PACKAGES: tuple[str, ...] = ("repro.serve",)
-
-#: module roots tracked for alias-aware call resolution
-_TRACKED_ROOTS = frozenset({"time", "subprocess", "requests", "urllib"})
-
-#: dotted origins that block the calling thread
-_BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "urllib.request.urlopen",
-    }
-)
-
-#: method names that do synchronous file I/O (the pathlib idiom)
-_BLOCKING_METHODS = frozenset(
-    {"read_text", "write_text", "read_bytes", "write_bytes"}
-)
-
-
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local-name -> dotted-origin map for the tracked modules."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve(aliases: dict[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain, via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def _coroutine_calls(fn: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
@@ -115,8 +60,10 @@ def _coroutine_calls(fn: ast.AsyncFunctionDef) -> Iterator[ast.Call]:
 class BlockingCallInCoroutineRule(Rule):
     """ASY001: a blocking call inside an event-loop coroutine freezes
     every connected client for its duration.  ``time.sleep``, the
-    ``subprocess`` synchronous API, builtin ``open`` and the pathlib
-    ``read_text``/``write_text`` family must not run on the loop."""
+    ``subprocess`` synchronous API, ``urllib.request.urlopen``,
+    ``socket.create_connection``, ``os.fsync``/``os.fdatasync``, builtin
+    ``open`` and the pathlib ``read_text``/``write_text`` family must not
+    run on the loop."""
 
     id = "ASY001"
     summary = "blocking call inside an event-loop coroutine"
@@ -128,43 +75,26 @@ class BlockingCallInCoroutineRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(ASYNC_PACKAGES):
             return
-        aliases = _import_aliases(mod.tree)
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
             for call in _coroutine_calls(node):
-                func = call.func
-                if isinstance(func, ast.Name) and func.id == "open":
-                    yield self.finding(
-                        mod,
-                        call.lineno,
-                        call.col_offset,
-                        f"builtin open() inside coroutine {node.name!r} "
-                        f"does synchronous file I/O on the event loop",
-                    )
+                classified = classify_call(mod.aliases, call)
+                if classified is None or classified[0] != "blocking":
                     continue
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _BLOCKING_METHODS
-                    and _resolve(aliases, func) is None
-                ):
-                    yield self.finding(
-                        mod,
-                        call.lineno,
-                        call.col_offset,
-                        f".{func.attr}() inside coroutine {node.name!r} "
-                        f"does synchronous file I/O on the event loop",
+                detail = classified[1]
+                if detail == "open()" or detail.startswith("."):
+                    what = "builtin open()" if detail == "open()" else detail
+                    message = (
+                        f"{what} inside coroutine {node.name!r} "
+                        f"does synchronous file I/O on the event loop"
                     )
-                    continue
-                origin = _resolve(aliases, func)
-                if origin in _BLOCKING_CALLS:
-                    yield self.finding(
-                        mod,
-                        call.lineno,
-                        call.col_offset,
-                        f"blocking call {origin}() inside coroutine "
-                        f"{node.name!r} stalls every connected client",
+                else:
+                    message = (
+                        f"blocking call {detail}() inside coroutine "
+                        f"{node.name!r} stalls every connected client"
                     )
+                yield self.finding(mod, call.lineno, call.col_offset, message)
 
 
 #: spawning functions whose returned task must not be discarded
@@ -176,28 +106,9 @@ _SPAWN_CALLS = frozenset({"asyncio.create_task", "asyncio.ensure_future"})
 _SPAWN_METHODS = frozenset({"create_task", "ensure_future"})
 
 
-def _asyncio_aliases(tree: ast.Module) -> dict[str, str]:
-    """Local-name -> dotted-origin map for the asyncio module."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "asyncio":
-                    aliases[alias.asname or "asyncio"] = (
-                        alias.name if alias.asname else "asyncio"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "asyncio":
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
 def _is_fire_and_forget_spawn(call: ast.Call, aliases: dict[str, str]) -> bool:
     """Does this call spawn a task (so discarding its result loses it)?"""
-    origin = _resolve(aliases, call.func)
+    origin = resolve_origin(aliases, call.func)
     if origin in _SPAWN_CALLS:
         return True
     func = call.func
@@ -229,7 +140,6 @@ class FireAndForgetTaskRule(Rule):
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
         if not mod.in_packages(ASYNC_PACKAGES):
             return
-        aliases = _asyncio_aliases(mod.tree)
         for node in ast.walk(mod.tree):
             # A spawn as a bare expression statement: the only reference
             # to the new task is dropped on the spot.
@@ -246,7 +156,7 @@ class FireAndForgetTaskRule(Rule):
             ):
                 discarded = node.value
             if discarded is None or not _is_fire_and_forget_spawn(
-                discarded, aliases
+                discarded, mod.aliases
             ):
                 continue
             yield self.finding(

@@ -20,43 +20,9 @@ import ast
 import re
 from typing import Iterator
 
-from ..context import ModuleUnderLint
+from ..context import DET_PACKAGES, ModuleUnderLint, classify_call, tail_name
 from ..findings import LintFinding
 from ..registry import Rule, register
-
-#: packages whose entire contents must be deterministic
-DET_PACKAGES: tuple[str, ...] = (
-    "repro.core",
-    "repro.sim",
-    "repro.model",
-    "repro.knowledge",
-    "repro.explore",
-    "repro.detectors",
-    "repro.workloads",
-)
-
-#: module roots whose imports we track for alias-aware call resolution
-_TRACKED_ROOTS = frozenset({"random", "time", "datetime", "os", "uuid", "secrets"})
-
-_WALL_CLOCK = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-_ENTROPY = frozenset(
-    {
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random.SystemRandom",
-    }
-)
 
 #: builtins that consume an iterable order-insensitively (or sort it)
 _ORDER_SAFE_CALLS = frozenset(
@@ -64,59 +30,26 @@ _ORDER_SAFE_CALLS = frozenset(
 )
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to dotted origins for the tracked modules.
-
-    ``import random as r`` -> ``{"r": "random"}``;
-    ``from random import shuffle as s`` -> ``{"s": "random.shuffle"}``;
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root in _TRACKED_ROOTS:
-                    aliases[alias.asname or root] = (
-                        alias.name if alias.asname else root
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TRACKED_ROOTS:
-                for alias in node.names:
-                    aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return aliases
-
-
-def _resolve(aliases: dict[str, str], node: ast.expr) -> str | None:
-    """Dotted origin of an attribute chain, via the import alias map."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
-
-
 def _scoped(mod: ModuleUnderLint, node: ast.AST) -> bool:
     """Is this node inside the determinism scope?"""
     return mod.in_packages(DET_PACKAGES) or mod.in_protocol_class(node)
 
 
-def _iter_scoped_calls(
-    mod: ModuleUnderLint,
-) -> Iterator[tuple[ast.Call, dict[str, str]]]:
-    aliases = _import_aliases(mod.tree)
+def _scoped_effects(mod: ModuleUnderLint) -> Iterator[tuple[ast.Call, str, str]]:
+    """Every classified call in scope, as ``(call, effect, origin)``."""
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Call) and _scoped(mod, node):
-            yield node, aliases
+            classified = classify_call(mod.aliases, node)
+            if classified is not None:
+                effect, origin = classified
+                yield node, effect, origin
+
+
+def _global_random(origin: str) -> bool:
+    """DET001's share of the entropy catalog: the random module's
+    global API and its unseeded ``Random()`` (``SystemRandom`` is
+    DET003's)."""
+    return origin.startswith("random.") and origin != "random.SystemRandom"
 
 
 @register
@@ -133,27 +66,16 @@ class UnseededRandomRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
-            if origin is None or not origin.startswith("random."):
-                continue
-            leaf = origin.split(".", 1)[1]
-            if leaf == "SystemRandom" or "." in leaf:
-                continue  # DET003 territory / method on an instance path
-            if leaf == "Random":
-                if not call.args and not call.keywords:
-                    yield self.finding(
-                        mod,
-                        call.lineno,
-                        call.col_offset,
-                        "random.Random() constructed without a seed",
-                    )
+        for call, effect, origin in _scoped_effects(mod):
+            if effect != "entropy" or not _global_random(origin):
                 continue
             yield self.finding(
                 mod,
                 call.lineno,
                 call.col_offset,
-                f"call to global random.{leaf}()",
+                "random.Random() constructed without a seed"
+                if origin == "random.Random"
+                else f"call to global {origin}()",
             )
 
 
@@ -174,9 +96,8 @@ class WallClockRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
-            if origin in _WALL_CLOCK:
+        for call, effect, origin in _scoped_effects(mod):
+            if effect == "wall-clock":
                 yield self.finding(
                     mod,
                     call.lineno,
@@ -198,11 +119,8 @@ class AmbientEntropyRule(Rule):
     )
 
     def check(self, mod: ModuleUnderLint) -> Iterator[LintFinding]:
-        for call, aliases in _iter_scoped_calls(mod):
-            origin = _resolve(aliases, call.func)
-            if origin is None:
-                continue
-            if origin in _ENTROPY or origin.startswith("secrets."):
+        for call, effect, origin in _scoped_effects(mod):
+            if effect == "entropy" and not _global_random(origin):
                 yield self.finding(
                     mod,
                     call.lineno,
@@ -423,15 +341,7 @@ class _WorklistIndex:
         if isinstance(node, (ast.List, ast.Tuple, ast.ListComp)):
             return True
         if isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            return name in _ORDERED_CALLS
+            return tail_name(node.func) in _ORDERED_CALLS
         return False
 
     @staticmethod

@@ -12,23 +12,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import ModuleUnderLint
+from ..context import SPEC_FACTORY_NAMES, ModuleUnderLint, tail_name
 from ..findings import LintFinding, Severity
 from ..registry import Rule, register
-
-#: constructors whose arguments travel to pool workers
-SPEC_FACTORY_NAMES = frozenset(
-    {
-        "RunSpec",
-        "EnsembleSpec",
-        "ExploreSpec",
-        "UniformProtocol",
-        "ConsensusProtocol",
-        "GossipProtocol",
-        "FullInformationProtocol",
-        "uniform_protocol",
-    }
-)
 
 #: driver-side packages exempt from module-state checks (the harness
 #: registry is an intentional import-time singleton, never pickled)
@@ -37,14 +23,6 @@ _POOL_EXEMPT_PACKAGES: tuple[str, ...] = ("repro.harness",)
 _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "deque", "defaultdict", "OrderedDict", "Counter"}
 )
-
-
-def _call_name(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 @register
@@ -64,7 +42,7 @@ class LambdaInSpecRule(Rule):
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _call_name(node.func)
+            name = tail_name(node.func)
             if name not in SPEC_FACTORY_NAMES:
                 continue
             args: list[ast.expr] = list(node.args)
@@ -138,7 +116,7 @@ class ModuleMutableStateRule(Rule):
         if isinstance(node, (ast.List, ast.Dict, ast.Set)):
             return True
         if isinstance(node, ast.Call):
-            name = _call_name(node.func)
+            name = tail_name(node.func)
             return name in _MUTABLE_FACTORIES and not node.args and not node.keywords
         return False
 

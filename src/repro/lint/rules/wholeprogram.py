@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from ..context import ASYNC_PACKAGES, DET_PACKAGES, in_packages
 from ..findings import LintFinding, Severity
 from ..project import ProjectIndex
 from ..registry import ProjectRule, register
@@ -21,31 +22,7 @@ from ..registry import ProjectRule, register
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..effects import EffectAnalysis
 
-#: packages whose coroutines must never block the event loop (mirrors
-#: ``rules.asyncrules.ASYNC_PACKAGES``)
-_ASYNC_PACKAGES: tuple[str, ...] = ("repro.serve",)
-
-#: packages whose entire contents must be deterministic (mirrors
-#: ``rules.determinism.DET_PACKAGES``)
-_DET_PACKAGES: tuple[str, ...] = (
-    "repro.core",
-    "repro.sim",
-    "repro.model",
-    "repro.knowledge",
-    "repro.explore",
-    "repro.detectors",
-    "repro.workloads",
-)
-
 _TAINT_EFFECTS = ("entropy", "wall-clock")
-
-
-def _in_packages(module: str | None, packages: tuple[str, ...]) -> bool:
-    if module is None:
-        return False
-    return any(
-        module == pkg or module.startswith(pkg + ".") for pkg in packages
-    )
 
 
 @register
@@ -69,11 +46,8 @@ class TransitiveBlockingRule(ProjectRule):
         self, project: ProjectIndex, effects: "EffectAnalysis"
     ) -> Iterator[LintFinding]:
         for edge in effects.graph.edges:
-            summary = project.function_files.get(edge.caller)
-            if summary is None:
-                module_key = edge.caller.partition("::")[0]
-                summary = project.modules.get(module_key)
-            if summary is None or not _in_packages(summary.module, _ASYNC_PACKAGES):
+            summary = project.summary_of(edge.caller)
+            if summary is None or not in_packages(summary.module, ASYNC_PACKAGES):
                 continue
             caller_decl = project.functions.get(edge.caller)
             if caller_decl is None or not caller_decl.is_async:
@@ -112,13 +86,10 @@ class TransitiveTaintRule(ProjectRule):
     ) -> Iterator[LintFinding]:
         for edge in effects.graph.edges:
             caller_decl = project.functions.get(edge.caller)
-            summary = project.function_files.get(edge.caller)
-            if summary is None:
-                module_key = edge.caller.partition("::")[0]
-                summary = project.modules.get(module_key)
+            summary = project.summary_of(edge.caller)
             if summary is None:
                 continue
-            det_scope = _in_packages(summary.module, _DET_PACKAGES) or (
+            det_scope = in_packages(summary.module, DET_PACKAGES) or (
                 caller_decl is not None and caller_decl.protocol_scope
             )
             if not det_scope:

@@ -35,3 +35,12 @@ def sync_helper(path: Path) -> str:
     # Plain functions are driver-side: blocking is their job.
     time.sleep(0)
     return path.read_text()
+
+
+async def persist(fd: int) -> None:
+    # Durability and connection set-up block just as surely as a sleep.
+    import os
+    import socket
+
+    os.fsync(fd)  # expect: ASY001
+    socket.create_connection(("127.0.0.1", 7399))  # expect: ASY001

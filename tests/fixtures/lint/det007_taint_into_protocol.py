@@ -1,8 +1,8 @@
-"""Known-bad: a Protocol implementation calls a module-level helper
-that reads the wall clock.  The helper itself is outside the
-determinism scope (DET002 stays quiet on it), but the taint flows into
-the protocol step through the call -- DET007's job."""
+"""Known-bad: Protocol methods call module-level helpers that read the wall
+clock or build an unseeded random.Random().  The helpers sit outside the
+determinism scope, but their taint reaches each protocol step: DET007."""
 
+import random
 import time
 
 
@@ -21,3 +21,11 @@ class TimestampingProcess(ProtocolProcess):  # noqa: F821
     def clean_step(self, tick: int) -> int:
         # Known-good: pure arithmetic on the simulated tick.
         return tick + 1
+
+    def draw_step(self, tick: int) -> int:
+        return _fresh_rng().randrange(tick + 1)  # expect: DET007
+
+
+def _fresh_rng() -> random.Random:
+    # Seeded from OS entropy: every replay draws a different stream.
+    return random.Random()

@@ -22,7 +22,12 @@ from repro.lint import (
     known_rule_ids,
     lint_paths,
 )
-from repro.lint.context import module_name_for_path
+from repro.lint.context import (
+    BLOCKING_ORIGINS,
+    ENTROPY_ORIGINS,
+    WALL_CLOCK_ORIGINS,
+    module_name_for_path,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 
@@ -68,6 +73,71 @@ def test_expect_markers_name_real_rules() -> None:
     for name in FIXTURE_FILES:
         for _, rule in expected_findings(FIXTURES / name):
             assert rule in known_rule_ids(), f"{name} expects unknown {rule}"
+
+
+def _lint_source(tmp_path: Path, source: str) -> set[tuple[int, str]]:
+    path = tmp_path / "case.py"
+    path.write_text(source)
+    return {(f.line, f.rule) for f in actual_findings(path)}
+
+
+@pytest.mark.parametrize("origin", sorted(BLOCKING_ORIGINS))
+def test_blocking_catalog_reaches_asy001_and_asy003(
+    tmp_path: Path, origin: str
+) -> None:
+    """Each blocking origin is flagged in a serve coroutine (ASY001)
+    and one sync helper away from it (ASY003): both rules read one
+    catalog."""
+    source = f"""\
+# repro: lint-module[repro.serve.catalog_case]
+import {origin.split(".")[0]}
+
+
+def _helper():
+    {origin}()
+
+
+async def direct():
+    {origin}()
+
+
+async def indirect():
+    _helper()
+"""
+    assert _lint_source(tmp_path, source) == {(10, "ASY001"), (14, "ASY003")}
+
+
+_DETERMINISM_CATALOG = sorted(
+    [(origin, "DET002") for origin in WALL_CLOCK_ORIGINS]
+    + [(origin, "DET003") for origin in ENTROPY_ORIGINS]
+    + [("random.Random", "DET001")]
+)
+
+
+@pytest.mark.parametrize("origin, rule", _DETERMINISM_CATALOG)
+def test_determinism_catalog_reaches_det00x_and_det007(
+    tmp_path: Path, origin: str, rule: str
+) -> None:
+    """Each wall-clock and entropy origin, and an unseeded
+    ``random.Random()``, is flagged in a Protocol method (DET001-003)
+    and through a driver-side helper the method calls (DET007)."""
+    source = f"""\
+# repro: lint-module[repro.harness.catalog_case]
+import {origin.split(".")[0]}
+
+
+def _helper():
+    return {origin}()
+
+
+class CatalogProcess(ProtocolProcess):
+    def direct(self):
+        return {origin}()
+
+    def indirect(self):
+        return _helper()
+"""
+    assert _lint_source(tmp_path, source) == {(11, rule), (14, "DET007")}
 
 
 def test_findings_carry_location_severity_and_hint() -> None:
