@@ -35,7 +35,6 @@ usage: python -m repro.harness serve [options]
   --journal-dir DIR      write-ahead journal root: mutations are durable
                          before they are acknowledged, and sessions are
                          replayed from the journal at boot
-  --no-fsync             journal without fsync (faster, crash-unsafe)
   --max-inflight N       concurrent heavy requests          (default 8)
   --max-pending N        admission queue depth beyond that  (default 32)
   --request-deadline S   per-request deadline ceiling, seconds
@@ -71,10 +70,7 @@ error, or recovery divergence.
 
 
 def _parse(
-    argv: list[str],
-    opts: dict[str, str],
-    usage: str,
-    flags: dict[str, bool] | None = None,
+    argv: list[str], opts: dict[str, str], usage: str
 ) -> dict[str, list[str]] | int:
     """Tiny option parser in the harness house style.
 
@@ -88,9 +84,7 @@ def _parse(
         if arg in ("-h", "--help"):
             print(usage)
             return 0
-        if flags is not None and arg in flags:
-            flags[arg] = True
-        elif arg in opts or arg == "--preload":
+        if arg in opts or arg == "--preload":
             if not args:
                 print(f"{arg} needs a value\n{usage}")
                 return 2
@@ -130,8 +124,7 @@ def serve_main(argv: list[str]) -> int:
         "--request-deadline": "0",
         "--idle-timeout": "300",
     }
-    flags = {"--no-fsync": False}
-    repeated = _parse(argv, opts, _SERVE_USAGE, flags)
+    repeated = _parse(argv, opts, _SERVE_USAGE)
     if isinstance(repeated, int):
         return repeated
     # Every value is checked before a journal, cache or socket exists.
@@ -150,9 +143,7 @@ def serve_main(argv: list[str]) -> int:
         print(exc)
         return 2
     cache = RunCache(opts["--cache"]) if opts["--cache"] else None
-    journal = None
-    if opts["--journal-dir"]:
-        journal = ServeJournal(opts["--journal-dir"], fsync=not flags["--no-fsync"])
+    journal = ServeJournal(opts["--journal-dir"]) if opts["--journal-dir"] else None
     state = ServeState(cache, journal=journal)
     if journal is not None:
         report = state.recover()
@@ -232,7 +223,7 @@ def serve_smoke_main(argv: list[str]) -> int:
         e_query,
         knows_query,
     )
-    from repro.serve.server import EpistemicServer
+    from repro.serve.server import EpistemicServer, start_server_thread
     from repro.serve.state import ServeState
     from repro.sim.process import uniform_protocol
     from repro.workloads.generators import single_action
@@ -268,24 +259,7 @@ def serve_smoke_main(argv: list[str]) -> int:
         )
 
         state = ServeState(RunCache(cache_dir))
-        server = EpistemicServer(state)
-        bound: dict[str, Any] = {}
-        started = threading.Event()
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            try:
-                asyncio.set_event_loop(loop)
-                bound["addr"] = loop.run_until_complete(server.start())
-                started.set()
-                loop.run_until_complete(server.run())
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_run, daemon=True)
-        thread.start()
-        started.wait(timeout=30)
-        host, port = bound["addr"]
+        thread, host, port = start_server_thread(EpistemicServer(state))
 
         with ServeClient.connect(host, port) as client:
             checks.append(("server answers ping", client.ping()))

@@ -22,7 +22,6 @@ breach means journal work leaked onto the read path.
 
 from __future__ import annotations
 
-import asyncio
 import platform
 import random
 import tempfile
@@ -43,7 +42,7 @@ from repro.serve.client import (
     knows_query,
 )
 from repro.serve.journal import ServeJournal
-from repro.serve.server import EpistemicServer
+from repro.serve.server import EpistemicServer, start_server_thread
 from repro.serve.state import ServeState, SystemSession
 
 
@@ -71,30 +70,6 @@ def _query_mix(processes: Sequence[str], runs: int) -> list[dict[str, Any]]:
         {"kind": "known_crashed", "process": p0, "run": 0, "time": 5},
         {"kind": "max_e_depth", "group": group, "formula": {"op": "crashed", "process": p1}, "run": 0, "time": 2, "cap": 3},
     ]
-
-
-def _start_server(state: ServeState) -> tuple[EpistemicServer, threading.Thread, str, int]:
-    """Boot the asyncio server on a daemon thread; returns its address."""
-    server = EpistemicServer(state)
-    bound: dict[str, Any] = {}
-    started = threading.Event()
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        try:
-            asyncio.set_event_loop(loop)
-            bound["addr"] = loop.run_until_complete(server.start())
-            started.set()
-            loop.run_until_complete(server.run())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-serve-bench", daemon=True)
-    thread.start()
-    if not started.wait(timeout=30):  # pragma: no cover - defensive
-        raise RuntimeError("bench server failed to start")
-    host, port = bound["addr"]
-    return server, thread, host, port
 
 
 def _drive_clients(
@@ -203,11 +178,14 @@ def _journal_section(
     ingests: dict[str, list[float]] = {mode: [] for mode in modes}
     with tempfile.TemporaryDirectory(prefix="repro-bench-journal-") as tmp:
         journals = {"off": None, "on": ServeJournal(Path(tmp))}
-        servers = {mode: _start_server(ServeState(journal=journals[mode])) for mode in modes}
+        servers = {
+            mode: start_server_thread(EpistemicServer(ServeState(journal=journals[mode])))
+            for mode in modes
+        }
         try:
             clients = {
                 mode: ServeClient.connect(host, port)
-                for mode, (_server, _thread, host, port) in servers.items()
+                for mode, (_thread, host, port) in servers.items()
             }
             for client in clients.values():
                 client.create("bench", runs, complete=False)
@@ -227,7 +205,7 @@ def _journal_section(
                 client.shutdown()
                 client.close()
         finally:
-            for _server, thread, _host, _port in servers.values():
+            for thread, _host, _port in servers.values():
                 thread.join(timeout=30)
     figures = {}
     for mode in modes:
@@ -285,8 +263,7 @@ def run_serve_bench(
     processes = base.processes
     mix = _query_mix(list(processes), len(runs))
 
-    state = ServeState()
-    server, thread, host, port = _start_server(state)
+    thread, host, port = start_server_thread(EpistemicServer(ServeState()))
     results: dict[str, Any] = {}
     try:
         with ServeClient.connect(host, port) as admin:

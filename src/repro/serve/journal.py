@@ -15,9 +15,8 @@ Journal layout, borrowing the RunCache's integrity idiom:
 * one directory per session (named by a sha256 prefix of the session
   name, which itself travels inside every record);
 * one *segment file* per operation, ``seg-00000000.json`` onward, each
-  written atomically (tmp + ``os.replace``; with ``fsync=True``, the
-  default, the segment and its directory are fsynced before the rename
-  is considered durable);
+  written atomically (tmp + ``os.replace``; the segment and its
+  directory are fsynced before the rename is considered durable);
 * every segment embeds a sha256 over its canonical record body,
   verified on replay.
 
@@ -100,9 +99,8 @@ class JournalReplay:
 class SessionJournal:
     """Append-only, checksummed journal of one session's mutations."""
 
-    def __init__(self, directory: Path, *, fsync: bool = True) -> None:
+    def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._next_seq = self._scan_next_seq()
 
@@ -131,10 +129,10 @@ class SessionJournal:
     def append(self, record: dict[str, Any]) -> int:
         """Durably append one operation record; returns its sequence number.
 
-        The write is atomic (tmp + rename in the same directory) and,
-        with ``fsync`` on, durable before this method returns -- the
-        write-ahead contract: an operation is only acknowledged to the
-        client after its record would survive a crash.
+        The write is atomic (tmp + rename in the same directory) and
+        durable before this method returns -- the write-ahead contract:
+        an operation is only acknowledged to the client after its record
+        would survive a crash.
         """
         if record.get("op") not in JOURNAL_OPS:
             raise ValueError(f"unjournalable op {record.get('op')!r}")
@@ -151,12 +149,10 @@ class SessionJournal:
             tmp = path.with_name(path.name + ".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(envelope, fh, separators=(",", ":"), sort_keys=True)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
-            if self.fsync:
-                _fsync_dir(self.directory)
+            _fsync_dir(self.directory)
             self._next_seq = seq + 1
             return seq
 
@@ -230,9 +226,8 @@ class SessionJournal:
 class ServeJournal:
     """The journal root: one directory of per-session journals."""
 
-    def __init__(self, root: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.fsync = fsync
         self.root.mkdir(parents=True, exist_ok=True)
         self._sessions: dict[str, SessionJournal] = {}
 
@@ -241,7 +236,7 @@ class ServeJournal:
         dirname = session_dirname(name)
         journal = self._sessions.get(dirname)
         if journal is None:
-            journal = SessionJournal(self.root / dirname, fsync=self.fsync)
+            journal = SessionJournal(self.root / dirname)
             self._sessions[dirname] = journal
         return journal
 
@@ -251,16 +246,15 @@ class ServeJournal:
             if entry.is_dir() and entry.name.startswith("s-"):
                 journal = self._sessions.get(entry.name)
                 if journal is None:
-                    journal = SessionJournal(entry, fsync=self.fsync)
+                    journal = SessionJournal(entry)
                     self._sessions[entry.name] = journal
                 yield journal
 
     def sync(self) -> None:
         """Force-sync every journal to disk (the graceful-drain flush).
 
-        With ``fsync=True`` every append is already durable and this
-        only settles the directories; with ``fsync=False`` it is the
-        one durability point a clean shutdown gets.
+        Every append is already durable; this settles every segment and
+        directory once more before a clean shutdown.
         """
         for entry in sorted(self.root.iterdir()):
             if not (entry.is_dir() and entry.name.startswith("s-")):
@@ -278,6 +272,5 @@ class ServeJournal:
         """The ``info`` op's journal section."""
         return {
             "root": str(self.root),
-            "fsync": self.fsync,
             "sessions": len([p for p in self.root.iterdir() if p.is_dir()]),
         }

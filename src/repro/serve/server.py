@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -497,3 +498,37 @@ async def serve_forever(
     bound_host, bound_port = await server.start()
     print(f"repro.serve listening on {bound_host}:{bound_port}", flush=True)
     await server.run()
+
+
+def start_server_thread(server: EpistemicServer) -> tuple[threading.Thread, str, int]:
+    """Run ``server`` on a daemon thread with its own event loop.
+
+    Returns the thread and the bound host and port once the listener is
+    up; the thread ends when the server stops (a ``shutdown`` request).
+    A listener that cannot bind raises ``RuntimeError`` at once, chained
+    to the ``OSError``.
+    """
+    bound: dict[str, Any] = {}
+    started = threading.Event()
+
+    def _run() -> None:
+        loop = asyncio.new_event_loop()
+        try:
+            asyncio.set_event_loop(loop)
+            try:
+                bound["addr"] = loop.run_until_complete(server.start())
+            except OSError as exc:
+                bound["error"] = exc
+                return
+            finally:
+                started.set()
+            loop.run_until_complete(server.run())
+        finally:
+            loop.close()
+
+    thread = threading.Thread(target=_run, name="repro-serve", daemon=True)
+    thread.start()
+    if not started.wait(timeout=30) or "addr" not in bound:
+        raise RuntimeError("server failed to start") from bound.get("error")
+    host, port = bound["addr"]
+    return thread, host, port

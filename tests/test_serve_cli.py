@@ -28,6 +28,7 @@ def test_help_exits_zero(main, flag, capsys) -> None:
         (["--idle-timeout", "soon"], "--idle-timeout needs a number"),
         (["--max-inflight", "0"], "max_inflight must be at least 1"),
         (["--max-pending", "-1"], "max_pending must be non-negative"),
+        (["--no-fsync"], "unknown option '--no-fsync'"),
     ],
 )
 def test_serve_rejects_bad_values_before_starting(

@@ -11,7 +11,6 @@ times out against it.
 
 from __future__ import annotations
 
-import asyncio
 import select
 import socket
 import threading
@@ -29,7 +28,7 @@ from repro.serve.client import (
     knows_query,
 )
 from repro.serve.protocol import decode_message, encode_message
-from repro.serve.server import EpistemicServer, ServerLimits
+from repro.serve.server import EpistemicServer, ServerLimits, start_server_thread
 from repro.serve.state import ServeState
 
 
@@ -39,23 +38,7 @@ class LiveServer:
     def __init__(self, state: ServeState, limits: ServerLimits) -> None:
         self.state = state
         self.server = EpistemicServer(state, limits=limits)
-        bound: dict = {}
-        started = threading.Event()
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            try:
-                asyncio.set_event_loop(loop)
-                bound["addr"] = loop.run_until_complete(self.server.start())
-                started.set()
-                loop.run_until_complete(self.server.run())
-            finally:
-                loop.close()
-
-        self.thread = threading.Thread(target=_run, daemon=True)
-        self.thread.start()
-        assert started.wait(timeout=30)
-        self.host, self.port = bound["addr"]
+        self.thread, self.host, self.port = start_server_thread(self.server)
 
     def connect(self, **kwargs) -> ServeClient:
         return ServeClient.connect(self.host, self.port, **kwargs)

@@ -13,9 +13,7 @@ and reported.
 
 from __future__ import annotations
 
-import asyncio
 import random
-import threading
 
 import pytest
 
@@ -30,7 +28,7 @@ from repro.serve.client import (
     runs_to_arena_payload,
 )
 from repro.serve.journal import ServeJournal, session_dirname
-from repro.serve.server import EpistemicServer
+from repro.serve.server import EpistemicServer, start_server_thread
 from repro.serve.state import ServeState
 
 BACKENDS = ["numpy", "no-numpy"]
@@ -262,24 +260,7 @@ def test_recovered_status_surfaces_over_the_wire(tmp_path) -> None:
 
     state = ServeState(journal=ServeJournal(tmp_path))
     state.recover()
-    server = EpistemicServer(state)
-    bound = {}
-    started = threading.Event()
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        try:
-            asyncio.set_event_loop(loop)
-            bound["addr"] = loop.run_until_complete(server.start())
-            started.set()
-            loop.run_until_complete(server.run())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30)
-    host, port = bound["addr"]
+    thread, host, port = start_server_thread(EpistemicServer(state))
     try:
         with ServeClient.connect(host, port) as client:
             procs = list(base.processes)

@@ -11,9 +11,9 @@ corrupt cache entries.
 
 from __future__ import annotations
 
-import asyncio
 import random
-import threading
+import socket
+import time
 import warnings
 
 import pytest
@@ -32,7 +32,7 @@ from repro.serve.client import (
     knows_query,
 )
 from repro.serve.protocol import WireError, decode_message, encode_message
-from repro.serve.server import EpistemicServer
+from repro.serve.server import EpistemicServer, start_server_thread
 from repro.serve.state import ServeState, SystemSession
 
 
@@ -41,24 +41,7 @@ def service(tmp_path):
     """A live server over a disk-backed cache; yields (client, cache_dir)."""
     cache_dir = tmp_path / "cache"
     state = ServeState(RunCache(cache_dir))
-    server = EpistemicServer(state)
-    bound = {}
-    started = threading.Event()
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        try:
-            asyncio.set_event_loop(loop)
-            bound["addr"] = loop.run_until_complete(server.start())
-            started.set()
-            loop.run_until_complete(server.run())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30)
-    host, port = bound["addr"]
+    thread, host, port = start_server_thread(EpistemicServer(state))
     client = ServeClient.connect(host, port)
     try:
         yield client, cache_dir
@@ -74,6 +57,18 @@ def service(tmp_path):
 
 def _sampled_runs():
     return synthetic_system(3, 8, seed=21, duration=5)
+
+
+def test_server_thread_fails_fast_when_its_port_is_taken() -> None:
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        server = EpistemicServer(ServeState(), port=taken.getsockname()[1])
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed to start") as failed:
+            start_server_thread(server)
+        assert time.perf_counter() - began < 10
+    assert isinstance(failed.value.__cause__, OSError)
 
 
 def test_ping_info_create_query_cycle(service) -> None:
