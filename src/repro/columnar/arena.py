@@ -1,14 +1,14 @@
 """The run arena: a lossless struct-of-arrays encoding of a run batch.
 
 A :class:`RunArena` flattens ``tuple[Run, ...]`` (all over one process
-tuple) into four contiguous int64 buffers plus two small tables:
+tuple) into four int columns plus two small tables:
 
 * ``events`` -- the interned event alphabet; timelines store indexes
   into it instead of event objects;
 * ``run_durations[i]`` -- duration of run ``i``;
 * ``tl_offsets`` -- CSR offsets of length ``n_runs * n + 1``: the
   timeline of run ``i``, process ``j`` occupies the half-open slice
-  ``[tl_offsets[i*n+j], tl_offsets[i*n+j+1])`` of the flat arrays;
+  ``[tl_offsets[i*n+j], tl_offsets[i*n+j+1])`` of the flat columns;
 * ``tl_times`` / ``tl_events`` -- the flattened ``(time, event_id)``
   timeline entries, run-major then process-major then time order;
 * ``metas[i]`` -- run ``i``'s meta dict, carried by reference.  The
@@ -20,9 +20,10 @@ equal hashes, timelines, durations, and metas.  Times past a run's
 duration (events no cut ever sees) round-trip too -- the *kernel*
 clamps, the arena does not.
 
-Arena buffers are immutable once built: numpy buffers are flagged
-read-only, and lint rule INV004 flags writes to them from any module
-outside ``repro.columnar``.
+Arena columns are tuples, so they are immutable once built, and lint
+rule INV004 flags rebinding them from any module outside
+``repro.columnar``.  Only :mod:`repro.columnar.jsonio` turns them into
+int64 bytes.
 """
 
 from __future__ import annotations
@@ -30,19 +31,11 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
-from repro.columnar.backend import (
-    IntBuffer,
-    buffer_nbytes,
-    buffer_tolist,
-    freeze_buffer,
-    make_buffer,
-    numpy_or_none,
-)
 from repro.model.events import Event, ProcessId
 from repro.model.run import Run
 
-#: The names of the int64 buffers, in serialization order.
-BUFFER_FIELDS = ("run_durations", "tl_offsets", "tl_times", "tl_events")
+#: The names of the int columns, in serialization order.
+COLUMN_FIELDS = ("run_durations", "tl_offsets", "tl_times", "tl_events")
 
 
 class RunArena:
@@ -57,7 +50,6 @@ class RunArena:
         "tl_times",
         "tl_events",
         "metas",
-        "_column_lists",
     )
 
     def __init__(
@@ -66,50 +58,30 @@ class RunArena:
         processes: tuple[ProcessId, ...],
         events: tuple[Event, ...],
         n_runs: int,
-        run_durations: IntBuffer,
-        tl_offsets: IntBuffer,
-        tl_times: IntBuffer,
-        tl_events: IntBuffer,
+        run_durations: Iterable[int],
+        tl_offsets: Iterable[int],
+        tl_times: Iterable[int],
+        tl_events: Iterable[int],
         metas: tuple[dict[str, Any], ...],
-        column_lists: (
-            tuple[list[int], list[int], list[int], list[int]] | None
-        ) = None,
     ) -> None:
         self.processes = processes
         self.events = events
         self.n_runs = n_runs
-        self.run_durations = freeze_buffer(run_durations)
-        self.tl_offsets = freeze_buffer(tl_offsets)
-        self.tl_times = freeze_buffer(tl_times)
-        self.tl_events = freeze_buffer(tl_events)
+        self.run_durations: tuple[int, ...] = tuple(run_durations)
+        self.tl_offsets: tuple[int, ...] = tuple(tl_offsets)
+        self.tl_times: tuple[int, ...] = tuple(tl_times)
+        self.tl_events: tuple[int, ...] = tuple(tl_events)
         self.metas = metas
-        # The plain-list originals of the buffers (BUFFER_FIELDS order),
-        # kept when the arena was built in-process: the kernel's trie
-        # walk iterates Python ints either way, and round-tripping
-        # through the frozen buffers would only add conversion cost.
-        self._column_lists = column_lists
-
-    def columns_as_lists(
-        self,
-    ) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The buffers as plain lists, in ``BUFFER_FIELDS`` order."""
-        cols = self._column_lists
-        if cols is None:
-            cols = tuple(  # type: ignore[assignment]
-                buffer_tolist(getattr(self, name)) for name in BUFFER_FIELDS
-            )
-            self._column_lists = cols
-        return cols  # type: ignore[return-value]
 
     @property
     def nbytes(self) -> int:
-        """Total byte size of the int64 buffers (tables excluded)."""
-        return sum(buffer_nbytes(getattr(self, f)) for f in BUFFER_FIELDS)
+        """Byte size of the columns as int64 (tables excluded)."""
+        return 8 * sum(len(getattr(self, f)) for f in COLUMN_FIELDS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RunArena({self.n_runs} runs, n={len(self.processes)}, "
-            f"|alphabet|={len(self.events)}, {self.nbytes} buffer bytes)"
+            f"|alphabet|={len(self.events)}, {self.nbytes} column bytes)"
         )
 
 
@@ -156,17 +128,15 @@ def encode_runs(
         lengths_extend(lengths_r)
     offsets: list[int] = [0, *accumulate(lengths)]
 
-    np = numpy_or_none()
     return RunArena(
         processes=procs,
         events=tuple(event_ids),
         n_runs=len(batch),
-        run_durations=make_buffer(durations, np),
-        tl_offsets=make_buffer(offsets, np),
-        tl_times=make_buffer(times, np),
-        tl_events=make_buffer(eids, np),
+        run_durations=durations,
+        tl_offsets=offsets,
+        tl_times=times,
+        tl_events=eids,
         metas=tuple(run.meta for run in batch),
-        column_lists=(durations, offsets, times, eids),
     )
 
 
@@ -178,8 +148,8 @@ def extend_arena(arena: RunArena, runs: Iterable[Run]) -> RunArena:
     alphabet extends the input's in first-occurrence order -- column for
     column what ``encode_runs`` over the concatenated batch would
     produce, without re-hashing a single event of the existing runs.
-    The input arena (and its cached column lists) is never mutated; an
-    empty batch returns the input arena itself.
+    The input arena is never mutated (its columns are tuples); an empty
+    batch returns the input arena itself.
     """
     batch = tuple(runs)
     if not batch:
@@ -189,11 +159,10 @@ def extend_arena(arena: RunArena, runs: Iterable[Run]) -> RunArena:
         if run.processes != procs:
             raise ValueError("all runs in an arena must share a process set")
 
-    durs0, offs0, times0, eids0 = arena.columns_as_lists()
-    durations = list(durs0)
-    offsets = list(offs0)
-    times = list(times0)
-    eids = list(eids0)
+    durations = list(arena.run_durations)
+    offsets = list(arena.tl_offsets)
+    times = list(arena.tl_times)
+    eids = list(arena.tl_events)
     event_ids: dict[Event, int] = {e: i for i, e in enumerate(arena.events)}
     intern = event_ids.setdefault
     lengths: list[int] = []
@@ -209,17 +178,15 @@ def extend_arena(arena: RunArena, runs: Iterable[Run]) -> RunArena:
         acc += length
         offsets.append(acc)
 
-    np = numpy_or_none()
     return RunArena(
         processes=procs,
         events=tuple(event_ids),
         n_runs=arena.n_runs + len(batch),
-        run_durations=make_buffer(durations, np),
-        tl_offsets=make_buffer(offsets, np),
-        tl_times=make_buffer(times, np),
-        tl_events=make_buffer(eids, np),
+        run_durations=durations,
+        tl_offsets=offsets,
+        tl_times=times,
+        tl_events=eids,
         metas=arena.metas + tuple(run.meta for run in batch),
-        column_lists=(durations, offsets, times, eids),
     )
 
 
@@ -228,7 +195,8 @@ def decode_runs(arena: RunArena) -> tuple[Run, ...]:
     procs = arena.processes
     n = len(procs)
     events = arena.events
-    durations, offsets, times, eids = arena.columns_as_lists()
+    durations, offsets = arena.run_durations, arena.tl_offsets
+    times, eids = arena.tl_times, arena.tl_events
     out: list[Run] = []
     for i in range(arena.n_runs):
         timelines: dict[ProcessId, list[tuple[int, Event]]] = {}

@@ -46,13 +46,19 @@ from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.columnar.arena import RunArena, encode_runs, extend_arena
-from repro.columnar.backend import numpy_or_none
 from repro.model.events import ProcessId
 from repro.model.history import History
 from repro.model.run import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.system import System
+
+# numpy is optional, and this is the only module that looks for it.  A
+# kernel reads ``_np`` once, when it is built, and keeps that path.
+try:  # pragma: no cover - exercised via both CI legs
+    import numpy as _np
+except Exception:  # pragma: no cover - the no-numpy leg
+    _np = None  # type: ignore[assignment]
 
 #: Opaque point-set representation: numpy bool[P] or a Python int bitset.
 PointSet = Any
@@ -72,7 +78,7 @@ class ColumnarKernel:
 
     def __init__(self, system: "System") -> None:
         self.system = system
-        self.np = numpy_or_none()
+        self.np = _np
         self.arena: RunArena = encode_runs(system.runs, processes=system.processes)
         self.n = len(system.processes)
         self.point_total = system.point_count
@@ -132,7 +138,7 @@ class ColumnarKernel:
         added = runs[n_old:]
         self = cls.__new__(cls)
         self.system = system
-        self.np = numpy_or_none()
+        self.np = _np
         self.arena = extend_arena(base.arena, added)
         self.n = base.n
         self.point_total = system.point_count
@@ -215,7 +221,8 @@ class ColumnarKernel:
         """
         arena = self.arena
         n = self.n
-        durs, offs, times, eids = arena.columns_as_lists()
+        durs, offs = arena.run_durations, arena.tl_offsets
+        times, eids = arena.tl_times, arena.tl_events
         # The trie is one flat int-keyed dict (node * stride + event id
         # -> child node): int keys hash trivially and no per-node child
         # dict is ever allocated.
@@ -627,7 +634,7 @@ class ColumnarKernel:
     def _spans(self) -> Iterator[tuple[int, int]]:
         """Each run's first point id and point count."""
         start = 0
-        for duration in self.arena.columns_as_lists()[0]:
+        for duration in self.arena.run_durations:
             yield start, duration + 1
             start += duration + 1
 
@@ -689,7 +696,8 @@ class ColumnarKernel:
         passing = tuple(eid for eid, h in enumerate(singles) if test(h))
         atom = self._atom_sets.get((j, passing))
         if atom is None:
-            _, offsets, times, eids = self.arena.columns_as_lists()
+            arena = self.arena
+            offsets, times, eids = arena.tl_offsets, arena.tl_times, arena.tl_events
             wanted = set(passing)
             first: list[int] = []
             for row in range(j, len(offsets) - 1, self.n):

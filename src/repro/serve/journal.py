@@ -8,7 +8,7 @@ rebuilds each session through the exact code path that built it live
 (:meth:`repro.model.system.System.extend` /
 :meth:`~repro.columnar.kernel.ColumnarKernel.refined`) -- the
 differential suite pins the recovered answers bit-identical to the
-uninterrupted session's, on both the numpy and stdlib backends.
+uninterrupted session's, on both the numpy and stdlib kernel paths.
 
 Journal layout, borrowing the RunCache's integrity idiom:
 
@@ -21,9 +21,10 @@ Journal layout, borrowing the RunCache's integrity idiom:
   verified on replay.
 
 Arena payloads ride in the segments verbatim in the v4 cache codec
-(:mod:`repro.columnar.jsonio` format -- compressed column buffers, the
-event alphabet encoded once), so a journaled ingest costs what a cache
-write costs, not a re-serialization design.
+(:mod:`repro.columnar.jsonio` format -- each column as compressed
+little-endian int64 bytes, the event alphabet encoded once), so a
+journaled ingest costs what a cache write costs, not a
+re-serialization design.
 
 Failure policy: replay applies the longest verifiable prefix.  The
 first segment that is missing, torn, checksum-corrupt, or out of

@@ -16,13 +16,12 @@ import random
 
 import pytest
 
-from repro.columnar.arena import encode_runs, extend_arena
+from repro.columnar.arena import COLUMN_FIELDS, encode_runs, extend_arena
 from repro.knowledge import Crashed, GroupChecker, Knows, ModelChecker, Not
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_run, synthetic_system
 from repro.model.system import System
-
-BACKENDS = ["numpy", "no-numpy"]
+from tests.conftest import BACKENDS, kernel_path
 
 #: kernel table attributes that must match a from-scratch rebuild exactly
 _TABLE_FIELDS = (
@@ -34,13 +33,6 @@ _TABLE_FIELDS = (
     "class_sizes",
     "class_offsets_csr",
 )
-
-
-def _set_backend(backend: str, monkeypatch) -> None:
-    if backend == "no-numpy":
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    else:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
 
 
 def _as_lists(value):
@@ -56,7 +48,8 @@ def _assert_tables_equal(refined, rebuilt) -> None:
         ), f"kernel table {name} diverged from rebuild"
     assert refined.known_masks == rebuilt.known_masks
     assert tuple(refined.arena.events) == tuple(rebuilt.arena.events)
-    assert refined.arena.columns_as_lists() == rebuilt.arena.columns_as_lists()
+    for name in COLUMN_FIELDS:
+        assert getattr(refined.arena, name) == getattr(rebuilt.arena, name), name
     assert refined.arena.metas == rebuilt.arena.metas
 
 
@@ -86,53 +79,51 @@ def _assert_answers_equal(left: System, right: System) -> None:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("alphabet", [2, 3])
-def test_refined_kernel_is_bit_identical_to_rebuild(
-    backend, alphabet, monkeypatch
-) -> None:
+def test_refined_kernel_is_bit_identical_to_rebuild(backend, alphabet) -> None:
     """One ingest round; alphabet=3 grows the event set (trie re-key)."""
-    _set_backend(backend, monkeypatch)
-    base = System(synthetic_system(3, 5, seed=1, duration=6).runs)
-    base.columnar_kernel()
-    rng = random.Random(99)
-    extra = tuple(
-        synthetic_run(base.processes, rng, duration=6, alphabet=alphabet)
-        for _ in range(4)
-    )
-    child = base.extend(extra)
-    rebuilt = System(base.runs + extra)
-    rebuilt.columnar_kernel()
-    refined_kernel = child.columnar_kernel()
-    rebuilt_kernel = rebuilt.columnar_kernel()
-    if alphabet > 2:
-        assert len(refined_kernel.arena.events) > len(
-            base.columnar_kernel().arena.events
-        ), "alphabet growth case must actually exercise the re-key path"
-    _assert_tables_equal(refined_kernel, rebuilt_kernel)
-    _assert_answers_equal(child, rebuilt)
+    with kernel_path(backend):
+        base = System(synthetic_system(3, 5, seed=1, duration=6).runs)
+        base.columnar_kernel()
+        rng = random.Random(99)
+        extra = tuple(
+            synthetic_run(base.processes, rng, duration=6, alphabet=alphabet)
+            for _ in range(4)
+        )
+        child = base.extend(extra)
+        rebuilt = System(base.runs + extra)
+        rebuilt.columnar_kernel()
+        refined_kernel = child.columnar_kernel()
+        rebuilt_kernel = rebuilt.columnar_kernel()
+        if alphabet > 2:
+            assert len(refined_kernel.arena.events) > len(
+                base.columnar_kernel().arena.events
+            ), "alphabet growth case must actually exercise the re-key path"
+        _assert_tables_equal(refined_kernel, rebuilt_kernel)
+        _assert_answers_equal(child, rebuilt)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_multiple_refinement_rounds_chain(backend, monkeypatch) -> None:
+def test_multiple_refinement_rounds_chain(backend) -> None:
     """Refinement of a refinement still matches one big rebuild."""
-    _set_backend(backend, monkeypatch)
-    base = System(synthetic_system(3, 4, seed=7, duration=5).runs)
-    base.columnar_kernel()
-    rng = random.Random(5)
-    current = base
-    all_runs = list(base.runs)
-    for round_no in range(3):
-        batch = tuple(
-            synthetic_run(base.processes, rng, duration=5, alphabet=2 + round_no)
-            for _ in range(2)
-        )
-        current = current.extend(batch)
-        all_runs.extend(batch)
-    rebuilt = System(tuple(all_runs))
-    rebuilt.columnar_kernel()
-    _assert_tables_equal(current.columnar_kernel(), rebuilt.columnar_kernel())
-    _assert_answers_equal(current, rebuilt)
-    assert current.stats.arena_refinements == 1  # last hop's child counter
-    assert len(current.runs) == len(base.runs) + 6
+    with kernel_path(backend):
+        base = System(synthetic_system(3, 4, seed=7, duration=5).runs)
+        base.columnar_kernel()
+        rng = random.Random(5)
+        current = base
+        all_runs = list(base.runs)
+        for round_no in range(3):
+            batch = tuple(
+                synthetic_run(base.processes, rng, duration=5, alphabet=2 + round_no)
+                for _ in range(2)
+            )
+            current = current.extend(batch)
+            all_runs.extend(batch)
+        rebuilt = System(tuple(all_runs))
+        rebuilt.columnar_kernel()
+        _assert_tables_equal(current.columnar_kernel(), rebuilt.columnar_kernel())
+        _assert_answers_equal(current, rebuilt)
+        assert current.stats.arena_refinements == 1  # last hop's child counter
+        assert len(current.runs) == len(base.runs) + 6
 
 
 def test_extend_empty_batch_returns_self() -> None:
@@ -217,10 +208,8 @@ def test_adopt_columnar_kernel_rejects_misuse() -> None:
         base.adopt_columnar_kernel(kernel)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_extend_arena_matches_bulk_encode(backend, monkeypatch) -> None:
+def test_extend_arena_matches_bulk_encode() -> None:
     """The arena-level primitive: append == encode over concatenation."""
-    _set_backend(backend, monkeypatch)
     base_runs = synthetic_system(3, 4, seed=2, duration=5).runs
     rng = random.Random(3)
     extra = tuple(
@@ -232,7 +221,8 @@ def test_extend_arena_matches_bulk_encode(backend, monkeypatch) -> None:
     assert tuple(extended.events) == tuple(bulk.events)
     assert extended.n_runs == bulk.n_runs
     assert extended.metas == bulk.metas
-    assert extended.columns_as_lists() == bulk.columns_as_lists()
+    for name in COLUMN_FIELDS:
+        assert getattr(extended, name) == getattr(bulk, name), name
 
 
 def test_extend_arena_empty_batch_is_identity() -> None:

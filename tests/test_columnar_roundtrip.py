@@ -2,45 +2,32 @@
 
 The arena's contract is *losslessness*: ``decode_runs(encode_runs(rs))``
 gives back value-equal runs (same hashes, timelines, durations, metas),
-through both representations the arena travels in -- in-memory buffers
-and the v4 cache's JSON form.  The hypothesis property drives
-randomized batches through both; the explicit tests pin the edge cases
-(crashes, empty batches, events past the duration, mixed process
-tuples) and buffer immutability.
-
-Every test runs twice: once with whatever buffer backend is available,
-once with ``REPRO_COLUMNAR_NUMPY=0`` forcing the stdlib ``array``
-fallback, which is what the no-numpy CI leg exercises.
+through both representations the arena travels in -- in-memory columns
+and the JSON form of v4 cache entries, serve payloads and journal
+segments.  The hypothesis property drives randomized batches through
+both; the explicit tests pin the edge cases (crashes, empty batches,
+events past the duration, mixed process tuples), column immutability,
+the JSON bytes themselves, and the decoder's rejection of columns no
+encoder writes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import RunArena, decode_runs, encode_runs, numpy_or_none
+from repro.columnar import RunArena, decode_runs, encode_runs, extend_arena
+from repro.columnar.arena import COLUMN_FIELDS
 from repro.columnar.jsonio import arena_from_jsonable, arena_to_jsonable
 from repro.model.context import make_process_ids
 from repro.model.events import CrashEvent, DoEvent
 from repro.model.run import Run
 from repro.model.synthetic import synthetic_run
-
-BACKENDS = ["default", "no-numpy"]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Run the test under each buffer backend the build supports."""
-    if request.param == "no-numpy":
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    else:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-    return request.param
 
 
 def make_batch(
@@ -79,31 +66,22 @@ def assert_lossless(original: tuple[Run, ...], rebuilt: tuple[Run, ...]) -> None
     seed=st.integers(min_value=0, max_value=10_000),
     duration=st.integers(min_value=1, max_value=8),
     crash_prob=st.sampled_from([0.0, 0.3, 0.8]),
-    use_numpy=st.booleans(),
 )
-def test_roundtrip_property(n, n_runs, seed, duration, crash_prob, use_numpy):
-    prior = os.environ.get("REPRO_COLUMNAR_NUMPY")
-    os.environ["REPRO_COLUMNAR_NUMPY"] = "1" if use_numpy else "0"
-    try:
-        procs = make_process_ids(n)
-        runs = make_batch(n, n_runs, seed, duration=duration, crash_prob=crash_prob)
-        arena = encode_runs(runs, processes=procs)
-        assert arena.n_runs == len(runs)
-        assert_lossless(runs, decode_runs(arena))
-        # ... and through the JSON form used by v4 cache entries.
-        wire = json.loads(json.dumps(arena_to_jsonable(arena)))
-        assert_lossless(runs, decode_runs(arena_from_jsonable(wire)))
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_COLUMNAR_NUMPY", None)
-        else:
-            os.environ["REPRO_COLUMNAR_NUMPY"] = prior
+def test_roundtrip_property(n, n_runs, seed, duration, crash_prob):
+    procs = make_process_ids(n)
+    runs = make_batch(n, n_runs, seed, duration=duration, crash_prob=crash_prob)
+    arena = encode_runs(runs, processes=procs)
+    assert arena.n_runs == len(runs)
+    assert_lossless(runs, decode_runs(arena))
+    # ... and through the JSON form used by v4 cache entries.
+    wire = json.loads(json.dumps(arena_to_jsonable(arena)))
+    assert_lossless(runs, decode_runs(arena_from_jsonable(wire)))
 
 
 # -- explicit edge cases ---------------------------------------------------
 
 
-def test_crashed_runs_preserve_crash_structure(backend):
+def test_crashed_runs_preserve_crash_structure():
     runs = make_batch(3, 8, seed=5, crash_prob=0.9)
     rebuilt = decode_runs(encode_runs(runs))
     assert any(r.faulty() for r in runs), "fixture should contain crashes"
@@ -114,7 +92,7 @@ def test_crashed_runs_preserve_crash_structure(backend):
                 assert a.crashed_by(p, t) == b.crashed_by(p, t)
 
 
-def test_event_past_duration_roundtrips(backend):
+def test_event_past_duration_roundtrips():
     """The kernel clamps to the duration; the arena must not -- events
     past the horizon are part of the run's value and survive encoding."""
     procs = make_process_ids(2)
@@ -132,7 +110,7 @@ def test_event_past_duration_roundtrips(backend):
     assert tuple(rebuilt.timeline("p2")) == tuple(run.timeline("p2"))
 
 
-def test_empty_batch_needs_explicit_processes(backend):
+def test_empty_batch_needs_explicit_processes():
     procs = make_process_ids(3)
     arena = encode_runs((), processes=procs)
     assert arena.n_runs == 0 and arena.processes == procs
@@ -141,14 +119,14 @@ def test_empty_batch_needs_explicit_processes(backend):
         encode_runs(())
 
 
-def test_mixed_process_tuples_rejected(backend):
+def test_mixed_process_tuples_rejected():
     a = make_batch(2, 1, seed=0)[0]
     b = make_batch(3, 1, seed=0)[0]
     with pytest.raises(ValueError, match="share a process set"):
         encode_runs([a, b])
 
 
-def test_missing_run_timelines_default_empty(backend):
+def test_missing_run_timelines_default_empty():
     """A run constructed without a timeline for some process encodes as
     an empty CSR row and decodes back to the same empty timeline."""
     procs = make_process_ids(3)
@@ -159,7 +137,7 @@ def test_missing_run_timelines_default_empty(backend):
     assert tuple(rebuilt.timeline("p3")) == ()
 
 
-def test_metas_carried_by_value(backend):
+def test_metas_carried_by_value():
     runs = tuple(
         Run(
             make_process_ids(2),
@@ -176,19 +154,15 @@ def test_metas_carried_by_value(backend):
         assert b.meta is not a.meta  # decoded metas are private copies
 
 
-def test_buffers_are_frozen(backend):
+def test_buffers_are_frozen():
     arena = encode_runs(make_batch(3, 4, seed=2))
-    np = numpy_or_none()
-    if np is None:
-        pytest.skip("stdlib buffers rely on INV004 (static) for immutability")
-    for name in ("run_durations", "tl_offsets", "tl_times", "tl_events"):
-        buf = getattr(arena, name)
-        assert not buf.flags.writeable
-        with pytest.raises((ValueError, RuntimeError)):
-            buf[0] = 99  # repro: lint-ok[INV004] proving the freeze, not relying on it
+    for name in COLUMN_FIELDS:
+        column = getattr(arena, name)
+        with pytest.raises(TypeError):
+            column[0] = 99
 
 
-def test_jsonable_rejects_unknown_format(backend):
+def test_jsonable_rejects_unknown_format():
     arena = encode_runs(make_batch(2, 2, seed=1))
     data = arena_to_jsonable(arena)
     data["format"] = "repro-arena-v999"
@@ -196,7 +170,7 @@ def test_jsonable_rejects_unknown_format(backend):
         arena_from_jsonable(data)
 
 
-def test_alphabet_interns_each_event_once(backend):
+def test_alphabet_interns_each_event_once():
     runs = make_batch(3, 12, seed=4)
     arena = encode_runs(runs)
     assert len(set(arena.events)) == len(arena.events)
@@ -204,7 +178,72 @@ def test_alphabet_interns_each_event_once(backend):
     assert set(arena.events) == seen
 
 
-def test_arena_repr_and_nbytes(backend):
+def test_arena_repr_and_nbytes():
     arena = encode_runs(make_batch(2, 3, seed=0))
     assert isinstance(arena, RunArena)
     assert arena.nbytes > 0
+
+
+# -- the JSON bytes --------------------------------------------------------
+
+#: sha256 of the sorted-key JSON form of :func:`pinned_batch`'s arena, and
+#: the arena's ``nbytes``.  Cache entries, journal segments and wire
+#: payloads already written must stay readable, so neither may move.
+PINNED_ARENA_SHA256 = "479d404013a9fd272d5061305f9948af175db37868f8e9920fd753e1db505f96"
+PINNED_ARENA_NBYTES = 9144
+
+
+def pinned_batch() -> tuple[Run, ...]:
+    rng = random.Random(7)
+    procs = make_process_ids(4)
+    return tuple(
+        synthetic_run(procs, rng, duration=6, crash_prob=0.4) for _ in range(40)
+    )
+
+
+def test_arena_json_bytes_are_pinned():
+    runs = pinned_batch()
+    for arena in (encode_runs(runs), extend_arena(encode_runs(runs[:15]), runs[15:])):
+        text = json.dumps(arena_to_jsonable(arena), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ARENA_SHA256
+        assert arena.nbytes == PINNED_ARENA_NBYTES
+
+
+# -- columns no encoder writes ---------------------------------------------
+
+#: Column edits no encoder makes, by name: each maps an arena to the
+#: columns it replaces.
+PROBES = {
+    # -1 would index the alphabet from its end.
+    "event-id-minus-one": lambda a: {"tl_events": (-1, *a.tl_events[1:])},
+    "event-id-past-alphabet": lambda a: {"tl_events": (len(a.events), *a.tl_events[1:])},
+    # The last timeline would silently lose two events.
+    "last-offset-short": lambda a: {"tl_offsets": (*a.tl_offsets[:-1], a.tl_offsets[-1] - 2)},
+    "offsets-not-from-zero": lambda a: {"tl_offsets": (1, *a.tl_offsets[1:])},
+    "offsets-decrease": lambda a: {"tl_offsets": (0, a.tl_offsets[-1], *a.tl_offsets[2:])},
+    "offset-missing": lambda a: {"tl_offsets": a.tl_offsets[:-1]},
+    "duration-missing": lambda a: {"run_durations": a.run_durations[:-1]},
+    "time-extra": lambda a: {"tl_times": (*a.tl_times, 0)},
+}
+
+
+def tampered_payload(runs: tuple[Run, ...], probe: str) -> dict:
+    """The JSON form of ``runs``' arena with the columns ``probe`` edits."""
+    arena = encode_runs(runs)
+    edit = PROBES[probe](arena)
+    columns = {name: edit.get(name, getattr(arena, name)) for name in COLUMN_FIELDS}
+    return arena_to_jsonable(
+        RunArena(
+            processes=arena.processes,
+            events=arena.events,
+            n_runs=arena.n_runs,
+            metas=arena.metas,
+            **columns,
+        )
+    )
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_decoder_rejects_columns_no_encoder_writes(probe):
+    with pytest.raises(ValueError, match="arena"):
+        arena_from_jsonable(tampered_payload(make_batch(3, 6, seed=3), probe))

@@ -9,7 +9,7 @@ point, and ``valid`` / ``counterexample`` / ``satisfiable`` must pick
 the first point of a point-id-order scan of the naive verdicts.
 
 Each system is checked with a fresh kernel and with one built by
-``System.extend``'s incremental refinement, under both buffer backends;
+``System.extend``'s incremental refinement, on both kernel paths;
 so are runs with events past their duration and one small complete
 explored system.  The checks also cover times past a run's duration and
 foreign points, including one whose local histories all occur in the
@@ -41,9 +41,9 @@ from repro.model.run import Point, Run
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
 from repro.workloads.generators import single_action
+from tests.conftest import BACKENDS, kernel_path
 from tests.test_knowledge_wire import PROCS, _formulas
 
-BACKENDS = ["numpy", "no-numpy"]
 SYSTEMS = ["fresh", "refined", "clipped", "explored"]
 
 _EXPLORE_SPEC = ExploreSpec(
@@ -58,16 +58,8 @@ _EXPLORE_SPEC = ExploreSpec(
 
 @functools.lru_cache(maxsize=None)
 def _systems(backend: str) -> dict[str, System]:
-    """The systems under test, their kernels built under ``backend``.
-
-    A kernel keeps the backend it was built with, so the environment
-    only has to hold while the kernels are built.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        if backend == "no-numpy":
-            mp.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        else:
-            mp.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+    """The systems under test, their kernels built on ``backend``'s path."""
+    with kernel_path(backend):
         runs = synthetic_system(3, 6, seed=13, duration=5).runs
         fresh = System(runs)
         fresh.columnar_kernel()

@@ -7,9 +7,9 @@ both ways the one epistemic kernel is constructed -- a from-scratch
 ``build_kernel`` and ``System.extend``'s class refinement of a
 half-system's kernel -- over the primitives (Knows,
 indistinguishability), the E^k ladder, and the C_G fixpoint.  Every
-case runs under both buffer backends (numpy and the stdlib ``array``
-fallback), and once more on runs that made a pickle round trip, the
-form in which pool workers return them.
+case runs on both kernel paths (numpy and the stdlib fallback), and
+once more on runs that made a pickle round trip, the form in which pool
+workers return them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.knowledge.reference import (
 from repro.model.run import Point
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
+from tests.conftest import BACKENDS, kernel_path
 
 CASES = [
     # (n processes, runs, seed, duration)
@@ -37,17 +38,11 @@ CASES = [
     (4, 6, 3, 6),
 ]
 
-BACKENDS = ["numpy", "no-numpy"]
-
 
 class Kernels:
     """One run set, indexed from scratch and by incremental refinement."""
 
-    def __init__(self, case, backend, monkeypatch):
-        if backend == "no-numpy":
-            monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        else:
-            monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+    def __init__(self, case):
         n, runs, seed, duration = case
         base = synthetic_system(n, runs, seed=seed, duration=duration)
         self.runs = base.runs
@@ -67,9 +62,11 @@ class Kernels:
     params=[(c, b) for c in CASES for b in BACKENDS],
     ids=lambda p: f"n{p[0][0]}r{p[0][1]}s{p[0][2]}-{p[1]}",
 )
-def kernels(request, monkeypatch):
+def kernels(request):
+    """The case's kernels; every kernel the test builds takes the case's path."""
     case, backend = request.param
-    return Kernels(case, backend, monkeypatch)
+    with kernel_path(backend):
+        yield Kernels(case)
 
 
 def test_indistinguishable_points_three_way(kernels):
@@ -222,3 +219,20 @@ def test_kernel_choice_is_visible(kernels):
     assert (fresh.stats.arena_builds, fresh.stats.arena_refinements) == (1, 0)
     assert (refined.stats.arena_builds, refined.stats.arena_refinements) == (0, 1)
     assert refined.columnar_kernel() is refined.columnar_kernel()
+
+
+def test_kernel_path_reaches_fresh_and_refined_kernels():
+    """``kernel_path("no-numpy")`` puts both ways of building a kernel on
+    the stdlib path; ``"numpy"`` uses numpy exactly when it is installed."""
+    runs = synthetic_system(3, 4, seed=0, duration=4).runs
+    with kernel_path("no-numpy"):
+        prefix = System(runs[:2])
+        prefix.columnar_kernel()
+        assert System(runs).columnar_kernel().np is None
+        assert prefix.extend(runs[2:]).columnar_kernel().np is None
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    with kernel_path("numpy"):
+        assert System(runs).columnar_kernel().np is numpy

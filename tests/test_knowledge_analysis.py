@@ -29,6 +29,7 @@ from repro.model.events import (
 from repro.model.run import Point, Run
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
+from tests.conftest import BACKENDS, kernel_path
 
 PROCS = ("p1", "p2", "p3")
 MSG = Message("m")
@@ -118,29 +119,26 @@ class TestInsensitivity:
         mc = ModelChecker(system())
         assert not insensitive_to_failure(mc, Crashed("p3"), "p3")
 
-    @pytest.mark.parametrize("backend", ["numpy", "no-numpy"])
-    def test_agrees_with_naive_scan(self, backend, monkeypatch):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_agrees_with_naive_scan(self, backend):
         """The kernel's class rows give the same verdict as scanning every
         point for the first occurrence of each history."""
-        if backend == "no-numpy":
-            monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        else:
-            monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
         verdicts = set()
-        for seed in range(4):
-            s = synthetic_system(3, 8, seed=seed, duration=5, crash_prob=0.5)
-            mc = ModelChecker(s)
-            for q in s.processes:
-                other = s.processes[0] if q != s.processes[0] else s.processes[1]
-                for phi in (
-                    Crashed(q),
-                    Knows(q, Crashed(other)),
-                    Knows(q, Not(Crashed(other))),
-                    Diamond(Crashed(other)),
-                ):
-                    expected = _naive_insensitive(mc, phi, q)
-                    assert insensitive_to_failure(mc, phi, q) == expected, (seed, q, phi)
-                    verdicts.add(expected)
+        with kernel_path(backend):
+            for seed in range(4):
+                s = synthetic_system(3, 8, seed=seed, duration=5, crash_prob=0.5)
+                mc = ModelChecker(s)
+                for q in s.processes:
+                    other = s.processes[0] if q != s.processes[0] else s.processes[1]
+                    for phi in (
+                        Crashed(q),
+                        Knows(q, Crashed(other)),
+                        Knows(q, Not(Crashed(other))),
+                        Diamond(Crashed(other)),
+                    ):
+                        expected = _naive_insensitive(mc, phi, q)
+                        assert insensitive_to_failure(mc, phi, q) == expected, (seed, q, phi)
+                        verdicts.add(expected)
         assert verdicts == {True, False}
 
 

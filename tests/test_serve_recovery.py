@@ -4,7 +4,7 @@ The write-ahead contract under test: every mutating op (``create`` /
 ``load`` / ``ingest``) is journaled before it is applied, so a server
 rebooted over the same journal directory rebuilds every session through
 the same decode/dedup/extend path that built it live -- and answers
-*bit-identically*, on both buffer backends.  Damage degrades, never
+*bit-identically*, on both kernel paths.  Damage degrades, never
 crashes: a truncated or corrupt tail segment ends the verified prefix
 (the rest is quarantined, the session surfaces ``recovered:
 "partial"``), and a session whose base record is unusable is skipped
@@ -28,19 +28,17 @@ from repro.serve.client import (
     runs_to_arena_payload,
 )
 from repro.serve.journal import ServeJournal, session_dirname
+from repro.serve.protocol import WireError
 from repro.serve.server import EpistemicServer, start_server_thread
 from repro.serve.state import ServeState
-
-BACKENDS = ["numpy", "no-numpy"]
+from tests.conftest import BACKENDS, kernel_path
+from tests.test_columnar_roundtrip import tampered_payload
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    if request.param == "no-numpy":
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "0")
-    else:
-        monkeypatch.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
-    return request.param
+def backend(request):
+    with kernel_path(request.param):
+        yield request.param
 
 
 def _base():
@@ -165,6 +163,35 @@ def test_journaled_but_uncommitted_ingest_recovers(tmp_path) -> None:
     resend = recovered.ingest("s", batch)
     assert resend["added"] == 0
     assert resend["generation"] == 1
+
+
+@pytest.mark.parametrize("probe", ["event-id-minus-one", "last-offset-short"])
+def test_tampered_arena_is_refused_before_it_is_journaled(tmp_path, probe) -> None:
+    """Columns no encoder writes answer ``bad-arena`` on ``create`` and on
+    ``ingest``, and nothing of them reaches the journal.
+
+    The runs are crash-free, so the -1 probe hands p1 another process's
+    event instead of a crash the run's own R4 check would refuse.
+    """
+    rng = random.Random(5)
+    runs = tuple(
+        synthetic_run(_base().processes, rng, duration=5, crash_prob=0.0) for _ in range(6)
+    )
+    created, ingested = runs[:3], runs[3:]
+    state = ServeState(journal=ServeJournal(tmp_path))
+    with pytest.raises(WireError) as refused:
+        state.create("s", tampered_payload(created, probe))
+    assert refused.value.code == "bad-arena"
+    assert "s" not in state.sessions
+    assert _segments(tmp_path) == []
+
+    state.create("s", runs_to_arena_payload(created))
+    journaled = [path.read_bytes() for path in _segments(tmp_path)]
+    with pytest.raises(WireError) as refused:
+        state.ingest("s", tampered_payload(ingested, probe))
+    assert refused.value.code == "bad-arena"
+    assert [path.read_bytes() for path in _segments(tmp_path)] == journaled
+    assert state.sessions["s"].generation == 0
 
 
 def test_truncated_tail_recovers_partial(tmp_path) -> None:

@@ -4,7 +4,7 @@
 kernel's class rows, one report per class (f) or per (class, subset
 index) (f'); :mod:`repro.knowledge.reference` keeps the construction
 that asks the kernel point by point.  Both must give the same runs, run
-for run and meta included, under both buffer backends, over:
+for run and meta included, on both kernel paths, over:
 
 * the fresh, refined, clipped and explored systems of
   ``test_evaluator_differential`` (synthetic and explored runs carry no
@@ -47,12 +47,8 @@ from repro.runtime import EnsembleSpec, run_ensemble
 from repro.sim.executor import ExecutionConfig
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import post_crash_workload
-from tests.test_evaluator_differential import (
-    BACKENDS,
-    SYSTEMS,
-    _foreign_runs,
-    _systems,
-)
+from tests.conftest import BACKENDS, kernel_path
+from tests.test_evaluator_differential import SYSTEMS, _foreign_runs, _systems
 
 PROCS = make_process_ids(3)
 ORACLES = ["perfect", "lying", "generalized"]
@@ -87,13 +83,8 @@ def _ensemble(oracle: str, seeds: tuple[int, ...] = (0,)) -> tuple[Run, ...]:
 
 
 def _with_backend(backend: str, runs: tuple[Run, ...]) -> System:
-    """A system over ``runs`` whose kernel is built under ``backend``
-    (a kernel keeps the backend it was built with)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if backend == "no-numpy":
-            mp.setenv("REPRO_COLUMNAR_NUMPY", "0")
-        else:
-            mp.delenv("REPRO_COLUMNAR_NUMPY", raising=False)
+    """A system over ``runs`` whose kernel is built on ``backend``'s path."""
+    with kernel_path(backend):
         system = System(runs)
         system.columnar_kernel()
     return system
