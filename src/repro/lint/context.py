@@ -271,6 +271,10 @@ class ModuleUnderLint:
         self.malformed_suppressions: list[int] = []
         self.module: str | None = module_name_for_path(path)
         self._scan_comments()
+        #: the whole file is in the determinism scope (decided once, after
+        #: any ``lint-module`` override); otherwise only its Protocol
+        #: class bodies are
+        self.in_det_packages = self.in_packages(DET_PACKAGES)
         self.protocol_class_ranges = self._find_protocol_classes()
         #: local name -> dotted origin for the tracked modules, built
         #: once for every rule and the summary builder

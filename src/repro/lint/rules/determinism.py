@@ -20,7 +20,7 @@ import ast
 import re
 from typing import Iterator
 
-from ..context import DET_PACKAGES, ModuleUnderLint, classify_call, tail_name
+from ..context import ModuleUnderLint, classify_call, tail_name
 from ..findings import LintFinding
 from ..registry import Rule, register
 
@@ -32,7 +32,7 @@ _ORDER_SAFE_CALLS = frozenset(
 
 def _scoped(mod: ModuleUnderLint, node: ast.AST) -> bool:
     """Is this node inside the determinism scope?"""
-    return mod.in_packages(DET_PACKAGES) or mod.in_protocol_class(node)
+    return mod.in_det_packages or mod.in_protocol_class(node)
 
 
 def _scoped_effects(mod: ModuleUnderLint) -> Iterator[tuple[ast.Call, str, str]]:
