@@ -343,11 +343,13 @@ def validate_run(
 ) -> None:
     """Check the well-formedness conditions R1--R5 of Section 2.1.
 
-    R1 and R2 are enforced structurally by the :class:`Run`
-    representation (histories start empty and grow one event per tick);
-    this function checks the cross-process conditions:
+    The :class:`Run` representation enforces only R4 (its constructor
+    raises ``ValueError`` on an event after a crash); it takes timelines
+    as given.  This function is the reference for every condition:
 
-    * R2 (per-event ownership): every event in p's timeline belongs to p.
+    * R1: every event lies at time 1 or later, so r(0) is the empty cut.
+    * R2: times strictly rise within each timeline (one event per tick),
+      and every event in p's timeline belongs to p (ownership).
     * R3: every receive has a corresponding earlier-or-simultaneous send.
     * R4: a crash event is the last event in its history.
     * R5 (finite variant, see :func:`r5_violations`): if p sent the same
@@ -365,6 +367,12 @@ def validate_run(
     Raises :class:`RunValidationError` on the first violation, in the
     order: R1/ownership/R2/R4 (process by process), R3, init
     uniqueness, R5.
+
+    The executor and the explorer check their runs as they are built,
+    with :class:`RunCheck`, and call this function only on a run the
+    check flags, so the message is always this function's.  The arena
+    decoder (:func:`repro.columnar.jsonio.arena_from_jsonable`) checks
+    R1, R2 and ownership of the timelines it decodes.
     """
     procs = set(run.processes)
     # One walk per timeline checks R1, ownership, R2 and R4 on the spot
@@ -476,3 +484,135 @@ def r5_violations(
             if (p, message) not in got:
                 violations.append((p, q, message, count))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# The incremental check
+# ---------------------------------------------------------------------------
+
+#: A crashed process's last time: above every time, so any later event
+#: of the process fails the R1/R2 comparison and so breaks R4.
+_CRASHED = float("inf")
+
+#: Channel key of a send or receive: (sender, receiver, message).
+_Key = tuple[ProcessId, ProcessId, Message]
+
+#: :meth:`RunCheck.state`: last times in process order, seen inits,
+#: send counts, receive counts, flagged.
+RunCheckState = tuple[
+    tuple[float, ...],
+    frozenset[ActionId],
+    tuple[tuple[_Key, int], ...],
+    tuple[tuple[_Key, int], ...],
+    bool,
+]
+
+
+class RunCheck:
+    """:func:`validate_run`'s conditions, checked as a run is built.
+
+    Fed in tick order: :meth:`append` for each event as it joins its
+    process's timeline, in any order within a tick, then
+    :meth:`end_tick` once the tick's events are all in.  Per event it
+    checks the time against the process's last one (R1, R2; the last
+    time starts at 0), that the process has not crashed (R4), that the
+    event is the process's own, and that an init's action is new; it
+    counts sends per (sender, receiver, message).  Receives wait for the
+    end of their tick and are then judged against every send at or
+    before it (R3): :func:`validate_run` accepts a send in the same tick
+    as its receive, whatever the processes' step order.  :meth:`passes`
+    decides R5 at the final cut from the same counts.
+
+    The check only flags: ``passes(threshold)`` is False exactly when
+    ``validate_run(run, r5_send_threshold=threshold)`` raises, and the
+    caller runs :func:`validate_run` to say why.  :meth:`state` is an
+    immutable copy taken between ticks; ``RunCheck(processes, state)``
+    resumes from it in fresh containers.
+    """
+
+    __slots__ = ("_last", "_inits", "_sent", "_received", "_queued", "flagged")
+
+    def __init__(
+        self, processes: Iterable[ProcessId], state: RunCheckState | None = None
+    ) -> None:
+        self._queued: list[_Key] = []
+        if state is None:
+            self._last: dict[ProcessId, float] = dict.fromkeys(processes, 0)
+            self._inits: set[ActionId] = set()
+            self._sent: dict[_Key, int] = {}
+            self._received: dict[_Key, int] = {}
+            self.flagged = False
+        else:
+            last, inits, sent, received, self.flagged = state
+            self._last = dict(zip(processes, last))
+            self._inits = set(inits)
+            self._sent = dict(sent)
+            self._received = dict(received)
+
+    def state(self) -> RunCheckState:
+        """The check between two ticks, as immutable values."""
+        return (
+            tuple(self._last.values()),
+            frozenset(self._inits),
+            tuple(self._sent.items()),
+            tuple(self._received.items()),
+            self.flagged,
+        )
+
+    def append(self, process: ProcessId, time: int, event: Event) -> None:
+        """Check ``event`` as it joins ``process``'s timeline at ``time``."""
+        last = self._last
+        if time <= last[process]:
+            self.flagged = True
+        last[process] = time
+        # Ownership reads the sender or receiver field directly where
+        # ``event.process`` would go through a property.
+        if isinstance(event, SendEvent):
+            if event.sender != process:
+                self.flagged = True
+            key = (process, event.receiver, event.message)
+            sent = self._sent
+            sent[key] = sent.get(key, 0) + 1
+        elif isinstance(event, ReceiveEvent):
+            if event.receiver != process:
+                self.flagged = True
+            self._queued.append((event.sender, process, event.message))
+        else:
+            if event.process != process:
+                self.flagged = True
+            if isinstance(event, InitEvent):
+                if event.action in self._inits:
+                    self.flagged = True
+                self._inits.add(event.action)
+            elif isinstance(event, CrashEvent):
+                last[process] = _CRASHED
+
+    def end_tick(self) -> None:
+        """Judge the tick's receives against every send so far (R3).  A
+        receive from an unknown process has no sends and fails too."""
+        queued = self._queued
+        if queued:
+            sent, received = self._sent, self._received
+            for key in queued:
+                count = received.get(key, 0) + 1
+                received[key] = count
+                if count > sent.get(key, 0):
+                    self.flagged = True
+            queued.clear()
+
+    def passes(self, r5_send_threshold: int) -> bool:
+        """True iff no check has flagged and, at this final cut, no live
+        receiver missed a message sent to it ``r5_send_threshold`` or
+        more times (R5's finite variant, as :func:`r5_violations`; a
+        receiver outside the run is skipped there too)."""
+        if self.flagged:
+            return False
+        last, received = self._last, self._received
+        for key, count in self._sent.items():
+            if (
+                count >= r5_send_threshold
+                and key not in received
+                and last.get(key[1], _CRASHED) != _CRASHED
+            ):
+                return False
+        return True

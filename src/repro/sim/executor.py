@@ -18,7 +18,8 @@ pending protocol event (outbox) > due ``init`` from the workload >
 due detector report > message delivery > ``on_tick`` retransmissions.
 
 One tick (:meth:`Executor._tick`) lands the tick's crashes and then gives
-each live process its step.  The bounded explorer
+each live process its step, feeding every appended event to the run's
+:class:`repro.model.run.RunCheck`.  The bounded explorer
 (:mod:`repro.explore.scheduler`) plays the same tick in a subclass that
 takes the adversary's decisions from an enumerated choice trace.
 
@@ -51,7 +52,7 @@ from repro.model.events import (
     SendEvent,
     SuspectEvent,
 )
-from repro.model.run import Run, validate_run
+from repro.model.run import Run, RunCheck, validate_run
 from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelConfig, Envelope, make_channel
 from repro.sim.process import ProcessEnv, ProtocolProcess
@@ -139,22 +140,17 @@ class Executor:
         self._poll = type(self.detector) is not NoDetector
         self._skips = self.config.activation_prob < 1.0
         self._skip_streak: dict[ProcessId, int] = {p: 0 for p in self.processes}
-        self._init_state(crash_plan, workload)
+        self._plan_state(crash_plan)
+        self._start_state(workload)
 
-    def _init_state(self, crash_plan: CrashPlan, workload: InitSchedule) -> None:
-        """The state before tick 1: empty timelines, every process live,
-        the plan's crashes indexed by the tick they land on, and the
-        workload queued per process."""
+    def _plan_state(self, crash_plan: CrashPlan) -> None:
+        """What the crash plan fixes: the plan's crashes indexed by the
+        tick they land on, and the detectors' view of the crashes that
+        have landed (empty until one does)."""
         self._actual_crash_ticks: dict[ProcessId, int] = {}
         self.truth = GroundTruthView(
             self.processes, crash_plan.faulty, self._actual_crash_ticks
         )
-        self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
-            p: [] for p in self.processes
-        }
-        self._crashed: set[ProcessId] = set()
-        # The live processes in process order, updated as crashes land.
-        self._live: list[ProcessId] = list(self.processes)
         # tick -> processes whose planned crash lands on that tick (ticks
         # start at 1, so a plan's tick 0 lands on the first tick).
         by_tick: dict[int, list[ProcessId]] = {}
@@ -166,6 +162,18 @@ class Executor:
             t: tuple(pids) for t, pids in by_tick.items()
         }
         self._last_crash_tick = max(self._crash_index, default=0)
+
+    def _start_state(self, workload: InitSchedule) -> None:
+        """The rest of the state before tick 1: empty timelines and their
+        run check, every process live, and the workload queued per
+        process."""
+        self._timelines: dict[ProcessId, list[tuple[int, Event]]] = {
+            p: [] for p in self.processes
+        }
+        self._check = RunCheck(self.processes)
+        self._crashed: set[ProcessId] = set()
+        # The live processes in process order, updated as crashes land.
+        self._live: list[ProcessId] = list(self.processes)
         # Per-process queues of pending inits, in schedule order.
         self._pending_inits: dict[ProcessId, list[tuple[int, ActionId]]] = {
             p: [] for p in self.processes
@@ -239,15 +247,19 @@ class Executor:
     # -- main loop ----------------------------------------------------------------
 
     def _tick(self, tick: int) -> bool:
-        """Play one tick; True iff some event was appended."""
+        """Play one tick; True iff some event was appended.  Every
+        appended event also goes to the run check, as it is appended."""
         appended = False
         timelines = self._timelines
         envs = self.envs
         channel = self.channel
+        check = self._check
 
         # 1. planned crashes land first; a crash occupies the tick.
         for pid in self._crash_index.get(tick, ()):
-            timelines[pid].append((tick, CrashEvent(pid)))
+            crash = CrashEvent(pid)
+            timelines[pid].append((tick, crash))
+            check.append(pid, tick, crash)
             self._crashed.add(pid)
             self._live.remove(pid)
             self._actual_crash_ticks[pid] = tick
@@ -277,10 +289,12 @@ class Executor:
                 continue
             appended = True
             timelines[pid].append((tick, event))
+            check.append(pid, tick, event)
             if type(event) is SendEvent:
                 channel.submit(event.sender, event.receiver, event.message, tick)
             else:
                 self._dispatch(pid, event)
+        check.end_tick()
         return appended
 
     def run(self) -> Run:
@@ -335,11 +349,12 @@ class Executor:
             # sender may legitimately stop just under the channel's
             # drop budget, so the threshold must exceed it.  Beyond the
             # budget a copy is force-accepted into flight, and the
-            # quiescence condition guarantees its delivery.
-            validate_run(
-                run,
-                r5_send_threshold=cfg.channel.max_consecutive_drops + 2,
-            )
+            # quiescence condition guarantees its delivery.  The tick
+            # loop has checked every event; validate_run, the reference,
+            # only says why a flagged run fails.
+            threshold = cfg.channel.max_consecutive_drops + 2
+            if not self._check.passes(threshold):
+                validate_run(run, r5_send_threshold=threshold)
         return run
 
     def _step_event(self, pid: ProcessId, env: ProcessEnv, tick: int) -> Event | None:
