@@ -13,7 +13,9 @@ fidelity.
 
 Payloads come from outside the program (cache files, serve clients), so
 the decoder checks the column shapes and event ids an encoder always
-writes and raises ``ValueError`` on anything else.
+writes, that each timeline's times start at 1 and rise (R1, R2) and that
+it holds only its own process's events, and raises ``ValueError`` on
+anything else.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import base64
 import sys
 import zlib
 from array import array
-from operator import le
+from bisect import bisect_right
+from itertools import chain, compress, cycle, repeat
+from operator import ge, le, sub
 from typing import Any
 
 from repro.columnar.arena import COLUMN_FIELDS, RunArena
@@ -97,7 +101,9 @@ def arena_from_jsonable(data: dict[str, Any]) -> RunArena:
 
 def _check_columns(arena: RunArena) -> None:
     """Raise ``ValueError`` unless the columns are a well-formed CSR
-    layout of ``arena.n_runs`` runs over the arena's alphabet."""
+    layout of ``arena.n_runs`` runs over the arena's alphabet whose
+    timelines meet R1, R2 and ownership.  Times are not bounded by the
+    run's duration: times past it round-trip."""
     offsets, eids = arena.tl_offsets, arena.tl_events
     if len(arena.run_durations) != arena.n_runs:
         raise ValueError(
@@ -116,3 +122,24 @@ def _check_columns(arena: RunArena) -> None:
         )
     if eids and not 0 <= min(eids) <= max(eids) < len(arena.events):
         raise ValueError(f"arena event ids must lie in range({len(arena.events)})")
+    # R1 and R2: times start at 1, and a time that does not rise above
+    # the one before it must open a timeline row.
+    times = arena.tl_times
+    falls = compress(range(1, len(times)), map(ge, times, times[1:]))
+    if times and (min(times) < 1 or not set(offsets).issuperset(falls)):
+        raise ValueError("arena timeline times must start at 1 and rise within each timeline")
+    # Ownership: row i*n + j holds only events of processes[j].  Each
+    # alphabet entry's owner is looked up once, not once per occurrence.
+    processes = arena.processes
+    position = {p: j for j, p in enumerate(processes)}
+    owners = [position.get(event.process, -1) for event in arena.events]
+    lengths = map(sub, offsets[1:], offsets)
+    expected = list(chain.from_iterable(map(repeat, cycle(range(len(processes))), lengths)))
+    found = list(map(owners.__getitem__, eids))
+    if found != expected:
+        first = next(k for k, (a, b) in enumerate(zip(found, expected)) if a != b)
+        row = bisect_right(offsets, first) - 1
+        raise ValueError(
+            f"arena timeline of {processes[row % len(processes)]} in run "
+            f"{row // len(processes)} holds another process's event"
+        )

@@ -224,7 +224,31 @@ PROBES = {
     "offset-missing": lambda a: {"tl_offsets": a.tl_offsets[:-1]},
     "duration-missing": lambda a: {"run_durations": a.run_durations[:-1]},
     "time-extra": lambda a: {"tl_times": (*a.tl_times, 0)},
+    # The first two times of the first row with two or more entries
+    # swap, so they fall (R2); the kernel's bisects assume they rise.
+    "times-fall": lambda a: {"tl_times": _swap_first_pair(a)},
+    # The first entry names an event of another process than its row's.
+    "foreign-event": lambda a: {"tl_events": (_foreign_id(a), *a.tl_events[1:])},
 }
+
+
+def _swap_first_pair(arena: RunArena) -> tuple[int, ...]:
+    offsets = arena.tl_offsets
+    k = next(lo for lo, hi in zip(offsets, offsets[1:]) if hi - lo >= 2)
+    times = list(arena.tl_times)
+    times[k], times[k + 1] = times[k + 1], times[k]
+    return tuple(times)
+
+
+def _foreign_id(arena: RunArena) -> int:
+    """The id of the first non-crash event that the owner of entry 0
+    does not own (a crash would also break R4 in the decoded run)."""
+    owner = arena.events[arena.tl_events[0]].process
+    return next(
+        i
+        for i, event in enumerate(arena.events)
+        if event.process != owner and not isinstance(event, CrashEvent)
+    )
 
 
 def tampered_payload(runs: tuple[Run, ...], probe: str) -> dict:

@@ -165,7 +165,9 @@ def test_journaled_but_uncommitted_ingest_recovers(tmp_path) -> None:
     assert resend["generation"] == 1
 
 
-@pytest.mark.parametrize("probe", ["event-id-minus-one", "last-offset-short"])
+@pytest.mark.parametrize(
+    "probe", ["event-id-minus-one", "last-offset-short", "times-fall", "foreign-event"]
+)
 def test_tampered_arena_is_refused_before_it_is_journaled(tmp_path, probe) -> None:
     """Columns no encoder writes answer ``bad-arena`` on ``create`` and on
     ``ingest``, and nothing of them reaches the journal.
