@@ -45,7 +45,7 @@ from repro.model.run import Point
 from repro.model.synthetic import synthetic_system
 from repro.model.system import System
 from repro.runtime import EnsembleSpec, run_ensemble
-from repro.sim.executor import Executor
+from repro.sim.executor import Executor, execute
 from repro.sim.failures import CrashPlan
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import post_crash_workload, single_action
@@ -502,9 +502,11 @@ def test_kernel_baseline_json():
 # The committed BENCH_explore.json is gated two ways
 # (tools/check_bench_regression.py): every search counter must match
 # exactly (the work is deterministic, so a changed count is a changed
-# search), and the DPOR walk's CPU time at n=4, in units of a fixed
-# calibration chunk that runs no repro code (benchmarks/e2e/speed.py),
-# may grow by at most the tolerance.  Outside smoke mode the bench also
+# search), and two CPU times, in units of a fixed calibration chunk that
+# runs no repro code (benchmarks/e2e/speed.py), may grow by at most the
+# tolerance: the DPOR walk at n=4, and the seeded sampler (``execute``)
+# over the 24 specs of tests/test_sim_digest.py's pinned matrix, which
+# the explorer shares its tick with.  Outside smoke mode the bench also
 # asserts the effective coverage rate (unreduced states per DPOR CPU
 # second) is at least 5x the retired fingerprint-POR explorer's 41,866.
 
@@ -513,6 +515,7 @@ EXPLORE_HORIZON = 8
 EXPLORE_DEEP_N = 6  # completed n=6 horizon-8 enumeration (experiment X02)
 EXPLORE_TIMED_N = 4
 EXPLORE_ROUNDS = 31
+SAMPLER_ROUNDS = 31
 BENCH_EXPLORE_JSON = REPO_ROOT / "BENCH_explore.json"
 PR3_STATES_PER_S = 41_866.0
 
@@ -583,6 +586,16 @@ def _calibrated_cpu_s(thunk, rounds):
     return statistics.median(ratios), statistics.median(times), statistics.median(chunks)
 
 
+def _sampler_specs():
+    """The specs of the simulator's pinned digest matrix."""
+    sys.path.insert(0, str(REPO_ROOT))
+    try:
+        from tests.test_sim_digest import matrix
+    finally:
+        sys.path.pop(0)
+    return [spec for _, spec in matrix()]
+
+
 @pytest.mark.parametrize("n", EXPLORE_NS)
 def test_bench_explore_exhaustive(benchmark, n):
     """Full enumeration of the lossy NUDC context under DPOR."""
@@ -639,6 +652,17 @@ def test_explore_baseline_json():
         }
     )
 
+    specs = _sampler_specs()
+    in_chunks, cpu_s, chunk_s = _calibrated_cpu_s(
+        lambda: [execute(spec) for spec in specs], SAMPLER_ROUNDS
+    )
+    results["sampler"] = {
+        "specs": len(specs),
+        "sampler_cpu_s": cpu_s,
+        "calibration_s": chunk_s,
+        "sampler_chunks": in_chunks,
+    }
+
     # The deep entry: a completed n=6, horizon-8 enumeration.  The
     # unreduced walk is infeasible here -- which is the point -- so the
     # entry records the DPOR walk's own counters only.
@@ -671,7 +695,9 @@ def test_explore_baseline_json():
                 "over the geometric mean of the calibration chunks "
                 "(benchmarks/e2e/speed.py chunk_seconds) timed before and after "
                 "it; dpor_chunks is their median, dpor_cpu_s and calibration_s "
-                "the medians of each; n=6: one wall time"
+                f"the medians of each; sampler: the same, {SAMPLER_ROUNDS} passes "
+                "of execute over the tests/test_sim_digest.py matrix; "
+                "n=6: one wall time"
             ),
         },
         "pr3_states_per_s": PR3_STATES_PER_S,

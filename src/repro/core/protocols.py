@@ -111,25 +111,27 @@ class _CoordinationBase(ProtocolProcess):
         if st.joined:
             return
         st.joined = True
-        self._resend(action, st, force=True)
+        self._resend(action, st)
         self.check_perform(action)
 
-    def _targets(self, action: ActionId, st: _ActionState) -> list[ProcessId]:
-        """Who still gets alpha-messages; subclasses narrow this."""
-        return [q for q in self.env.others if q not in st.acked_by]
-
-    def _resend(self, action: ActionId, st: _ActionState, *, force: bool = False) -> None:
-        if not force and self.env.now - st.last_resend < self.resend_interval:
-            return
+    def _resend(self, action: ActionId, st: _ActionState) -> None:
+        """Send the alpha-message once more to every process that has not
+        acked it and has sends left."""
+        env = self.env
+        acked, sends_left = st.acked_by, st.sends_left
+        message = alpha_message(action)
         sent_any = False
-        for q in self._targets(action, st):
-            if st.sends_left.get(q, 0) <= 0:
+        for q in env.others:
+            if q in acked:
                 continue
-            st.sends_left[q] -= 1
-            self.env.send(q, alpha_message(action))
+            left = sends_left.get(q, 0)
+            if left <= 0:
+                continue
+            sends_left[q] = left - 1
+            env.send(q, message)
             sent_any = True
         if sent_any:
-            st.last_resend = self.env.now
+            st.last_resend = env.now
 
     # -- hooks ---------------------------------------------------------------
 
@@ -151,21 +153,24 @@ class _CoordinationBase(ProtocolProcess):
             self.check_perform(action)
 
     def on_tick(self) -> None:
-        if not self.states:
-            return
+        """Paced retransmission: resend every joined action whose last
+        resend is ``resend_interval`` ticks old.  The perform condition
+        changes only in :meth:`join`, :meth:`on_receive` and
+        ``on_suspect``, and each of them checks it."""
+        now = self.env.now
+        interval = self.resend_interval
         for action, st in self.states.items():
-            if st.joined:
+            if st.joined and now - st.last_resend >= interval:
                 self._resend(action, st)
-                self.check_perform(action)
 
     def wants_to_act(self) -> bool:
         return any(
             st.joined
             and any(
-                st.sends_left.get(q, 0) > 0
-                for q in self._targets(action, st)
+                q not in st.acked_by and st.sends_left.get(q, 0) > 0
+                for q in self.env.others
             )
-            for action, st in self.states.items()
+            for st in self.states.values()
         )
 
     # -- state capture -------------------------------------------------------
@@ -217,7 +222,7 @@ class NUDCProcess(_CoordinationBase):
         # the protocol non-uniform -- a crash straight after the do event
         # can leave no trace of alpha anywhere else.
         self.env.perform(action)
-        self._resend(action, st, force=True)
+        self._resend(action, st)
 
     def check_perform(self, action: ActionId) -> None:
         if self.env.has_performed(action):

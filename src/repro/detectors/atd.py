@@ -23,6 +23,7 @@ the transition.
 
 from __future__ import annotations
 
+from repro.detectors.base import GroundTruthView
 from repro.detectors.standard import ChangeOracle
 from repro.model.events import ProcessId
 
@@ -31,6 +32,12 @@ class AtdRotatingOracle(ChangeOracle):
     """Strong completeness + ATD accuracy, but NOT weak accuracy."""
 
     name = "atd-rotating"
+
+    #: (truth, the planned-correct processes in order) of the run being
+    #: polled, computed once per run.  A class default, so that an
+    #: unpolled oracle (a spec's template) pickles, and digests, as it
+    #: always did.
+    _correct: tuple[GroundTruthView, list[ProcessId]] | None = None
 
     def __init__(
         self,
@@ -62,7 +69,9 @@ class AtdRotatingOracle(ChangeOracle):
         return {i_now, i_next}
 
     def desired(self, pid, tick, truth, rng):
-        correct = sorted(truth.planned_correct())
+        if self._correct is None or self._correct[0] is not truth:
+            self._correct = (truth, sorted(truth.planned_correct()))
+        correct = self._correct[1]
         immune = self._immune_pair(tick, correct)
         false_suspects = {
             q for q in correct if q not in immune and q != pid

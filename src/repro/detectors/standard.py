@@ -39,6 +39,10 @@ from repro.detectors.base import GroundTruthView, IntervalOracle
 from repro.model.events import ProcessId, StandardSuspicion, Suspicion
 
 
+#: The suspicion set before a process's first report.
+_NO_SUSPECTS: frozenset[ProcessId] = frozenset()
+
+
 def _immune_process(truth: GroundTruthView) -> ProcessId | None:
     """The designated never-suspected correct process (weak accuracy)."""
     correct = truth.planned_correct()
@@ -63,13 +67,17 @@ class ChangeOracle(IntervalOracle):
         raise NotImplementedError
 
     def poll(self, pid, tick, truth, rng) -> Suspicion | None:
-        if not self.due(pid, tick):
+        # IntervalOracle.due and .mark, inline: every step polls.
+        if tick < self.start_tick:
+            return None
+        last = self._last_report.get(pid)
+        if last is not None and tick - last < self.interval:
             return None
         want = self.desired(pid, tick, truth, rng)
-        if want == self._last_emitted.get(pid, frozenset()):
+        if want == self._last_emitted.get(pid, _NO_SUSPECTS):
             return None
         self._last_emitted[pid] = want
-        self.mark(pid, tick)
+        self._last_report[pid] = tick
         return StandardSuspicion(want)
 
     def fresh(self):
@@ -151,16 +159,27 @@ class WeakOracle(ChangeOracle):
 
     name = "weak"
 
-    def _witness(self, target: ProcessId, truth: GroundTruthView) -> ProcessId | None:
-        correct = sorted(truth.planned_correct())
-        if not correct:
-            return None
-        # Stable assignment: hash the target name onto the correct list.
-        return correct[sum(map(ord, target)) % len(correct)]
+    #: (truth, each process's witness) of the run being polled, computed
+    #: once per run.  A class default, so that an unpolled oracle (a
+    #: spec's template) pickles, and digests, as it always did.
+    _witnesses: tuple[GroundTruthView, dict[ProcessId, ProcessId]] | None = None
+
+    def _witness_of(self, truth: GroundTruthView) -> dict[ProcessId, ProcessId]:
+        """Each process's witness; empty if every process is planned to
+        crash."""
+        if self._witnesses is None or self._witnesses[0] is not truth:
+            correct = sorted(truth.planned_correct())
+            # Stable assignment: hash each name onto the correct list.
+            witness = {
+                q: correct[sum(map(ord, q)) % len(correct)] for q in truth.processes
+            } if correct else {}
+            self._witnesses = (truth, witness)
+        return self._witnesses[1]
 
     def desired(self, pid, tick, truth, rng):
+        witness = self._witness_of(truth)
         return frozenset(
-            q for q in truth.crashed_by(tick) if self._witness(q, truth) == pid
+            q for q in truth.crashed_by(tick) if witness.get(q) == pid
         )
 
 
@@ -206,9 +225,14 @@ class ImpermanentWeakOracle(ImpermanentStrongOracle):
 
     name = "impermanent-weak"
 
+    #: (truth, the weak oracle naming the witnesses) of the run being
+    #: polled; a class default, as :attr:`WeakOracle._witnesses`.
+    _witness_oracle: tuple[GroundTruthView, WeakOracle] | None = None
+
     def desired(self, pid, tick, truth, rng):
-        witness_oracle = WeakOracle()
-        witnessed = witness_oracle.desired(pid, tick, truth, rng)
+        if self._witness_oracle is None or self._witness_oracle[0] is not truth:
+            self._witness_oracle = (truth, WeakOracle())
+        witnessed = self._witness_oracle[1].desired(pid, tick, truth, rng)
         current = set()
         for q in witnessed:
             key = (pid, q)

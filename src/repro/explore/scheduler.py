@@ -135,9 +135,11 @@ class _BoundedExecution(Executor):
     into a region where fewer options exist).
 
     From a ``snapshot`` it resumes at the snapshot's tick, in ``reuse``'s
-    envs and protocols if given.  With ``save`` it records ``(index of
-    the tick's first choice, snapshot)`` in ``marks`` for every tick --
-    unless the spec has a detector (oracle and rng are not captured).
+    envs and protocols if given; a ``reuse`` of the same crash plan also
+    lends its crash index and receive events.  With ``save`` it records
+    ``(index of the tick's first choice, snapshot)`` in ``marks`` for
+    every tick -- unless the spec has a detector (oracle and rng are not
+    captured).
     """
 
     # No skipped activations: a skipped tick is a defer plus a delayed
@@ -179,7 +181,9 @@ class _BoundedExecution(Executor):
             self.rng = random.Random(0)  # consumed only by detector oracles
         self._save = save and not self._poll
         self.marks: list[tuple[int, _Snapshot]] = []
-        self._plan_state(plan)
+        self._plan_state(
+            plan, reuse if reuse is not None and reuse.crash_plan is plan else None
+        )
         self._in_flight: dict[ProcessId, list[Envelope]] = {}
         self._next_uid = 0
         self._streaks: dict[ChannelKey, int] = {}
@@ -315,14 +319,7 @@ class _BoundedExecution(Executor):
         # dropping them is unobservable in the run prefix, and keeping
         # them in flight lets the quiescence check see the obligation.
         self._in_flight.setdefault(receiver, []).append(
-            Envelope(
-                sender=sender,
-                receiver=receiver,
-                message=message,
-                sent_at=tick,
-                deliver_at=deliver_at,
-                uid=self._next_uid,
-            )
+            Envelope(sender, receiver, message, tick, deliver_at, self._next_uid)
         )
         self._next_uid += 1
 

@@ -566,25 +566,26 @@ class RunCheck:
             self.flagged = True
         last[process] = time
         # Ownership reads the sender or receiver field directly where
-        # ``event.process`` would go through a property.
-        if isinstance(event, SendEvent):
+        # ``event.process`` would go through a property.  The event
+        # classes have no subclasses, so the exact type decides.
+        if type(event) is SendEvent:
             if event.sender != process:
                 self.flagged = True
             key = (process, event.receiver, event.message)
             sent = self._sent
             sent[key] = sent.get(key, 0) + 1
-        elif isinstance(event, ReceiveEvent):
+        elif type(event) is ReceiveEvent:
             if event.receiver != process:
                 self.flagged = True
             self._queued.append((event.sender, process, event.message))
         else:
             if event.process != process:
                 self.flagged = True
-            if isinstance(event, InitEvent):
+            if type(event) is InitEvent:
                 if event.action in self._inits:
                     self.flagged = True
                 self._inits.add(event.action)
-            elif isinstance(event, CrashEvent):
+            elif type(event) is CrashEvent:
                 last[process] = _CRASHED
 
     def end_tick(self) -> None:

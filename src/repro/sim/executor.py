@@ -14,8 +14,8 @@ The executor realises the paper's model of Section 2.1 operationally:
   per Section 2.2.
 
 Per-tick priority for the single event slot of a live process:
-pending protocol event (outbox) > due ``init`` from the workload >
-due detector report > message delivery > ``on_tick`` retransmissions.
+due detector report > pending protocol event (outbox) > due ``init``
+from the workload > message delivery > ``on_tick`` retransmissions.
 
 One tick (:meth:`Executor._tick`) lands the tick's crashes and then gives
 each live process its step, feeding every appended event to the run's
@@ -44,9 +44,9 @@ from repro.model.context import ChannelSemantics, Context
 from repro.model.events import (
     ActionId,
     CrashEvent,
-    DoEvent,
     Event,
     InitEvent,
+    Message,
     ProcessId,
     ReceiveEvent,
     SendEvent,
@@ -107,6 +107,9 @@ class RunDeadlineExceeded(RuntimeError):
 class Executor:
     """Executes one run of a joint protocol under one adversary seed."""
 
+    _crash_index: dict[int, tuple[ProcessId, ...]]
+    _receives: dict[tuple[ProcessId, ProcessId, Message], ReceiveEvent]
+
     def __init__(
         self,
         processes: Iterable[ProcessId],
@@ -143,14 +146,24 @@ class Executor:
         self._plan_state(crash_plan)
         self._start_state(workload)
 
-    def _plan_state(self, crash_plan: CrashPlan) -> None:
+    def _plan_state(
+        self, crash_plan: CrashPlan, same_plan: Executor | None = None
+    ) -> None:
         """What the crash plan fixes: the plan's crashes indexed by the
-        tick they land on, and the detectors' view of the crashes that
-        have landed (empty until one does)."""
+        tick they land on, one ``ReceiveEvent`` per (receiver, sender,
+        message) delivered so far, and the detectors' view of the crashes
+        that have landed (empty until one does).  ``same_plan``, an
+        execution of the same plan, lends its index and its events; the
+        view is always new, since crashes land into it."""
         self._actual_crash_ticks: dict[ProcessId, int] = {}
         self.truth = GroundTruthView(
             self.processes, crash_plan.faulty, self._actual_crash_ticks
         )
+        if same_plan is not None:
+            self._crash_index = same_plan._crash_index
+            self._last_crash_tick = same_plan._last_crash_tick
+            self._receives = same_plan._receives
+            return
         # tick -> processes whose planned crash lands on that tick (ticks
         # start at 1, so a plan's tick 0 lands on the first tick).
         by_tick: dict[int, list[ProcessId]] = {}
@@ -158,10 +171,9 @@ class Executor:
             planned = crash_plan.crash_tick(pid)
             if planned is not None:
                 by_tick.setdefault(max(planned, 1), []).append(pid)
-        self._crash_index: dict[int, tuple[ProcessId, ...]] = {
-            t: tuple(pids) for t, pids in by_tick.items()
-        }
+        self._crash_index = {t: tuple(pids) for t, pids in by_tick.items()}
         self._last_crash_tick = max(self._crash_index, default=0)
+        self._receives = {}
 
     def _start_state(self, workload: InitSchedule) -> None:
         """The rest of the state before tick 1: empty timelines and their
@@ -202,12 +214,6 @@ class Executor:
         )
 
     # -- helpers -------------------------------------------------------------
-
-    def _due_init(self, pid: ProcessId, tick: int) -> ActionId | None:
-        queue = self._pending_inits[pid]
-        if queue and queue[0][0] <= tick:
-            return queue.pop(0)[1]
-        return None
 
     def _pick_delivery(self, pid: ProcessId, tick: int) -> Envelope | None:
         ready = self.channel.deliverable(pid, tick)
@@ -252,8 +258,11 @@ class Executor:
         appended = False
         timelines = self._timelines
         envs = self.envs
+        protocols = self.protocols
         channel = self.channel
         check = self._check
+        pending_inits = self._pending_inits
+        receives = self._receives
 
         # 1. planned crashes land first; a crash occupies the tick.
         for pid in self._crash_index.get(tick, ()):
@@ -271,6 +280,7 @@ class Executor:
         # adversary may skip a process (model of relative speeds),
         # bounded by the scheduling-fairness budget.
         skips = self._skips
+        poll = self._poll
         for pid in self._order():
             if skips:
                 cfg = self.config
@@ -284,16 +294,42 @@ class Executor:
                 streak[pid] = 0
             env = envs[pid]
             env.now = tick
-            event = self._step_event(pid, env, tick)
-            if event is None:
-                continue
+            outbox = env.outbox
+            # The step's one event, by priority.  Detector reports come
+            # first: the oracle emits autonomously (Section 2.2's
+            # "automatically emits a suspicion") and a process cannot
+            # starve its own detector with a long burst of sends.
+            if poll and (
+                report := self.detector.poll(pid, tick, self.truth, self.rng)
+            ) is not None:
+                event = SuspectEvent(pid, report)
+            elif outbox:
+                event = outbox.popleft()
+            elif (inits := pending_inits[pid]) and inits[0][0] <= tick:
+                event = InitEvent(pid, inits.pop(0)[1])
+            elif (envelope := self._pick_delivery(pid, tick)) is not None:
+                key = (pid, envelope.sender, envelope.message)
+                event = receives.get(key)
+                if event is None:
+                    event = receives[key] = ReceiveEvent(*key)
+            else:
+                protocols[pid].on_tick()
+                if not outbox:
+                    continue
+                event = outbox.popleft()
             appended = True
             timelines[pid].append((tick, event))
             check.append(pid, tick, event)
-            if type(event) is SendEvent:
+            # The event's side effects; a do event has none.
+            kind = type(event)
+            if kind is SendEvent:
                 channel.submit(event.sender, event.receiver, event.message, tick)
-            else:
-                self._dispatch(pid, event)
+            elif kind is ReceiveEvent:
+                protocols[pid].on_receive(event.sender, event.message)
+            elif kind is SuspectEvent:
+                protocols[pid].on_suspect(event.report)
+            elif kind is InitEvent:
+                protocols[pid].on_init(event.action)
         check.end_tick()
         return appended
 
@@ -356,49 +392,6 @@ class Executor:
             if not self._check.passes(threshold):
                 validate_run(run, r5_send_threshold=threshold)
         return run
-
-    def _step_event(self, pid: ProcessId, env: ProcessEnv, tick: int) -> Event | None:
-        """Choose the one event ``pid`` appends this tick, per the priority order.
-
-        Detector reports come first: the oracle emits autonomously
-        (Section 2.2's "automatically emits a suspicion") and a process
-        cannot starve its own detector with a long burst of sends.
-        """
-        if self._poll:
-            report = self.detector.poll(pid, tick, self.truth, self.rng)
-            if report is not None:
-                return SuspectEvent(pid, report)
-
-        if env.outbox:
-            return env.outbox.popleft()
-
-        action = self._due_init(pid, tick)
-        if action is not None:
-            return InitEvent(pid, action)
-
-        envelope = self._pick_delivery(pid, tick)
-        if envelope is not None:
-            return ReceiveEvent(pid, envelope.sender, envelope.message)
-
-        self.protocols[pid].on_tick()
-        if env.outbox:
-            return env.outbox.popleft()
-        return None
-
-    def _dispatch(self, pid: ProcessId, event: Event) -> None:
-        """Execute the side effects of an appended event other than a send
-        (the tick loop submits sends to the channel itself)."""
-        protocol = self.protocols[pid]
-        if isinstance(event, ReceiveEvent):
-            protocol.on_receive(event.sender, event.message)
-        elif isinstance(event, SuspectEvent):
-            protocol.on_suspect(event.report)
-        elif isinstance(event, InitEvent):
-            protocol.on_init(event.action)
-        elif isinstance(event, DoEvent):
-            pass  # the do event has no further side effects
-        else:  # pragma: no cover - crash and send events never reach here
-            raise AssertionError(f"unexpected event {event!r}")
 
 
 def execute(spec: "RunSpec") -> Run:

@@ -26,8 +26,10 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 from repro.model.context import ChannelSemantics
 from repro.model.events import Message, ProcessId
@@ -36,8 +38,7 @@ from repro.model.events import Message, ProcessId
 ChannelKey = tuple[ProcessId, ProcessId, Message]
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A message copy in flight."""
 
     sender: ProcessId
@@ -47,9 +48,9 @@ class Envelope:
     deliver_at: int
     uid: int
 
-    @property
-    def key(self) -> ChannelKey:
-        return (self.sender, self.receiver, self.message)
+
+#: An envelope's ``deliver_at``, the key its receiver's queue is sorted by.
+_DELIVER_AT = itemgetter(4)
 
 
 class NetworkChannel(ABC):
@@ -76,7 +77,11 @@ class NetworkChannel(ABC):
         self._min_delay = min_delay
         self._max_delay = max_delay
         self._uid = itertools.count()
+        # Per receiver, the copies in flight in (deliver_at, uid) order.
         self._in_flight: dict[ProcessId, list[Envelope]] = {}
+        # Receivers :meth:`discard_for` has emptied: crashed, so nothing
+        # addressed to them is kept.
+        self._discarded: set[ProcessId] = set()
         self.dropped_count = 0
         self.delivered_count = 0
 
@@ -91,30 +96,38 @@ class NetworkChannel(ABC):
     # -- API used by the executor ---------------------------------------------
 
     def submit(self, sender: ProcessId, receiver: ProcessId, message: Message, tick: int) -> None:
-        """A send event occurred; the copy enters the channel or is lost."""
+        """A send event occurred; the copy enters the channel or is lost.
+
+        A copy to a crashed receiver draws its fate and its delay like any
+        other (the draws are part of the run), but is not kept: it could
+        never be delivered.
+        """
         if self._should_drop(sender, receiver, message, tick):
             self.dropped_count += 1
             return
-        delay = self._rng.randint(self._min_delay, self._max_delay)
-        env = Envelope(
-            sender=sender,
-            receiver=receiver,
-            message=message,
-            sent_at=tick,
-            deliver_at=tick + delay,
-            uid=next(self._uid),
-        )
-        self._in_flight.setdefault(receiver, []).append(env)
+        deliver_at = tick + self._rng.randint(self._min_delay, self._max_delay)
+        if receiver in self._discarded:
+            return
+        envelope = Envelope(sender, receiver, message, tick, deliver_at, next(self._uid))
+        queue = self._in_flight.get(receiver)
+        if queue is None:
+            self._in_flight[receiver] = [envelope]
+            return
+        # The new uid is the largest, so the copy goes after every copy
+        # due no later than it: scan back from the tail, where it
+        # usually belongs.
+        index = len(queue)
+        while index and queue[index - 1].deliver_at > deliver_at:
+            index -= 1
+        queue.insert(index, envelope)
 
     def deliverable(self, receiver: ProcessId, tick: int) -> list[Envelope]:
-        """Envelopes for ``receiver`` whose delay has elapsed, oldest first."""
+        """Envelopes for ``receiver`` whose delay has elapsed, oldest first
+        (by ``deliver_at``, then submission): a prefix of its queue."""
         pending = self._in_flight.get(receiver)
         if not pending:
             return []
-        ready = [e for e in pending if e.deliver_at <= tick]
-        if len(ready) > 1:
-            ready.sort(key=lambda e: (e.deliver_at, e.uid))
-        return ready
+        return pending[: bisect_right(pending, tick, key=_DELIVER_AT)]
 
     def consume(self, envelope: Envelope) -> None:
         """Remove a delivered envelope from flight."""
@@ -122,8 +135,9 @@ class NetworkChannel(ABC):
         self.delivered_count += 1
 
     def discard_for(self, receiver: ProcessId) -> None:
-        """Drop everything addressed to a crashed process."""
+        """Drop everything addressed to a crashed process, now and later."""
         self._in_flight.pop(receiver, None)
+        self._discarded.add(receiver)
 
     def in_flight_to(self, receivers: Iterable[ProcessId]) -> int:
         """Number of undelivered envelopes addressed to these receivers."""

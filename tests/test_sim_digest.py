@@ -51,7 +51,7 @@ from repro.detectors.standard import (
 from repro.model.context import ChannelSemantics, make_process_ids
 from repro.model.run import Run
 from repro.model.serialize import run_to_dict
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import RunSpec, spec_digest
 from repro.sim.executor import ExecutionConfig, execute
 from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelConfig, Partition
@@ -201,3 +201,18 @@ def test_matrix_covers_what_it_claims():
     simultaneous = runs["reliable-udc/reliable/simultaneous/0"]
     assert simultaneous.crash_time("p2") == simultaneous.crash_time("p3") == 4
     assert runs["strong-fd/lying/capped"].meta["hit_tick_cap"]
+
+
+def test_oracle_templates_digest_as_before_after_use():
+    """Executing a spec leaves its oracle as it was: an oracle keeps its
+    per-run values (the ATD oracle's ordered correct processes, the weak
+    witnesses, the generalized oracle's S) on the run's fresh copy, so
+    the spec still digests as before, and as an equal spec built anew."""
+    fresh = dict(matrix())
+    with_oracle = [(name, spec) for name, spec in matrix() if spec.detector is not None]
+    assert len(with_oracle) == 17
+    for name, spec in with_oracle:
+        before = spec_digest(spec)
+        assert before is not None, name
+        execute(spec)
+        assert spec_digest(spec) == before == spec_digest(fresh[name]), name

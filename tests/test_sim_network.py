@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.context import ChannelSemantics
 from repro.model.events import Message
 from repro.sim.network import (
     ChannelConfig,
+    Envelope,
     FairLossyChannel,
     ReliableChannel,
     UnfairChannel,
@@ -147,3 +150,120 @@ class TestMakeChannel:
         cfg = ChannelConfig(drop_prob=0.999999, max_consecutive_drops=7)
         ch = make_channel(cfg, rng())
         assert ch.max_consecutive_drops == 7
+
+
+class _FilterAndSort:
+    """The channel API as it was before receiver queues were kept
+    sorted: every accepted copy is stored, a crashed receiver's too, and
+    ``deliverable`` filters and sorts the whole queue."""
+
+    def submit(self, sender, receiver, message, tick):
+        if self._should_drop(sender, receiver, message, tick):
+            self.dropped_count += 1
+            return
+        delay = self._rng.randint(self._min_delay, self._max_delay)
+        self._in_flight.setdefault(receiver, []).append(
+            Envelope(sender, receiver, message, tick, tick + delay, next(self._uid))
+        )
+
+    def deliverable(self, receiver, tick):
+        pending = self._in_flight.get(receiver)
+        if not pending:
+            return []
+        ready = [e for e in pending if e.deliver_at <= tick]
+        ready.sort(key=lambda e: (e.deliver_at, e.uid))
+        return ready
+
+    def consume(self, envelope):
+        self._in_flight[envelope.receiver].remove(envelope)
+        self.delivered_count += 1
+
+    def discard_for(self, receiver):
+        self._in_flight.pop(receiver, None)
+
+
+class _ReferenceFairLossy(_FilterAndSort, FairLossyChannel):
+    pass
+
+
+class _ReferenceReliable(_FilterAndSort, ReliableChannel):
+    pass
+
+
+CHANNEL_PROCS = ("p1", "p2", "p3", "p4")
+
+#: One channel call: (op, advance the tick by, sender, receiver, message
+#: or pick).  Messages come from a small pool so that fairness streaks
+#: build up on repeated keys; crashes are rare, so that queues of live
+#: receivers grow.
+channel_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("submit",) * 6 + ("consume",) * 3 + ("discard",)),
+        st.integers(0, 2),
+        st.sampled_from(CHANNEL_PROCS),
+        st.sampled_from(CHANNEL_PROCS),
+        st.integers(0, 3),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=channel_ops,
+    seed=st.integers(0, 2**16),
+    lossy=st.booleans(),
+    drop_prob=st.sampled_from((0.0, 0.4, 0.9)),
+    budget=st.integers(0, 3),
+    delays=st.sampled_from(((1, 1), (1, 4), (2, 6))),
+)
+def test_channel_matches_the_filter_and_sort_channel(
+    ops, seed, lossy, drop_prob, budget, delays
+):
+    """Interleaved submits, deliveries and crashes: after each call,
+    every live receiver's ``deliverable`` list equals the reference's
+    (uids aside: a copy to a crashed receiver takes none), and the
+    channel draws exactly what the reference draws.  As in the
+    executor, a crashed receiver is never asked for deliveries."""
+    if lossy:
+        classes = (FairLossyChannel, _ReferenceFairLossy)
+        loss = {"drop_prob": drop_prob, "max_consecutive_drops": budget}
+    else:
+        classes, loss = (ReliableChannel, _ReferenceReliable), {}
+    min_delay, max_delay = delays
+    channel, reference = (
+        cls(random.Random(seed), min_delay=min_delay, max_delay=max_delay, **loss)
+        for cls in classes
+    )
+    live = list(CHANNEL_PROCS)
+    tick = 0
+    for op, advance, sender, receiver, value in ops:
+        tick += advance
+        if op == "submit":
+            if sender != receiver:
+                message = Message("m", value)
+                channel.submit(sender, receiver, message, tick)
+                reference.submit(sender, receiver, message, tick)
+        elif receiver not in live:
+            continue
+        elif op == "discard":
+            live.remove(receiver)
+            channel.discard_for(receiver)
+            reference.discard_for(receiver)
+        else:
+            ready = channel.deliverable(receiver, tick)
+            if ready:
+                pick = value % len(ready)
+                channel.consume(ready[pick])
+                reference.consume(reference.deliverable(receiver, tick)[pick])
+        for p in live:
+            ready = channel.deliverable(p, tick)
+            assert [e[:5] for e in ready] == [
+                e[:5] for e in reference.deliverable(p, tick)
+            ]
+    assert channel.in_flight_to(live) == reference.in_flight_to(live)
+    assert channel.in_flight_to(CHANNEL_PROCS) == channel.in_flight_to(live)
+    assert channel._rng.getstate() == reference._rng.getstate()
+    assert channel.dropped_count == reference.dropped_count
+    assert channel.delivered_count == reference.delivered_count

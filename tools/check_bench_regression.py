@@ -13,12 +13,13 @@ The gate dispatches on the ``benchmark`` field of the committed file
     n=2..4, the deep n=6 walk) must equal the committed ones exactly:
     exploration is deterministic, so a different count is a different
     search -- a reduction that prunes less, or a lost branch -- and the
-    file must be regenerated with the reason recorded.  And the DPOR
-    walk's CPU time at n=4, in units of a calibration chunk that runs
-    no ``repro`` code (``benchmarks/e2e/speed.py``), must not grow by
-    more than the tolerance (default 15%, ``--tolerance 0.15``): the
-    chunk measures the machine, so a slower runner passes and a slower
-    explorer fails.
+    file must be regenerated with the reason recorded.  And two CPU
+    times, in units of a calibration chunk that runs no ``repro`` code
+    (``benchmarks/e2e/speed.py``), must not grow by more than the
+    tolerance (default 15%, ``--tolerance 0.15``): the DPOR walk's at
+    n=4 and the seeded sampler's over the sim-digest matrix.  The chunk
+    measures the machine, so a slower runner passes and a slower
+    explorer or executor fails.
 
 ``epistemic-kernel`` (BENCH_kernel.json)
     Compares the columnar kernel's speedups over the naive reference at
@@ -77,7 +78,9 @@ EXPLORE_COUNTERS = (
     "drops_elided",
     "max_frontier",
 )
-EXPLORE_TIMED_KEY = "n=4"
+#: Per results entry, the CPU time gated by the 15% rule, in
+#: calibration chunks: the DPOR walk at n=4 and the seeded sampler.
+EXPLORE_TIMED = {"n=4": "dpor_chunks", "sampler": "sampler_chunks"}
 #: Per results entry, the speedup ratios gated by the 15% rule:
 #: columnar over naive at n=10, and class rows over point-at-a-time
 #: for the f/f' transforms.
@@ -110,6 +113,8 @@ def check_explore(
         committed_e = _entry(committed, args.committed, key)
         fresh_e = _entry(fresh, args.fresh, key)
         fields = [name for name in gated if name in committed_e]
+        if not fields:
+            continue
         changed = [
             f"{name} {committed_e[name]} -> {fresh_e.get(name)}"
             for name in fields
@@ -123,25 +128,25 @@ def check_explore(
             )
             failed = True
 
-    committed_e = _entry(committed, args.committed, EXPLORE_TIMED_KEY)
-    fresh_e = _entry(fresh, args.fresh, EXPLORE_TIMED_KEY)
-    for name, e in (("committed", committed_e), ("fresh", fresh_e)):
-        if not e.get("dpor_chunks"):
-            sys.exit(f"{name} entry lacks a nonzero 'dpor_chunks'")
-    ceiling = committed_e["dpor_chunks"] * (1.0 + args.tolerance)
-    actual = fresh_e["dpor_chunks"]
-    print(
-        f"explorer DPOR time at {EXPLORE_TIMED_KEY}: fresh {actual:.1f} "
-        f"calibration chunks, committed {committed_e['dpor_chunks']:.1f} "
-        f"(ceiling {ceiling:.1f})"
-    )
-    if actual > ceiling:
+    for key, field in EXPLORE_TIMED.items():
+        committed_e = _entry(committed, args.committed, key)
+        fresh_e = _entry(fresh, args.fresh, key)
+        for name, e in (("committed", committed_e), ("fresh", fresh_e)):
+            if not e.get(field):
+                sys.exit(f"{name} entry {key} lacks a nonzero {field!r}")
+        ceiling = committed_e[field] * (1.0 + args.tolerance)
+        actual = fresh_e[field]
         print(
-            f"REGRESSION: DPOR took {actual:.1f} > {ceiling:.1f} chunks "
-            f"(committed plus {args.tolerance:.0%})",
-            file=sys.stderr,
+            f"{field} at {key}: fresh {actual:.1f} calibration chunks, "
+            f"committed {committed_e[field]:.1f} (ceiling {ceiling:.1f})"
         )
-        failed = True
+        if actual > ceiling:
+            print(
+                f"REGRESSION: {field} at {key} {actual:.1f} > {ceiling:.1f} "
+                f"chunks (committed plus {args.tolerance:.0%})",
+                file=sys.stderr,
+            )
+            failed = True
     if failed:
         return 1
     print("ok")
