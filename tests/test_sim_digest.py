@@ -13,6 +13,12 @@ channels; every oracle family of ``repro.detectors.standard`` and
 ``repro.detectors.generalized`` (plus the ATD oracle its protocol needs);
 tick-0 and simultaneous crashes; and skipped activations.
 
+A second digest, ``RESEND_DIGEST``, pins what the matrix leaves out: the
+atomic-broadcast extension, the suspicion-gossip wrapper, and every
+retransmitting protocol with a non-default ``resend_rounds`` or
+``resend_interval``.  Its specs stay out of :func:`matrix`, whose 24
+specs are also the sampler benchmark's workload.
+
 If a change is *meant* to alter runs, the new digest must come with a
 cache-format bump, so that stale entries read as misses.
 """
@@ -23,6 +29,7 @@ import hashlib
 import json
 from functools import lru_cache
 
+from repro.core.atomic_broadcast import AtomicBroadcastProcess
 from repro.core.consensus import (
     RotatingCoordinatorConsensus,
     StrongConsensusProcess,
@@ -36,6 +43,7 @@ from repro.core.protocols import (
     StrongFDUDCProcess,
 )
 from repro.detectors.atd import AtdRotatingOracle
+from repro.detectors.conversions import with_gossip
 from repro.detectors.generalized import GeneralizedOracle, TrivialSubsetOracle
 from repro.detectors.standard import (
     EventuallyWeakOracle,
@@ -56,14 +64,25 @@ from repro.sim.executor import ExecutionConfig, execute
 from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelConfig, Partition
 from repro.sim.process import uniform_protocol
-from repro.workloads.generators import burst_workload, single_action
+from repro.workloads.generators import (
+    action_id,
+    burst_workload,
+    post_crash_workload,
+    single_action,
+)
 
 #: sha256 of the matrix below, recorded before the executor's fault
 #: injection hooks were deleted; the executor must reproduce it exactly.
 MATRIX_DIGEST = "f0aff15ad80ced2ffc8674ab7fc8951da0a3b13b57872c5f64b1d30ff49e4c3d"
 
+#: sha256 of :func:`resend_matrix`, recorded while every protocol still
+#: wrote its own retransmission loop and atomic broadcast its own copy of
+#: the rotating-coordinator rounds; both must reproduce it exactly.
+RESEND_DIGEST = "cdb4ffbc8f3e1d35ff0b2e80f9f4fc273a723b6bd0fb08e2556c7a08c699f24a"
+
 P3 = make_process_ids(3)
 P4 = make_process_ids(4)
+P5 = make_process_ids(5)
 
 FAIR = ExecutionConfig(max_ticks=600)
 RELIABLE = ExecutionConfig(
@@ -173,22 +192,143 @@ def matrix() -> list[tuple[str, RunSpec]]:
     return cases
 
 
+#: Atomic broadcast's workload: three a-broadcasts from three processes.
+AB_WORKLOAD = (
+    (1, "p1", action_id("p1", "m1")),
+    (3, "p2", action_id("p2", "m2")),
+    (6, "p4", action_id("p4", "m3")),
+)
+AB_CONFIG = ExecutionConfig(max_ticks=4000)
+AB_RELIABLE = ExecutionConfig(
+    max_ticks=4000, channel=ChannelConfig(semantics=ChannelSemantics.RELIABLE)
+)
+CONSENSUS5 = {p: f"v{i % 3}" for i, p in enumerate(P5)}
+
+
+def resend_matrix() -> list[tuple[str, RunSpec]]:
+    """The (name, spec) pairs behind ``RESEND_DIGEST``, in a fixed order."""
+    ab = uniform_protocol(AtomicBroadcastProcess)
+    eventually = EventuallyWeakOracle(stabilization_tick=25)
+    gossip = with_gossip(uniform_protocol(StrongFDUDCProcess))
+    gossip_plan = {"p3": 4}
+    gossip_workload = tuple(single_action("p1", tick=1)) + tuple(
+        post_crash_workload(P4, CrashPlan.of(gossip_plan), actions_per_survivor=1)
+    )
+    cases: list[tuple[str, RunSpec]] = []
+    for seed in (0, 1, 2):
+        cases += [
+            (f"ab/no-crash/{seed}",
+             _spec(P5, ab, workload=AB_WORKLOAD, detector=eventually,
+                   config=AB_CONFIG, seed=seed)),
+            (f"ab/minority-crash/{seed}",
+             _spec(P5, ab, crashes={"p3": 10, "p5": 18}, workload=AB_WORKLOAD,
+                   detector=eventually, config=AB_CONFIG, seed=seed)),
+            (f"gossip/impermanent-weak/fair/{seed}",
+             _spec(P4, gossip, crashes=gossip_plan, workload=gossip_workload,
+                   detector=ImpermanentWeakOracle(), seed=seed)),
+        ]
+    for seed in (0, 1):
+        cases += [
+            (f"ab/broadcaster-crash/reliable/{seed}",
+             _spec(P5, ab, crashes={"p2": 8}, workload=AB_WORKLOAD,
+                   detector=eventually, config=AB_RELIABLE, seed=seed)),
+            (f"gossip/impermanent-weak/reliable/{seed}",
+             _spec(P4, gossip, crashes=gossip_plan, workload=gossip_workload,
+                   detector=ImpermanentWeakOracle(), config=RELIABLE, seed=seed)),
+            (f"gossip/tight/{seed}",
+             _spec(P4, with_gossip(uniform_protocol(StrongFDUDCProcess),
+                                   resend_rounds=2, resend_interval=1),
+                   crashes=gossip_plan, workload=gossip_workload,
+                   detector=ImpermanentWeakOracle(), seed=seed)),
+            (f"consensus/strong/resend-20-2/{seed}",
+             _spec(P5, consensus_factory(StrongConsensusProcess, CONSENSUS5,
+                                         resend_rounds=20, resend_interval=2),
+                   crashes={"p2": 6}, workload=(), detector=StrongOracle(),
+                   seed=seed)),
+            (f"consensus/strong/resend-40-5/reliable/{seed}",
+             _spec(P4, consensus_factory(StrongConsensusProcess, CONSENSUS_VALUES,
+                                         resend_rounds=40, resend_interval=5),
+                   workload=(), detector=StrongOracle(), config=RELIABLE,
+                   seed=seed)),
+            (f"consensus/rotating/resend-4-5/{seed}",
+             _spec(P5, consensus_factory(RotatingCoordinatorConsensus, CONSENSUS5,
+                                         resend_rounds=4, resend_interval=5),
+                   crashes={"p1": 3, "p4": 9}, workload=(),
+                   detector=EventuallyWeakOracle(stabilization_tick=20),
+                   seed=seed)),
+            (f"consensus/rotating/resend-16-1/reliable/{seed}",
+             _spec(P4, consensus_factory(RotatingCoordinatorConsensus,
+                                         CONSENSUS_VALUES, resend_rounds=16,
+                                         resend_interval=1),
+                   crashes={"p2": 5}, workload=(),
+                   detector=EventuallyWeakOracle(stabilization_tick=10),
+                   config=RELIABLE, seed=seed)),
+            (f"nudc/resend-4/{seed}",
+             _spec(P4, uniform_protocol(NUDCProcess, resend_rounds=4),
+                   crashes={"p3": 2}, workload=BURST, seed=seed)),
+            (f"nudc/resend-7-1/reliable/{seed}",
+             _spec(P3, uniform_protocol(NUDCProcess, resend_rounds=7,
+                                        resend_interval=1),
+                   crashes={"p1": 3}, config=RELIABLE, seed=seed)),
+            (f"strong-fd/resend-5-2/{seed}",
+             _spec(P4, uniform_protocol(StrongFDUDCProcess, resend_rounds=5,
+                                        resend_interval=2),
+                   crashes={"p4": 4}, workload=BURST, detector=PerfectOracle(),
+                   seed=seed)),
+            (f"strong-fd/resend-60-6/{seed}",
+             _spec(P4, uniform_protocol(StrongFDUDCProcess, resend_rounds=60,
+                                        resend_interval=6),
+                   crashes={"p2": 3, "p3": 3}, detector=StrongOracle(),
+                   seed=seed)),
+            (f"reliable-udc/resend-3/{seed}",
+             _spec(P4, uniform_protocol(ReliableUDCProcess, resend_rounds=3),
+                   crashes={"p2": 4}, workload=BURST, seed=seed)),
+            (f"reliable-udc/resend-3/reliable/{seed}",
+             _spec(P4, uniform_protocol(ReliableUDCProcess, resend_rounds=3),
+                   crashes={"p1": 2}, workload=BURST, config=RELIABLE, seed=seed)),
+            (f"reliable-udc/resend-3-1/{seed}",
+             _spec(P3, uniform_protocol(ReliableUDCProcess, resend_rounds=3,
+                                        resend_interval=1),
+                   seed=seed)),
+            (f"generalized/resend-6-2/{seed}",
+             _spec(P4, uniform_protocol(GeneralizedFDUDCProcess, t=2,
+                                        resend_rounds=6, resend_interval=2),
+                   crashes={"p3": 4}, workload=BURST,
+                   detector=GeneralizedOracle(2), seed=seed)),
+            (f"atd/resend-8-4/{seed}",
+             _spec(P4, uniform_protocol(AtdUDCProcess, resend_rounds=8,
+                                        resend_interval=4),
+                   crashes={"p2": 5}, workload=BURST,
+                   detector=AtdRotatingOracle(rotation_period=4), seed=seed)),
+        ]
+    return cases
+
+
 @lru_cache(maxsize=1)
 def matrix_runs() -> tuple[tuple[str, Run], ...]:
     """Every matrix spec executed once (shared with the differential tests)."""
     return tuple((name, execute(spec)) for name, spec in matrix())
 
 
-def matrix_digest() -> str:
+def runs_digest(runs) -> str:
     digest = hashlib.sha256()
-    for name, run in matrix_runs():
+    for name, run in runs:
         encoded = json.dumps([name, run_to_dict(run)], sort_keys=True)
         digest.update(encoded.encode() + b"\n")
     return digest.hexdigest()
 
 
+def matrix_digest() -> str:
+    return runs_digest(matrix_runs())
+
+
 def test_matrix_digest_is_pinned():
     assert matrix_digest() == MATRIX_DIGEST
+
+
+def test_resend_digest_is_pinned():
+    runs = [(name, execute(spec)) for name, spec in resend_matrix()]
+    assert runs_digest(runs) == RESEND_DIGEST
 
 
 def test_matrix_covers_what_it_claims():
