@@ -24,12 +24,11 @@ integrity, and total order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.core.consensus import RotatingRounds
 from repro.detectors.properties import PropertyVerdict
 from repro.model.events import DoEvent, Message, ProcessId, StandardSuspicion, Suspicion
 from repro.model.run import Run
-from repro.sim.process import ProcessEnv, ProtocolProcess
+from repro.sim.process import ProcessEnv, ProtocolProcess, Resends
 
 GOSSIP = "ab-msg"
 P1 = "ab-p1"
@@ -37,6 +36,7 @@ P2 = "ab-p2"
 ACK = "ab-ack"
 NACK = "ab-nack"
 DECIDE = "ab-dec"
+ROUND_KINDS = (P1, P2, ACK, NACK)
 
 
 def deliver_action(payload) -> tuple:
@@ -44,26 +44,13 @@ def deliver_action(payload) -> tuple:
     return ("adeliver", payload)
 
 
-@dataclass
-class _Instance:
-    """One consensus instance (rotating coordinator, majority quorums)."""
-
-    number: int
-    estimate: tuple = ()
-    ts: int = 0
-    round: int = 0
-    decided: tuple | None = None
-    proposed: bool = False
-    estimates: dict[int, dict[ProcessId, tuple]] = field(default_factory=dict)
-    acks: dict[int, set[ProcessId]] = field(default_factory=dict)
-    nacks: dict[int, set[ProcessId]] = field(default_factory=dict)
-    sent_p2: set[int] = field(default_factory=set)
-    sent_p1: set[int] = field(default_factory=set)
-    replied: set[int] = field(default_factory=set)
-
-
 class AtomicBroadcastProcess(ProtocolProcess):
-    """Total-order (atomic) broadcast for t < n/2 with a <>S detector."""
+    """Total-order (atomic) broadcast for t < n/2 with a <>S detector.
+
+    Instance k is a :class:`~repro.core.consensus.RotatingRounds` whose
+    payloads carry k first; its proposal is this process's undelivered
+    set when it first drives the instance.
+    """
 
     def __init__(
         self,
@@ -78,50 +65,29 @@ class AtomicBroadcastProcess(ProtocolProcess):
         super().__init__(pid, env)
         self.max_instances = max_instances
         self.max_rounds = max_rounds
-        self.resend_interval = resend_interval
         self.resend_rounds = resend_rounds
         self.known: set = set()       # payloads gossiped to us
         self.delivered: list = []     # in delivery order
         self.delivered_set: set = set()
-        self.instances: dict[int, _Instance] = {}
+        self.instances: dict[int, RotatingRounds] = {}
+        self.proposed: set[int] = set()
+        self.decided: dict[int, tuple] = {}  # instance -> batch
         self.current = 1
-        self.pending_batches: dict[int, tuple] = {}  # decided, awaiting payloads
         self.current_suspects: frozenset[ProcessId] = frozenset()
-        self._outgoing: dict[tuple, list] = {}
-        self._last_pace = -(10**9)
+        self.resends = Resends(resend_interval)
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _emit(self, target: ProcessId, message: Message, key: tuple) -> None:
-        if key in self._outgoing:
-            return
-        self._outgoing[key] = [target, message, self.resend_rounds - 1]
-        self.env.send(target, message)
+    def _emit(self, target: ProcessId, message: Message) -> None:
+        self.resends.emit(self.env, (target, message), target, message, self.resend_rounds)
 
-    def _pace(self) -> None:
-        if self.env.now - self._last_pace < self.resend_interval:
-            return
-        sent = False
-        for entry in self._outgoing.values():
-            if entry[2] > 0:
-                entry[2] -= 1
-                self.env.send(entry[0], entry[1])
-                sent = True
-        if sent:
-            self._last_pace = self.env.now
-
-    def _instance(self, k: int) -> _Instance:
-        inst = self.instances.get(k)
-        if inst is None:
-            inst = _Instance(number=k)
-            self.instances[k] = inst
-        return inst
-
-    def _coordinator(self, inst: _Instance) -> ProcessId:
-        return self.env.processes[inst.round % len(self.env.processes)]
-
-    def _majority(self) -> int:
-        return len(self.env.processes) // 2 + 1
+    def _instance(self, k: int) -> RotatingRounds:
+        rounds = self.instances.get(k)
+        if rounds is None:
+            rounds = self.instances[k] = RotatingRounds(
+                self.env, ROUND_KINDS, lambda fields: (k, *fields), self._emit, ()
+            )
+        return rounds
 
     # -- hooks --------------------------------------------------------------------
 
@@ -142,37 +108,18 @@ class AtomicBroadcastProcess(ProtocolProcess):
         elif kind == DECIDE:
             k, batch = message.payload
             self._record_decision(k, batch)
-        elif kind == P1:
-            k, rnd, est, ts = message.payload
-            inst = self._instance(k)
-            inst.estimates.setdefault(rnd, {})[sender] = (est, ts)
-        elif kind == P2:
-            k, rnd, est = message.payload
-            inst = self._instance(k)
-            if rnd >= inst.round and rnd not in inst.replied:
-                inst.estimate = est
-                inst.ts = rnd
-                inst.replied.add(rnd)
-                self._emit(
-                    self.env.processes[rnd % len(self.env.processes)],
-                    Message(ACK, (k, rnd)),
-                    ("ack", k, rnd),
-                )
-                inst.round = max(inst.round, rnd + 1)
-        elif kind == ACK:
-            k, rnd = message.payload
-            self._instance(k).acks.setdefault(rnd, set()).add(sender)
-        elif kind == NACK:
-            k, rnd = message.payload
-            self._instance(k).nacks.setdefault(rnd, set()).add(sender)
+        elif kind in ROUND_KINDS:
+            k, *fields = message.payload
+            self._instance(k).receive(sender, kind, fields)
         self._drive()
 
     def on_tick(self) -> None:
         self._drive()
-        self._pace()
+        if self.resends.due(self.env.now):
+            self.resends.flush(self.env)
 
     def wants_to_act(self) -> bool:
-        return any(entry[2] > 0 for entry in self._outgoing.values())
+        return bool(self.resends.left)
 
     # -- dissemination ----------------------------------------------------------------
 
@@ -180,8 +127,9 @@ class AtomicBroadcastProcess(ProtocolProcess):
         if payload in self.known:
             return
         self.known.add(payload)
+        message = Message(GOSSIP, payload)
         for q in self.env.others:
-            self._emit(q, Message(GOSSIP, payload), ("g", payload, q))
+            self._emit(q, message)
 
     # -- ordering ----------------------------------------------------------------------
 
@@ -189,20 +137,19 @@ class AtomicBroadcastProcess(ProtocolProcess):
         return tuple(sorted(p for p in self.known if p not in self.delivered_set))
 
     def _record_decision(self, k: int, batch: tuple) -> None:
-        inst = self._instance(k)
-        if inst.decided is None:
-            inst.decided = batch
+        if k not in self.decided:
+            self.decided[k] = batch
+            message = Message(DECIDE, (k, batch))
             for q in self.env.others:
-                self._emit(q, Message(DECIDE, (k, batch)), ("dec", k, q))
+                self._emit(q, message)
         self._try_deliver()
 
     def _try_deliver(self) -> None:
         """Deliver decided batches in instance order, once payloads are known."""
         while True:
-            inst = self.instances.get(self.current)
-            if inst is None or inst.decided is None:
+            batch = self.decided.get(self.current)
+            if batch is None:
                 return
-            batch = inst.decided
             if not set(batch) <= self.known:
                 return  # gossip still in flight; R5 will bring it
             for payload in batch:
@@ -212,69 +159,20 @@ class AtomicBroadcastProcess(ProtocolProcess):
                     self.env.perform(deliver_action(payload))
             self.current += 1
 
-    # -- the consensus engine ------------------------------------------------------------
-
     def _drive(self) -> None:
         self._try_deliver()
         k = self.current
-        if k > self.max_instances:
+        if k > self.max_instances or k in self.decided:
             return
-        inst = self._instance(k)
-        if inst.decided is not None:
-            return
-        if not inst.proposed:
+        rounds = self._instance(k)
+        if k not in self.proposed:
             proposal = self._undelivered()
             if not proposal:
                 return  # nothing to order yet
-            inst.proposed = True
-            inst.estimate = proposal
-
-        progressed = True
-        while progressed and inst.round < self.max_rounds and inst.decided is None:
-            progressed = False
-            rnd = inst.round
-            coord = self._coordinator(inst)
-            if coord == self.pid:
-                inst.estimates.setdefault(rnd, {})[self.pid] = (
-                    inst.estimate,
-                    inst.ts,
-                )
-            elif rnd not in inst.sent_p1:
-                inst.sent_p1.add(rnd)
-                self._emit(
-                    coord,
-                    Message(P1, (k, rnd, inst.estimate, inst.ts)),
-                    ("p1", k, rnd),
-                )
-
-            if coord == self.pid:
-                ests = inst.estimates.setdefault(rnd, {})
-                acks = inst.acks.setdefault(rnd, set())
-                nacks = inst.nacks.setdefault(rnd, set())
-                if rnd not in inst.sent_p2 and len(ests) >= self._majority():
-                    best_est, _ = max(ests.values(), key=lambda et: et[1])
-                    inst.sent_p2.add(rnd)
-                    inst.estimate = best_est
-                    inst.ts = rnd
-                    acks.add(self.pid)
-                    inst.replied.add(rnd)
-                    for q in self.env.others:
-                        self._emit(
-                            q, Message(P2, (k, rnd, best_est)), ("p2", k, rnd, q)
-                        )
-                if rnd in inst.sent_p2:
-                    if len(acks) >= self._majority():
-                        self._record_decision(k, inst.estimate)
-                        return
-                    if nacks and len(acks) + len(nacks) >= self._majority():
-                        inst.round += 1
-                        progressed = True
-            else:
-                if rnd not in inst.replied and coord in self.current_suspects:
-                    inst.replied.add(rnd)
-                    self._emit(coord, Message(NACK, (k, rnd)), ("nack", k, rnd))
-                    inst.round += 1
-                    progressed = True
+            self.proposed.add(k)
+            rounds.estimate = proposal
+        if rounds.drive(self.current_suspects, self.max_rounds):
+            self._record_decision(k, rounds.estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ Decisions are recorded as ``do_p(("decide", v))`` events;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.detectors.properties import PropertyVerdict
 from repro.model.events import DoEvent, Message, ProcessId, StandardSuspicion, Suspicion
 from repro.model.run import Run
-from repro.sim.process import ProcessEnv, ProtocolProcess
+from repro.sim.process import ProcessEnv, ProtocolProcess, Resends
 
 VECTOR = "cons-vec"  # cumulative phase-1/phase-2 state of the sender
 DECIDE = "cons-dec"
@@ -47,6 +48,16 @@ NACK = "rc-nack"
 def decide_action(value) -> tuple:
     """The do-event action recording a consensus decision."""
     return ("decide", value)
+
+
+def decision_sends(env: ProcessEnv, value) -> Resends:
+    """Six copies of the decision owed to every other process, one per
+    ``on_tick`` (interval 0: unpaced)."""
+    table = Resends(0)
+    message = Message(DECIDE, value)
+    for q in env.others:
+        table.add(q, q, message, 6)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +90,7 @@ class StrongConsensusProcess(ProtocolProcess):
         self.resend_interval = resend_interval
         self.sends_left = {q: resend_rounds for q in env.others}
         self._last_send = -(10**9)
-        self._decide_sends_left = {q: 6 for q in env.others}
+        self.decisions = Resends(0)
 
     # -- messaging -----------------------------------------------------------
 
@@ -110,12 +121,6 @@ class StrongConsensusProcess(ProtocolProcess):
         if sent:
             self._last_send = self.env.now
 
-    def _broadcast_decision(self) -> None:
-        for q in self.env.others:
-            if self._decide_sends_left[q] > 0:
-                self._decide_sends_left[q] -= 1
-                self.env.send(q, Message(DECIDE, self.decided))
-
     # -- hooks ----------------------------------------------------------------
 
     def on_start(self) -> None:
@@ -139,12 +144,11 @@ class StrongConsensusProcess(ProtocolProcess):
     def on_tick(self) -> None:
         self._broadcast_state()
         self._advance()
-        if self.decided is not None:
-            self._broadcast_decision()
+        self.decisions.flush(self.env)
 
     def wants_to_act(self) -> bool:
         if self.decided is not None:
-            return any(left > 0 for left in self._decide_sends_left.values())
+            return bool(self.decisions.left)
         return any(left > 0 for left in self.sends_left.values())
 
     # -- the algorithm -----------------------------------------------------------
@@ -190,7 +194,8 @@ class StrongConsensusProcess(ProtocolProcess):
             return
         self.decided = value
         self.env.perform(decide_action(value))
-        self._broadcast_decision()
+        self.decisions = decision_sends(self.env, value)
+        self.decisions.flush(self.env)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +203,114 @@ class StrongConsensusProcess(ProtocolProcess):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RoundBox:
-    """Per-round message stores at the coordinator."""
+class RotatingRounds:
+    """Chandra-Toueg's <>S rounds for one consensus instance (t < n/2).
 
-    estimates: dict[ProcessId, tuple] = None
-    acks: set[ProcessId] = None
-    nacks: set[ProcessId] = None
-    sent_p2: bool = False
+    Round r's coordinator is ``processes[r % n]``.  Phase 1: everyone
+    sends it their (estimate, ts).  Phase 2: with a majority of them it
+    sends everyone the freshest estimate.  Phase 3: a process adopts that
+    estimate and acks it, or nacks a coordinator it suspects, and moves
+    on.  Phase 4: a majority of acks decides; a nack among a majority of
+    replies moves the coordinator on too.
 
-    def __post_init__(self):
-        self.estimates = {} if self.estimates is None else self.estimates
-        self.acks = set() if self.acks is None else self.acks
-        self.nacks = set() if self.nacks is None else self.nacks
+    The owner supplies the message kinds ``(p1, p2, ack, nack)``,
+    ``wrap(fields)`` (the payload that carries a round's fields) and
+    ``emit(target, message)`` (a send with paced retransmission).
+    """
+
+    def __init__(
+        self,
+        env: ProcessEnv,
+        kinds: tuple[str, str, str, str],
+        wrap: Callable[[tuple], object],
+        emit: Callable[[ProcessId, Message], None],
+        estimate,
+    ) -> None:
+        self.env = env
+        self.kinds = kinds
+        self.wrap = wrap
+        self.emit = emit
+        self.estimate = estimate
+        self.ts = 0
+        self.round = 0
+        #: round -> sender -> (estimate, ts), at the round's coordinator
+        self.estimates: dict[int, dict[ProcessId, tuple]] = {}
+        self.acks: dict[int, set[ProcessId]] = {}
+        self.nacks: dict[int, set[ProcessId]] = {}
+        self.sent_p1: set[int] = set()
+        self.sent_p2: set[int] = set()
+        self.replied: set[int] = set()
+
+    def coordinator(self, rnd: int) -> ProcessId:
+        processes = self.env.processes
+        return processes[rnd % len(processes)]
+
+    def receive(self, sender: ProcessId, kind: str, fields) -> None:
+        """A round message's ``fields``: its payload without the wrapping."""
+        p1, p2, ack, nack = self.kinds
+        rnd = fields[0]
+        if kind == p1:
+            self.estimates.setdefault(rnd, {})[sender] = (fields[1], fields[2])
+        elif kind == p2:
+            if rnd >= self.round and rnd not in self.replied:
+                self.estimate = fields[1]
+                self.ts = rnd
+                self.replied.add(rnd)
+                self.emit(self.coordinator(rnd), Message(ack, self.wrap((rnd,))))
+                self.round = max(self.round, rnd + 1)
+        elif kind == ack:
+            self.acks.setdefault(rnd, set()).add(sender)
+        elif kind == nack:
+            self.nacks.setdefault(rnd, set()).add(sender)
+
+    def drive(self, suspects: frozenset[ProcessId], max_rounds: int) -> bool:
+        """Play rounds as far as the messages in hand allow.  True once a
+        majority acked this process's phase-2 estimate: ``estimate`` is
+        then the decision."""
+        p1, p2, _, nack = self.kinds
+        pid = self.env.pid
+        majority = len(self.env.processes) // 2 + 1
+        progressed = True
+        while progressed and self.round < max_rounds:
+            progressed = False
+            rnd = self.round
+            coord = self.coordinator(rnd)
+            if coord != pid:
+                if rnd not in self.sent_p1:
+                    self.sent_p1.add(rnd)
+                    self.emit(coord, Message(p1, self.wrap((rnd, self.estimate, self.ts))))
+                if rnd not in self.replied and coord in suspects:
+                    self.replied.add(rnd)
+                    self.emit(coord, Message(nack, self.wrap((rnd,))))
+                    self.round += 1
+                    progressed = True
+                continue
+            estimates = self.estimates.setdefault(rnd, {})
+            estimates[pid] = (self.estimate, self.ts)
+            acks = self.acks.setdefault(rnd, set())
+            if rnd not in self.sent_p2 and len(estimates) >= majority:
+                best, _ = max(estimates.values(), key=lambda et: et[1])
+                self.sent_p2.add(rnd)
+                self.estimate = best
+                self.ts = rnd
+                acks.add(pid)  # own implicit ack
+                self.replied.add(rnd)
+                message = Message(p2, self.wrap((rnd, best)))
+                for q in self.env.others:
+                    self.emit(q, message)
+            if rnd in self.sent_p2:
+                if len(acks) >= majority:
+                    return True
+                nacks = self.nacks.get(rnd)
+                if nacks and len(acks) + len(nacks) >= majority:
+                    self.round += 1
+                    progressed = True
+        return False
+
+
+def _bare(fields: tuple):
+    """Consensus's payloads: the fields, an ack or nack its bare round."""
+    return fields if len(fields) > 1 else fields[0]
 
 
 class RotatingCoordinatorConsensus(ProtocolProcess):
@@ -237,55 +337,16 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         resend_rounds: int = 10,
     ) -> None:
         super().__init__(pid, env)
-        self.estimate = value
-        self.ts = 0
-        self.round = 0
         self.max_rounds = max_rounds
+        self.resend_rounds = resend_rounds
         self.decided = None
         self.current_suspects: frozenset[ProcessId] = frozenset()
-        self.boxes: dict[int, _RoundBox] = {}
-        self.sent_p1_for: set[int] = set()
-        self.replied_for: set[int] = set()
-        self.resend_interval = resend_interval
-        self.resend_rounds = resend_rounds
-        #: key -> [target, message, copies_remaining]
-        self._outgoing: dict[tuple, list] = {}
-        self._last_pace = -(10**9)
-        self._decide_sends_left = {q: 6 for q in env.others}
+        self.resends = Resends(resend_interval)
+        self.decisions = Resends(0)
+        self.rounds = RotatingRounds(env, (P1, P2, ACK, NACK), _bare, self._emit, value)
 
-    # -- helpers ----------------------------------------------------------------
-
-    def _coordinator(self, rnd: int) -> ProcessId:
-        return self.env.processes[rnd % len(self.env.processes)]
-
-    def _box(self, rnd: int) -> _RoundBox:
-        box = self.boxes.get(rnd)
-        if box is None:
-            box = _RoundBox()
-            self.boxes[rnd] = box
-        return box
-
-    def _majority(self) -> int:
-        return len(self.env.processes) // 2 + 1
-
-    def _emit(self, target: ProcessId, message: Message, key: tuple) -> None:
-        """Send now and register for paced retransmission."""
-        if key in self._outgoing:
-            return
-        self._outgoing[key] = [target, message, self.resend_rounds - 1]
-        self.env.send(target, message)
-
-    def _pace(self) -> None:
-        if self.env.now - self._last_pace < self.resend_interval:
-            return
-        sent = False
-        for entry in self._outgoing.values():
-            if entry[2] > 0:
-                entry[2] -= 1
-                self.env.send(entry[0], entry[1])
-                sent = True
-        if sent:
-            self._last_pace = self.env.now
+    def _emit(self, target: ProcessId, message: Message) -> None:
+        self.resends.emit(self.env, (target, message), target, message, self.resend_rounds)
 
     # -- hooks --------------------------------------------------------------------
 
@@ -298,99 +359,40 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
             self._drive()
 
     def on_receive(self, sender: ProcessId, message: Message) -> None:
-        if message.kind == DECIDE:
-            self._decide(message.payload)
+        kind, payload = message.kind, message.payload
+        if kind == DECIDE:
+            self._decide(payload)
             return
-        if message.kind == P1:
-            rnd, est, ts = message.payload
-            self._box(rnd).estimates[sender] = (est, ts)
-        elif message.kind == P2:
-            rnd, est = message.payload
-            if rnd >= self.round and rnd not in self.replied_for:
-                self.estimate = est
-                self.ts = rnd
-                self.replied_for.add(rnd)
-                self._emit(
-                    self._coordinator(rnd), Message(ACK, rnd), ("ack", rnd)
-                )
-                self.round = max(self.round, rnd + 1)
-        elif message.kind == ACK:
-            self._box(message.payload).acks.add(sender)
-        elif message.kind == NACK:
-            self._box(message.payload).nacks.add(sender)
+        if kind in (P1, P2):
+            self.rounds.receive(sender, kind, payload)
+        elif kind in (ACK, NACK):
+            self.rounds.receive(sender, kind, (payload,))
         self._drive()
 
     def on_tick(self) -> None:
         self._drive()
-        self._pace()
-        if self.decided is not None:
-            for q in self.env.others:
-                if self._decide_sends_left[q] > 0:
-                    self._decide_sends_left[q] -= 1
-                    self.env.send(q, Message(DECIDE, self.decided))
+        if self.resends.due(self.env.now):
+            self.resends.flush(self.env)
+        self.decisions.flush(self.env)
 
     def wants_to_act(self) -> bool:
         if self.decided is not None:
-            return any(left > 0 for left in self._decide_sends_left.values())
-        return any(entry[2] > 0 for entry in self._outgoing.values())
-
-    # -- the round machine ------------------------------------------------------------
+            return bool(self.decisions.left)
+        return bool(self.resends.left)
 
     def _drive(self) -> None:
-        if self.decided is not None:
-            return
-        progressed = True
-        while progressed and self.round < self.max_rounds:
-            progressed = False
-            rnd = self.round
-            coord = self._coordinator(rnd)
-            box = self._box(rnd)
-
-            # Phase 1: everyone reports its estimate to the coordinator.
-            if coord == self.pid:
-                box.estimates[self.pid] = (self.estimate, self.ts)
-            elif rnd not in self.sent_p1_for:
-                self.sent_p1_for.add(rnd)
-                self._emit(
-                    coord, Message(P1, (rnd, self.estimate, self.ts)), ("p1", rnd)
-                )
-
-            if coord == self.pid:
-                # Phase 2: with a majority of estimates, circulate the freshest.
-                if not box.sent_p2 and len(box.estimates) >= self._majority():
-                    best_est, _ = max(
-                        box.estimates.values(), key=lambda et: et[1]
-                    )
-                    box.sent_p2 = True
-                    self.estimate = best_est
-                    self.ts = rnd
-                    box.acks.add(self.pid)  # own implicit ack
-                    self.replied_for.add(rnd)
-                    for q in self.env.others:
-                        self._emit(q, Message(P2, (rnd, best_est)), ("p2", rnd, q))
-                # Phase 4: a majority of acks decides; a nack with a
-                # majority of replies abandons the round.
-                if box.sent_p2:
-                    if len(box.acks) >= self._majority():
-                        self._decide(self.estimate)
-                        return
-                    if box.nacks and len(box.acks) + len(box.nacks) >= self._majority():
-                        self.round += 1
-                        progressed = True
-            else:
-                # Phase 3: wait for the coordinator's estimate, or suspect it.
-                if rnd not in self.replied_for and coord in self.current_suspects:
-                    self.replied_for.add(rnd)
-                    self._emit(coord, Message(NACK, rnd), ("nack", rnd))
-                    self.round += 1
-                    progressed = True
+        if self.decided is None and self.rounds.drive(
+            self.current_suspects, self.max_rounds
+        ):
+            self._decide(self.rounds.estimate)
 
     def _decide(self, value) -> None:
         if self.decided is not None:
             return
         self.decided = value
-        self._outgoing.clear()
+        self.resends.left.clear()
         self.env.perform(decide_action(value))
+        self.decisions = decision_sends(self.env, value)
 
 
 # ---------------------------------------------------------------------------

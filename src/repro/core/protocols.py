@@ -32,6 +32,15 @@ within another budget's worth of receipts, so any
 ``resend_rounds >= (budget + 1) * (budget + 2)`` preserves every liveness
 property the unbounded protocol has; the default of 25 covers the
 default budget of 3 with slack.  DESIGN.md substitution 2 records this.
+
+The copies live in each action's :class:`~repro.sim.process.Resends`
+table, keyed by target, the table every retransmitting protocol here
+uses.  Joining owes every other process ``resend_rounds`` copies and
+sends the first at once; an ack removes its sender's key; ``on_tick``
+sends one copy under every owed key once ``resend_interval`` ticks have
+passed since copies last went out.  ``ReliableUDCProcess`` sends its
+first copies without restarting that clock, so its second go out at
+the first ``on_tick``.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from repro.model.events import (
     StandardSuspicion,
     Suspicion,
 )
-from repro.sim.process import ProcessEnv, ProtocolProcess
+from repro.sim.process import ProcessEnv, ProtocolProcess, Resends
 
 ALPHA = "alpha"
 ACK = "ack"
@@ -65,17 +74,17 @@ def ack_message(action: ActionId) -> Message:
     return Message(ACK, action)
 
 
-@dataclass
-class _ActionState:
-    """Per-action bookkeeping shared by the acknowledging protocols."""
+@dataclass(slots=True)
+class _ActionState(Resends):
+    """One action's bookkeeping: the alpha-message copies still owed
+    (a :class:`Resends` table keyed by target), whether this process
+    joined, and who acked or holds the action."""
 
     joined: bool = False
     acked_by: set[ProcessId] = field(default_factory=set)
     #: processes known to be in the UDC(action) state: they acked our
     #: alpha-message or sent us one themselves
     holders: set[ProcessId] = field(default_factory=set)
-    sends_left: dict[ProcessId, int] = field(default_factory=dict)
-    last_resend: int = -(10**9)
 
 
 class _CoordinationBase(ProtocolProcess):
@@ -99,39 +108,35 @@ class _CoordinationBase(ProtocolProcess):
     def state(self, action: ActionId) -> _ActionState:
         st = self.states.get(action)
         if st is None:
-            st = _ActionState(
-                sends_left={q: self.resend_rounds for q in self.env.others}
-            )
-            self.states[action] = st
+            st = self.states[action] = _ActionState(self.resend_interval)
+        return st
+
+    def _joining(self, action: ActionId) -> _ActionState | None:
+        """Enter the UDC(action) state owing every other process
+        ``resend_rounds`` alpha-messages, none sent yet (None: already in)."""
+        st = self.state(action)
+        if st.joined:
+            return None
+        st.joined = True
+        message = alpha_message(action)
+        for q in self.env.others:
+            st.add(q, q, message, self.resend_rounds)
         return st
 
     def join(self, action: ActionId) -> None:
         """Enter the UDC(action) state; subclasses extend."""
-        st = self.state(action)
-        if st.joined:
+        st = self._joining(action)
+        if st is None:
             return
-        st.joined = True
-        self._resend(action, st)
+        st.flush(self.env)
         self.check_perform(action)
 
-    def _resend(self, action: ActionId, st: _ActionState) -> None:
-        """Send the alpha-message once more to every process that has not
-        acked it and has sends left."""
-        env = self.env
-        acked, sends_left = st.acked_by, st.sends_left
-        message = alpha_message(action)
-        sent_any = False
-        for q in env.others:
-            if q in acked:
-                continue
-            left = sends_left.get(q, 0)
-            if left <= 0:
-                continue
-            sends_left[q] = left - 1
-            env.send(q, message)
-            sent_any = True
-        if sent_any:
-            st.last_resend = env.now
+    def _recheck(self) -> None:
+        """Check the perform rule of every joined action again (the
+        detector has spoken)."""
+        for action, st in self.states.items():
+            if st.joined:
+                self.check_perform(action)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -150,43 +155,41 @@ class _CoordinationBase(ProtocolProcess):
             st = self.state(action)
             st.acked_by.add(sender)
             st.holders.add(sender)
+            st.discard(sender)
             self.check_perform(action)
 
     def on_tick(self) -> None:
-        """Paced retransmission: resend every joined action whose last
-        resend is ``resend_interval`` ticks old.  The perform condition
+        """Paced retransmission: resend every action whose last copies
+        went out ``resend_interval`` ticks ago.  The perform condition
         changes only in :meth:`join`, :meth:`on_receive` and
         ``on_suspect``, and each of them checks it."""
-        now = self.env.now
-        interval = self.resend_interval
-        for action, st in self.states.items():
-            if st.joined and now - st.last_resend >= interval:
-                self._resend(action, st)
+        now, env = self.env.now, self.env
+        for st in self.states.values():
+            if st.due(now):
+                st.flush(env)
 
     def wants_to_act(self) -> bool:
-        return any(
-            st.joined
-            and any(
-                q not in st.acked_by and st.sends_left.get(q, 0) > 0
-                for q in self.env.others
-            )
-            for st in self.states.values()
-        )
+        return any(st.left for st in self.states.values())
 
     # -- state capture -------------------------------------------------------
 
     def snapshot(self) -> object | None:
-        """Every action's ``_ActionState``, as tuples and frozensets."""
+        """Every action's ``_ActionState``, as tuples and frozensets.  The
+        ``sends`` dict is shared: a state is joined by the hook that
+        creates it, and a joined state's ``sends`` never changes."""
         return tuple(
             (action, st.joined, frozenset(st.acked_by), frozenset(st.holders),
-             tuple(st.sends_left.items()), st.last_resend)
+             tuple(st.left.items()), st.sends, st.last)
             for action, st in self.states.items()
         )
 
     def restore(self, state: object) -> None:
+        interval = self.resend_interval
         self.states = {
-            action: _ActionState(joined, set(acked), set(holders), dict(sends), last)
-            for action, joined, acked, holders, sends, last in state
+            action: _ActionState(
+                interval, dict(left), sends, last, joined, set(acked), set(holders)
+            )
+            for action, joined, acked, holders, left, sends, last in state
         }
 
     # -- the protocol-specific perform rule -------------------------------------
@@ -213,16 +216,15 @@ class NUDCProcess(_CoordinationBase):
     """
 
     def join(self, action: ActionId) -> None:
-        st = self.state(action)
-        if st.joined:
+        st = self._joining(action)
+        if st is None:
             return
-        st.joined = True
         # The paper's order: "it performs alpha and sends an alpha-message
         # repeatedly".  Performing before any send is exactly what makes
         # the protocol non-uniform -- a crash straight after the do event
         # can leave no trace of alpha anywhere else.
         self.env.perform(action)
-        self._resend(action, st)
+        st.flush(self.env)
 
     def check_perform(self, action: ActionId) -> None:
         if self.env.has_performed(action):
@@ -251,10 +253,11 @@ class ReliableUDCProcess(_CoordinationBase):
             return
         st.joined = True
         # Send to all BEFORE performing; the outbox preserves order, so
-        # the do event lands after every send event.
+        # the do event lands after every send event.  ``emit`` leaves the
+        # clock alone: the next copy goes at the first ``on_tick``.
+        message = alpha_message(action)
         for q in self.env.others:
-            st.sends_left[q] -= 1
-            self.env.send(q, alpha_message(action))
+            st.emit(self.env, q, q, message, self.resend_rounds)
         self.env.perform(action)
 
     def check_perform(self, action: ActionId) -> None:
@@ -287,9 +290,7 @@ class StrongFDUDCProcess(_CoordinationBase):
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, StandardSuspicion):
             self.ever_suspected |= report.suspects
-            for action, st in self.states.items():
-                if st.joined:
-                    self.check_perform(action)
+            self._recheck()
 
     def check_perform(self, action: ActionId) -> None:
         if self.env.has_performed(action):
@@ -339,9 +340,7 @@ class GeneralizedFDUDCProcess(_CoordinationBase):
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, GeneralizedSuspicion):
             self.reports.append(report)
-            for action, st in self.states.items():
-                if st.joined:
-                    self.check_perform(action)
+            self._recheck()
 
     def _useful_here(self, report: GeneralizedSuspicion) -> bool:
         n = len(self.env.processes)
@@ -389,9 +388,7 @@ class AtdUDCProcess(_CoordinationBase):
     def on_suspect(self, report: Suspicion) -> None:
         if isinstance(report, StandardSuspicion):
             self.current_suspects = report.suspects
-            for action, st in self.states.items():
-                if st.joined:
-                    self.check_perform(action)
+            self._recheck()
 
     def _holders(self, action: ActionId) -> set[ProcessId]:
         """Processes known to be in the UDC(action) state."""

@@ -43,7 +43,7 @@ from repro.model.events import (
 )
 from repro.model.run import Run
 from repro.model.system import System
-from repro.sim.process import ProcessEnv, ProtocolProcess
+from repro.sim.process import ProcessEnv, ProtocolProcess, Resends
 
 GOSSIP = "susp-gossip"
 
@@ -142,30 +142,16 @@ class SuspicionGossip(ProtocolProcess):
         super().__init__(pid, env)
         self.inner = inner
         self.resend_rounds = resend_rounds
-        self.resend_interval = resend_interval
         self._known: set[frozenset[ProcessId]] = set()
-        self._sends_left: dict[tuple[ProcessId, frozenset], int] = {}
-        self._last_resend = -(10**9)
+        self.resends = Resends(resend_interval)
 
     def _learn(self, suspects: frozenset[ProcessId]) -> None:
         if suspects in self._known or not suspects:
             return
         self._known.add(suspects)
+        message = Message(GOSSIP, suspects)
         for q in self.env.others:
-            self._sends_left[(q, suspects)] = self.resend_rounds
-
-    def _resend(self) -> None:
-        if self.env.now - self._last_resend < self.resend_interval:
-            return
-        sent = False
-        for (q, suspects), left in list(self._sends_left.items()):
-            if left <= 0:
-                continue
-            self._sends_left[(q, suspects)] = left - 1
-            self.env.send(q, Message(GOSSIP, suspects))
-            sent = True
-        if sent:
-            self._last_resend = self.env.now
+            self.resends.add((q, suspects), q, message, self.resend_rounds)
 
     # -- delegated hooks ------------------------------------------------------
 
@@ -194,12 +180,12 @@ class SuspicionGossip(ProtocolProcess):
         self.inner.on_suspect(report)
 
     def on_tick(self) -> None:
-        self._resend()
+        if self.resends.due(self.env.now):
+            self.resends.flush(self.env)
         self.inner.on_tick()
 
     def wants_to_act(self) -> bool:
-        pending_gossip = any(left > 0 for left in self._sends_left.values())
-        return pending_gossip or self.inner.wants_to_act()
+        return bool(self.resends.left) or self.inner.wants_to_act()
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ sources (they are given none).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.model.events import (
     ActionId,
@@ -86,6 +86,67 @@ class ProcessEnv:
     @property
     def outbox_size(self) -> int:
         return len(self.outbox)
+
+
+@dataclass(slots=True)
+class Resends:
+    """Bounded, paced retransmission: the copies a process still owes.
+
+    Every protocol here meets fair-lossy channels the same way: resend
+    until acknowledged, a bounded number of copies ``interval`` ticks
+    apart.  ``left`` maps each owed key to its copies still owed, in
+    the order the keys were queued, which is the order :meth:`flush`
+    sends them; a key leaves it when acknowledged or spent.  ``sends``
+    maps every key ever queued to its ``(target, message)``; callers
+    queue a key once, so its message never changes and snapshots may
+    share the dict.  ``last`` is when copies last went out.
+    """
+
+    interval: int
+    left: dict[object, int] = field(default_factory=dict)
+    sends: dict[object, tuple[ProcessId, Message]] = field(default_factory=dict)
+    last: int = -(10**9)
+
+    def add(self, key: object, target: ProcessId, message: Message, copies: int) -> None:
+        """Owe ``copies`` copies of ``message`` to ``target``, none sent yet."""
+        self.sends[key] = (target, message)
+        if copies > 0:
+            self.left[key] = copies
+
+    def emit(
+        self, env: ProcessEnv, key: object, target: ProcessId, message: Message,
+        copies: int,
+    ) -> None:
+        """Send one copy now and owe ``copies - 1``, unless ``key`` was
+        ever queued (spent or not).  The clock is left alone."""
+        if key not in self.sends:
+            self.add(key, target, message, copies - 1)
+            env.send(target, message)
+
+    def discard(self, key: object) -> None:
+        """Owe nothing more under ``key``: it was acknowledged."""
+        self.left.pop(key, None)
+
+    def due(self, now: int) -> bool:
+        """Are copies owed, the last sent ``interval`` ticks ago?"""
+        return bool(self.left) and now - self.last >= self.interval
+
+    def flush(self, env: ProcessEnv) -> None:
+        """Send one copy under every owed key, in queue order; restart
+        the clock if any went out."""
+        left, sends = self.left, self.sends
+        if not left:
+            return
+        spent = []
+        for key, copies in left.items():
+            env.send(*sends[key])
+            if copies > 1:
+                left[key] = copies - 1
+            else:
+                spent.append(key)
+        for key in spent:
+            del left[key]
+        self.last = env.now
 
 
 class ProtocolProcess:

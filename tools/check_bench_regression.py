@@ -3,23 +3,27 @@
 
 Usage::
 
-    python tools/check_bench_regression.py COMMITTED.json FRESH.json
+    python tools/check_bench_regression.py COMMITTED.json FRESH.json [FRESH.json ...]
 
 The gate dispatches on the ``benchmark`` field of the committed file
-(both files must agree):
+(every file must agree).  Only the explorer mode takes more than one
+fresh file.
 
 ``explore-enumeration`` (BENCH_explore.json)
     Two checks.  The search counters of every entry (both walks at
-    n=2..4, the deep n=6 walk) must equal the committed ones exactly:
-    exploration is deterministic, so a different count is a different
-    search -- a reduction that prunes less, or a lost branch -- and the
-    file must be regenerated with the reason recorded.  And two CPU
-    times, in units of a calibration chunk that runs no ``repro`` code
-    (``benchmarks/e2e/speed.py``), must not grow by more than the
-    tolerance (default 15%, ``--tolerance 0.15``): the DPOR walk's at
-    n=4 and the seeded sampler's over the sim-digest matrix.  The chunk
-    measures the machine, so a slower runner passes and a slower
-    explorer or executor fails.
+    n=2..4, the deep n=6 walk) must equal the committed ones exactly,
+    in every fresh file: exploration is deterministic, so a different
+    count is a different search -- a reduction that prunes less, or a
+    lost branch -- and the file must be regenerated with the reason
+    recorded.  And two CPU times, in units of a calibration chunk that
+    runs no ``repro`` code (``benchmarks/e2e/speed.py``), must not grow
+    by more than the tolerance (default 15%, ``--tolerance 0.15``): the
+    DPOR walk's at n=4 and the seeded sampler's over the sim-digest
+    matrix.  The chunk measures the machine, so a slower runner passes
+    and a slower explorer or executor fails.  Each fresh file holds one
+    measurement of each time, and a host's slow phase can put one about
+    30% high, so the gate compares the median over the fresh files
+    (CI regenerates three).
 
 ``epistemic-kernel`` (BENCH_kernel.json)
     Compares the columnar kernel's speedups over the naive reference at
@@ -64,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -105,40 +110,48 @@ def _entry(payload: dict, path: Path, key: str) -> dict:
 
 
 def check_explore(
-    committed: dict, fresh: dict, args: argparse.Namespace
+    committed: dict, fresh: list[dict], args: argparse.Namespace
 ) -> int:
     failed = False
     gated = EXPLORE_COUNTERS + tuple(f"baseline_{name}" for name in EXPLORE_COUNTERS)
-    for key in sorted(committed.get("results", {})):
-        committed_e = _entry(committed, args.committed, key)
-        fresh_e = _entry(fresh, args.fresh, key)
-        fields = [name for name in gated if name in committed_e]
-        if not fields:
-            continue
-        changed = [
-            f"{name} {committed_e[name]} -> {fresh_e.get(name)}"
-            for name in fields
-            if fresh_e.get(name) != committed_e[name]
-        ]
-        print(f"explorer counters at {key}: {len(fields)} compared, {len(changed)} changed")
-        if changed:
+    for path, payload in zip(args.fresh, fresh):
+        for key in sorted(committed.get("results", {})):
+            committed_e = _entry(committed, args.committed, key)
+            fresh_e = _entry(payload, path, key)
+            fields = [name for name in gated if name in committed_e]
+            if not fields:
+                continue
+            changed = [
+                f"{name} {committed_e[name]} -> {fresh_e.get(name)}"
+                for name in fields
+                if fresh_e.get(name) != committed_e[name]
+            ]
             print(
-                f"REGRESSION: the search changed at {key}: {', '.join(changed)}",
-                file=sys.stderr,
+                f"explorer counters at {key} in {path}: "
+                f"{len(fields)} compared, {len(changed)} changed"
             )
-            failed = True
+            if changed:
+                print(
+                    f"REGRESSION: the search changed at {key} in {path}: "
+                    f"{', '.join(changed)}",
+                    file=sys.stderr,
+                )
+                failed = True
 
     for key, field in EXPLORE_TIMED.items():
-        committed_e = _entry(committed, args.committed, key)
-        fresh_e = _entry(fresh, args.fresh, key)
-        for name, e in (("committed", committed_e), ("fresh", fresh_e)):
+        figures = []
+        for path, payload in [(args.committed, committed), *zip(args.fresh, fresh)]:
+            e = _entry(payload, path, key)
             if not e.get(field):
-                sys.exit(f"{name} entry {key} lacks a nonzero {field!r}")
-        ceiling = committed_e[field] * (1.0 + args.tolerance)
-        actual = fresh_e[field]
+                sys.exit(f"{path} entry {key} lacks a nonzero {field!r}")
+            figures.append(e[field])
+        expected, fresh_figures = figures[0], figures[1:]
+        ceiling = expected * (1.0 + args.tolerance)
+        actual = statistics.median(fresh_figures)
         print(
-            f"{field} at {key}: fresh {actual:.1f} calibration chunks, "
-            f"committed {committed_e[field]:.1f} (ceiling {ceiling:.1f})"
+            f"{field} at {key}: fresh median {actual:.1f} calibration chunks "
+            f"(of {', '.join(f'{x:.1f}' for x in fresh_figures)}), "
+            f"committed {expected:.1f} (ceiling {ceiling:.1f})"
         )
         if actual > ceiling:
             print(
@@ -157,7 +170,7 @@ def check_kernel(committed: dict, fresh: dict, args: argparse.Namespace) -> int:
     failed = False
     for key, gated in KERNEL_GATED.items():
         committed_e = _entry(committed, args.committed, key)
-        fresh_e = _entry(fresh, args.fresh, key)
+        fresh_e = _entry(fresh, args.fresh[0], key)
         for field in gated:
             for name, e in (("committed", committed_e), ("fresh", fresh_e)):
                 if not e.get(field):
@@ -205,7 +218,7 @@ def check_serve(committed: dict, fresh: dict, args: argparse.Namespace) -> int:
 
     for key in sorted(committed.get("results", {})):
         committed_e = _entry(committed, args.committed, key)
-        fresh_e = _entry(fresh, args.fresh, key)
+        fresh_e = _entry(fresh, args.fresh[0], key)
         for name, e in (("committed", committed_e), ("fresh", fresh_e)):
             for field in ("qps", "p95_ms"):
                 if not e.get(field):
@@ -306,7 +319,7 @@ def check_serve_journal(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("committed", type=Path)
-    parser.add_argument("fresh", type=Path)
+    parser.add_argument("fresh", type=Path, nargs="+")
     parser.add_argument("--tolerance", type=float, default=0.15)
     parser.add_argument(
         "--mode",
@@ -318,21 +331,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     committed = _load(args.committed)
-    fresh = _load(args.fresh)
     kind = committed.get("benchmark")
-    if fresh.get("benchmark") != kind:
-        sys.exit(
-            f"benchmark kind mismatch: committed {kind!r} vs "
-            f"fresh {fresh.get('benchmark')!r}"
-        )
+    every_fresh = [_load(path) for path in args.fresh]
+    for path, payload in zip(args.fresh, every_fresh):
+        if payload.get("benchmark") != kind:
+            sys.exit(
+                f"benchmark kind mismatch: committed {kind!r} vs "
+                f"{path} {payload.get('benchmark')!r}"
+            )
+    if kind == "explore-enumeration" and args.mode == "auto":
+        return check_explore(committed, every_fresh, args)
+    if len(every_fresh) > 1:
+        sys.exit(f"only the explorer gate takes several fresh files, not {kind!r}")
+    fresh = every_fresh[0]
     if args.mode == "serve-journal":
         if kind != "serve-latency":
             sys.exit(f"--mode serve-journal needs a serve-latency payload, got {kind!r}")
         return check_serve_journal(committed, fresh, args)
     if kind == "epistemic-kernel":
         return check_kernel(committed, fresh, args)
-    if kind == "explore-enumeration":
-        return check_explore(committed, fresh, args)
     if kind == "serve-latency":
         return check_serve(committed, fresh, args)
     sys.exit(f"unknown benchmark kind {kind!r}")
