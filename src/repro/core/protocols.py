@@ -45,7 +45,6 @@ the first ``on_tick``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.model.events import (
@@ -56,7 +55,7 @@ from repro.model.events import (
     StandardSuspicion,
     Suspicion,
 )
-from repro.sim.process import ProcessEnv, ProtocolProcess, Resends
+from repro.sim.process import NEVER, ProcessEnv, ProtocolProcess, Resends
 
 ALPHA = "alpha"
 ACK = "ack"
@@ -74,17 +73,29 @@ def ack_message(action: ActionId) -> Message:
     return Message(ACK, action)
 
 
-@dataclass(slots=True)
 class _ActionState(Resends):
     """One action's bookkeeping: the alpha-message copies still owed
     (a :class:`Resends` table keyed by target), whether this process
     joined, and who acked or holds the action."""
 
-    joined: bool = False
-    acked_by: set[ProcessId] = field(default_factory=set)
-    #: processes known to be in the UDC(action) state: they acked our
-    #: alpha-message or sent us one themselves
-    holders: set[ProcessId] = field(default_factory=set)
+    __slots__ = ("joined", "acked_by", "holders")
+
+    def __init__(self, interval, left, sends, last, joined, acked_by, holders) -> None:
+        # Every field is passed, with no defaults to resolve: an explorer
+        # restore builds one of these per action.
+        self.interval, self.left, self.sends, self.last = interval, left, sends, last
+        self.joined = joined
+        self.acked_by: set[ProcessId] = acked_by
+        #: processes known to be in the UDC(action) state: they acked our
+        #: alpha-message or sent us one themselves
+        self.holders: set[ProcessId] = holders
+
+    def join(self, others: tuple[ProcessId, ...], message: Message, copies: int) -> None:
+        """Enter the UDC state owing each of ``others`` ``copies`` copies
+        of ``message``, keyed by target; none is sent yet."""
+        self.joined = True
+        self.sends = {q: (q, message) for q in others}
+        self.left = dict.fromkeys(others, copies) if copies > 0 else {}
 
 
 class _CoordinationBase(ProtocolProcess):
@@ -108,26 +119,17 @@ class _CoordinationBase(ProtocolProcess):
     def state(self, action: ActionId) -> _ActionState:
         st = self.states.get(action)
         if st is None:
-            st = self.states[action] = _ActionState(self.resend_interval)
-        return st
-
-    def _joining(self, action: ActionId) -> _ActionState | None:
-        """Enter the UDC(action) state owing every other process
-        ``resend_rounds`` alpha-messages, none sent yet (None: already in)."""
-        st = self.state(action)
-        if st.joined:
-            return None
-        st.joined = True
-        message = alpha_message(action)
-        for q in self.env.others:
-            st.add(q, q, message, self.resend_rounds)
+            st = self.states[action] = _ActionState(
+                self.resend_interval, {}, {}, NEVER, False, set(), set()
+            )
         return st
 
     def join(self, action: ActionId) -> None:
         """Enter the UDC(action) state; subclasses extend."""
-        st = self._joining(action)
-        if st is None:
+        st = self.state(action)
+        if st.joined:
             return
+        st.join(self.env.others, alpha_message(action), self.resend_rounds)
         st.flush(self.env)
         self.check_perform(action)
 
@@ -175,8 +177,8 @@ class _CoordinationBase(ProtocolProcess):
 
     def snapshot(self) -> object | None:
         """Every action's ``_ActionState``, as tuples and frozensets.  The
-        ``sends`` dict is shared: a state is joined by the hook that
-        creates it, and a joined state's ``sends`` never changes."""
+        ``sends`` dict is shared: joining replaces it, and nothing changes
+        it after."""
         return tuple(
             (action, st.joined, frozenset(st.acked_by), frozenset(st.holders),
              tuple(st.left.items()), st.sends, st.last)
@@ -216,9 +218,10 @@ class NUDCProcess(_CoordinationBase):
     """
 
     def join(self, action: ActionId) -> None:
-        st = self._joining(action)
-        if st is None:
+        st = self.state(action)
+        if st.joined:
             return
+        st.join(self.env.others, alpha_message(action), self.resend_rounds)
         # The paper's order: "it performs alpha and sends an alpha-message
         # repeatedly".  Performing before any send is exactly what makes
         # the protocol non-uniform -- a crash straight after the do event
@@ -251,13 +254,13 @@ class ReliableUDCProcess(_CoordinationBase):
         st = self.state(action)
         if st.joined:
             return
-        st.joined = True
-        # Send to all BEFORE performing; the outbox preserves order, so
-        # the do event lands after every send event.  ``emit`` leaves the
-        # clock alone: the next copy goes at the first ``on_tick``.
         message = alpha_message(action)
+        st.join(self.env.others, message, self.resend_rounds - 1)
+        # Send to all BEFORE performing; the outbox preserves order, so
+        # the do event lands after every send event.  The clock is left
+        # alone: the second copies go at the first ``on_tick``.
         for q in self.env.others:
-            st.emit(self.env, q, q, message, self.resend_rounds)
+            self.env.send(q, message)
         self.env.perform(action)
 
     def check_perform(self, action: ActionId) -> None:

@@ -30,6 +30,11 @@ from repro.model.events import (
     Suspicion,
 )
 
+#: The clock of a table that has sent nothing yet: long enough ago that
+#: its first paced resend is due at once.
+NEVER = -(10**9)
+
+
 class ProcessEnv:
     """What a protocol may do and observe: its local interface.
 
@@ -105,7 +110,7 @@ class Resends:
     interval: int
     left: dict[object, int] = field(default_factory=dict)
     sends: dict[object, tuple[ProcessId, Message]] = field(default_factory=dict)
-    last: int = -(10**9)
+    last: int = NEVER
 
     def add(self, key: object, target: ProcessId, message: Message, copies: int) -> None:
         """Owe ``copies`` copies of ``message`` to ``target``, none sent yet."""
