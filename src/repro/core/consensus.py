@@ -144,7 +144,8 @@ class StrongConsensusProcess(ProtocolProcess):
     def on_tick(self) -> None:
         self._broadcast_state()
         self._advance()
-        self.decisions.flush(self.env)
+        if self.decisions.due(self.env.now):
+            self.decisions.flush(self.env)
 
     def wants_to_act(self) -> bool:
         if self.decided is not None:
@@ -371,9 +372,10 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
 
     def on_tick(self) -> None:
         self._drive()
-        if self.resends.due(self.env.now):
-            self.resends.flush(self.env)
-        self.decisions.flush(self.env)
+        now = self.env.now
+        for table in (self.resends, self.decisions):
+            if table.due(now):
+                table.flush(self.env)
 
     def wants_to_act(self) -> bool:
         if self.decided is not None:
