@@ -79,7 +79,7 @@ class AtomicBroadcastProcess(ProtocolProcess):
     # -- plumbing ---------------------------------------------------------------
 
     def _emit(self, target: ProcessId, message: Message) -> None:
-        self.resends.emit(self.env, (target, message), target, message, self.resend_rounds)
+        self.resends.emit(self.env, target, message, self.resend_rounds)
 
     def _instance(self, k: int) -> RotatingRounds:
         rounds = self.instances.get(k)

@@ -247,7 +247,8 @@ class RotatingRounds:
         return processes[rnd % len(processes)]
 
     def receive(self, sender: ProcessId, kind: str, fields) -> None:
-        """A round message's ``fields``: its payload without the wrapping."""
+        """Take in a round message; ``fields`` is its payload without the
+        owner's wrapping."""
         p1, p2, ack, nack = self.kinds
         rnd = fields[0]
         if kind == p1:
@@ -347,7 +348,7 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         self.rounds = RotatingRounds(env, (P1, P2, ACK, NACK), _bare, self._emit, value)
 
     def _emit(self, target: ProcessId, message: Message) -> None:
-        self.resends.emit(self.env, (target, message), target, message, self.resend_rounds)
+        self.resends.emit(self.env, target, message, self.resend_rounds)
 
     # -- hooks --------------------------------------------------------------------
 

@@ -118,12 +118,11 @@ class Resends:
         if copies > 0:
             self.left[key] = copies
 
-    def emit(
-        self, env: ProcessEnv, key: object, target: ProcessId, message: Message,
-        copies: int,
-    ) -> None:
-        """Send one copy now and owe ``copies - 1``, unless ``key`` was
-        ever queued (spent or not).  The clock is left alone."""
+    def emit(self, env: ProcessEnv, target: ProcessId, message: Message, copies: int) -> None:
+        """Send ``message`` to ``target`` now and owe ``copies - 1`` more,
+        keyed by the pair, unless the pair was ever queued (spent or
+        not).  The clock is left alone."""
+        key = (target, message)
         if key not in self.sends:
             self.add(key, target, message, copies - 1)
             env.send(target, message)

@@ -39,7 +39,8 @@ class ReferenceLoops:
         # ``sends_left[q] = resend_rounds`` when a state is made
         self.outgoing[key] = [target, message, copies]
 
-    def emit(self, env: ProcessEnv, key, target, message, copies: int) -> None:
+    def emit(self, env: ProcessEnv, target, message, copies: int) -> None:
+        key = (target, message)  # ``_emit``'s keys name one send each
         if key in self.outgoing:
             return
         self.outgoing[key] = [target, message, copies - 1]
@@ -121,8 +122,8 @@ def test_table_sends_what_the_loops_sent(interval, calls):
                 table.add(key, target, message, copies)
                 reference.add(key, target, message, copies)
             else:
-                table.emit(env, key, target, message, copies)
-                reference.emit(ref_env, key, target, message, copies)
+                table.emit(env, target, message, copies)
+                reference.emit(ref_env, target, message, copies)
         assert sends(env) == sends(ref_env)
         assert table.last == reference.last
         assert bool(table.left) == reference.owed()
