@@ -80,15 +80,18 @@ class _ActionState(Resends):
 
     __slots__ = ("joined", "acked_by", "holders")
 
-    def __init__(self, interval, left, sends, last, joined, acked_by, holders) -> None:
+    def __init__(
+        self, interval: int, left: dict, sends: dict, last: int, joined: bool,
+        acked_by: set[ProcessId], holders: set[ProcessId],
+    ) -> None:
         # Every field is passed, with no defaults to resolve: an explorer
         # restore builds one of these per action.
         self.interval, self.left, self.sends, self.last = interval, left, sends, last
         self.joined = joined
-        self.acked_by: set[ProcessId] = acked_by
+        self.acked_by = acked_by
         #: processes known to be in the UDC(action) state: they acked our
         #: alpha-message or sent us one themselves
-        self.holders: set[ProcessId] = holders
+        self.holders = holders
 
     def join(self, others: tuple[ProcessId, ...], message: Message, copies: int) -> None:
         """Enter the UDC state owing each of ``others`` ``copies`` copies
