@@ -14,8 +14,7 @@ crashes, executor exceptions that survive the retry policy) do **not**
 abort the batch.  The report carries the casualties as structured
 :class:`~repro.runtime.report.FailedRun` records, ``report.system()``
 is built over the survivors (marked with how many runs are missing),
-and a single :class:`UserWarning` summarizes the damage.  Pass
-``strict=True`` to get the old abort-on-anything behaviour.
+and a single :class:`UserWarning` summarizes the damage.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ def run_ensemble(
     backend: ExecutionBackend | str | None = None,
     cache: RunCache | None | object = _DEFAULT,
     retry: RetryPolicy | None = None,
-    strict: bool = False,
 ) -> EnsembleReport:
     """Execute every run of an ensemble and report.
 
@@ -92,9 +90,6 @@ def run_ensemble(
     retry:
         The :class:`RetryPolicy` for transient per-run faults (None for
         the default: 3 attempts, exponential backoff).
-    strict:
-        When True, any run lost after retries raises ``RuntimeError``
-        instead of degrading the report.
 
     Results are in spec order and independent of the backend: the same
     spec list yields field-for-field identical runs under every backend.
@@ -165,13 +160,6 @@ def run_ensemble(
             )
 
     if failures:
-        failures.sort(key=lambda f: f.index)
-        if strict:
-            detail = "; ".join(f.describe() for f in failures)
-            raise RuntimeError(
-                f"ensemble lost {len(failures)} of {len(specs)} runs "
-                f"(strict mode): {detail}"
-            )
         warnings.warn(
             f"run_ensemble degraded: {len(failures)} of {len(specs)} runs "
             f"failed ({', '.join(sorted({f.kind for f in failures}))}); "

@@ -8,22 +8,23 @@ what ``Executor.from_spec(spec).run()`` produces: executions are
 deterministic functions of their specs, so placement (this process, a
 worker pool, eventually a remote fleet) is invisible in the results.
 
-Hardening semantics, shared by all backends:
+Every backend runs the same attempt loop (``_run_rounds``) and differs
+only in how one round of chunks executes: :class:`SerialBackend` runs
+them in process, :class:`ProcessPoolBackend` on a worker pool.  The
+loop's hardening semantics:
 
 * transient failures (executor exceptions, dead pool workers) are
-  retried per :class:`RetryPolicy` with exponential backoff;
+  retried per :class:`RetryPolicy`, round by round, with one
+  exponential backoff sleep per round;
 * deadline overruns (:class:`~repro.sim.executor.RunDeadlineExceeded`)
   are **not** retried -- a spec that overran its wall-clock budget once
   is presumed slow, not unlucky;
 * a spec that succeeds after earlier failed attempts contributes a
   *recovery* record (``FailedRun(recovered=True)``) so degraded-path
   behaviour stays observable;
-* :class:`ProcessPoolBackend` survives ``BrokenProcessPool``: the pool
-  is respawned, the specs of the broken chunks are requeued (chunk size
-  1, isolating any poison spec), bounded by the same retry policy.
-
-``run_all(specs)`` is the strict wrapper: any surviving failure raises
-``RuntimeError`` naming the lost seeds and crash plans.
+* after the first round every requeued spec runs in a chunk of its own,
+  isolating any poison spec; :class:`ProcessPoolBackend` respawns its
+  pool after a worker dies (``BrokenProcessPool``).
 
 The module-level default backend is what ``run_ensemble`` uses when no
 backend is passed; it is ``serial`` unless overridden by
@@ -41,7 +42,7 @@ import traceback
 from abc import ABC, abstractmethod
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, cast
 
 from repro.faults.infra import active_infra_faults
 from repro.model.run import Run
@@ -136,10 +137,6 @@ class BatchResult:
     #: recovered=True records for specs that failed first, then succeeded
     recoveries: tuple[FailedRun, ...] = ()
 
-    @property
-    def failures(self) -> tuple[FailedRun, ...]:
-        return tuple(o for o in self.outcomes if isinstance(o, FailedRun))
-
 
 def _execute_spec(spec: RunSpec) -> TimedRun:
     start = time.perf_counter()
@@ -166,10 +163,13 @@ def _execute_spec(spec: RunSpec) -> TimedRun:
 
 #: Tagged per-spec outcome returned from workers (must pickle).
 _WireOutcome = tuple[str, object]
+#: Specs tagged with their batch index, as one worker task receives them.
+_Chunk = list[tuple[int, RunSpec]]
+#: A chunk's tagged outcomes, or the reason its worker died.
+_ChunkResult = list[tuple[int, _WireOutcome]] | str
 
-def _execute_chunk_safe(
-    chunk: list[tuple[int, RunSpec]],
-) -> list[tuple[int, _WireOutcome]]:
+
+def _execute_chunk_safe(chunk: _Chunk) -> list[tuple[int, _WireOutcome]]:
     """Worker entry point: execute an indexed chunk, never raise."""
     out: list[tuple[int, _WireOutcome]] = []
     for index, spec in chunk:
@@ -193,47 +193,6 @@ def _execute_chunk_safe(
     return out
 
 
-class ExecutionBackend(ABC):
-    """Executes batches of RunSpecs; results are ordered by spec index."""
-
-    #: short name recorded in EnsembleReport.backend
-    name: str = "backend"
-
-    @abstractmethod
-    def run_all_safe(
-        self, specs: Sequence[RunSpec], policy: RetryPolicy | None = None
-    ) -> BatchResult:
-        """Execute every spec; outcome i corresponds to specs[i].
-
-        Never raises for per-run faults (deadline, executor exception,
-        worker death): those become FailedRun outcomes.  Batch-level
-        misconfiguration (unpicklable specs on a process pool) still
-        raises eagerly, before any execution.
-        """
-
-    def run_all(self, specs: Sequence[RunSpec]) -> list[TimedRun]:
-        """The strict contract: every spec's TimedRun, or RuntimeError.
-
-        The error message names each lost spec's seed and crash plan so
-        a failed batch is diagnosable without re-running it.
-        """
-        batch = self.run_all_safe(specs)
-        results: list[TimedRun] = []
-        lost: list[FailedRun] = []
-        for outcome in batch.outcomes:
-            if isinstance(outcome, FailedRun):
-                lost.append(outcome)
-            else:
-                results.append(outcome)
-        if lost:
-            detail = "; ".join(f.describe() for f in lost)
-            raise RuntimeError(
-                f"backend lost results for {len(lost)} of {len(specs)} "
-                f"specs: {detail}"
-            )
-        return results
-
-
 def _failed(
     index: int,
     spec: RunSpec,
@@ -254,6 +213,95 @@ def _failed(
     )
 
 
+def _run_rounds(
+    specs: Sequence[RunSpec],
+    policy: RetryPolicy,
+    chunksize: int,
+    run_round: Callable[[list[_Chunk]], list[_ChunkResult]],
+) -> BatchResult:
+    """The attempt loop of every backend.
+
+    Each round hands ``run_round`` the queued specs in chunks of
+    ``chunksize`` (one spec per chunk after the first round, so a
+    poison spec only takes itself down on the retry) and gets back, per
+    chunk, its tagged outcomes or why its worker died.  Failed specs
+    are requeued until ``policy.max_attempts``, with one backoff sleep
+    per round; a deadline is never retried.
+    """
+    done: dict[int, TimedRun | FailedRun] = {}
+    attempts = [0] * len(specs)
+    last_error = [""] * len(specs)
+    last_kind = [""] * len(specs)
+    recoveries: list[FailedRun] = []
+    queue = list(range(len(specs)))
+    while queue:
+        chunks = [
+            [(i, specs[i]) for i in queue[k : k + chunksize]]
+            for k in range(0, len(queue), chunksize)
+        ]
+        retry: list[int] = []
+        for chunk, result in zip(chunks, run_round(chunks)):
+            if isinstance(result, str):
+                for i, _ in chunk:
+                    attempts[i] += 1
+                    last_error[i] = result
+                    last_kind[i] = "worker-crash"
+                    retry.append(i)
+                continue
+            for i, (tag, payload) in result:
+                attempts[i] += 1
+                if tag == "ok":
+                    done[i] = cast(TimedRun, payload)
+                    if last_kind[i]:
+                        recoveries.append(
+                            _failed(
+                                i,
+                                specs[i],
+                                last_kind[i],
+                                attempts[i],
+                                last_error[i],
+                                recovered=True,
+                            )
+                        )
+                elif tag == "deadline":
+                    # Deadlines are deterministic slowness, not
+                    # transient failure: no retry.
+                    done[i] = _failed(i, specs[i], "deadline", attempts[i], str(payload))
+                else:
+                    last_error[i] = str(payload)
+                    last_kind[i] = "exception"
+                    retry.append(i)
+        queue = []
+        for i in sorted(retry):
+            if attempts[i] >= policy.max_attempts:
+                done[i] = _failed(i, specs[i], last_kind[i], attempts[i], last_error[i])
+            else:
+                queue.append(i)
+        if queue:
+            time.sleep(policy.delay(max(attempts[i] for i in queue)))
+        chunksize = 1
+    return BatchResult(tuple(done[i] for i in range(len(specs))), tuple(recoveries))
+
+
+class ExecutionBackend(ABC):
+    """Executes batches of RunSpecs; results are ordered by spec index."""
+
+    #: short name recorded in EnsembleReport.backend
+    name: str = "backend"
+
+    @abstractmethod
+    def run_all_safe(
+        self, specs: Sequence[RunSpec], policy: RetryPolicy | None = None
+    ) -> BatchResult:
+        """Execute every spec; outcome i corresponds to specs[i].
+
+        Never raises for per-run faults (deadline, executor exception,
+        worker death): those become FailedRun outcomes.  Batch-level
+        misconfiguration (unpicklable specs on a process pool) still
+        raises eagerly, before any execution.
+        """
+
+
 class SerialBackend(ExecutionBackend):
     """In-process sequential execution (the default)."""
 
@@ -262,42 +310,12 @@ class SerialBackend(ExecutionBackend):
     def run_all_safe(
         self, specs: Sequence[RunSpec], policy: RetryPolicy | None = None
     ) -> BatchResult:
-        policy = policy or RetryPolicy()
-        outcomes: list[TimedRun | FailedRun] = []
-        recoveries: list[FailedRun] = []
-        for index, spec in enumerate(specs):
-            last_error = ""
-            for attempt in range(1, policy.max_attempts + 1):
-                try:
-                    timed = _execute_spec(spec)
-                except RunDeadlineExceeded as exc:
-                    outcomes.append(
-                        _failed(index, spec, "deadline", attempt, str(exc))
-                    )
-                    break
-                except Exception as exc:
-                    last_error = f"{type(exc).__name__}: {exc}"
-                    if attempt >= policy.max_attempts:
-                        outcomes.append(
-                            _failed(index, spec, "exception", attempt, last_error)
-                        )
-                        break
-                    time.sleep(policy.delay(attempt))
-                else:
-                    outcomes.append(timed)
-                    if attempt > 1:
-                        recoveries.append(
-                            _failed(
-                                index,
-                                spec,
-                                "exception",
-                                attempt,
-                                last_error,
-                                recovered=True,
-                            )
-                        )
-                    break
-        return BatchResult(tuple(outcomes), tuple(recoveries))
+        return _run_rounds(
+            specs,
+            policy or RetryPolicy(),
+            1,
+            lambda chunks: [_execute_chunk_safe(chunk) for chunk in chunks],
+        )
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -309,8 +327,8 @@ class ProcessPoolBackend(ExecutionBackend):
     by index, so the output order is deterministic regardless of which
     worker finished first.
     A dead worker breaks the whole pool (``BrokenProcessPool``); this
-    backend respawns it and requeues the affected specs individually,
-    bounded by the retry policy.
+    backend respawns it and the attempt loop requeues the affected
+    specs individually, bounded by the retry policy.
     """
 
     name = "process-pool"
@@ -341,127 +359,41 @@ class ProcessPoolBackend(ExecutionBackend):
     def run_all_safe(
         self, specs: Sequence[RunSpec], policy: RetryPolicy | None = None
     ) -> BatchResult:
-        policy = policy or RetryPolicy()
-        n = len(specs)
-        if n == 0:
-            return BatchResult(())
-        if n == 1 or self.max_workers == 1:
-            return SerialBackend().run_all_safe(specs, policy)
+        # Checked before the serial shortcut, so whether a batch is
+        # refused never depends on its size or on cache hits.
         self._check_picklable(specs)
-        chunksize = max(1, -(-n // (self.max_workers * 4)))
-
-        outcomes: list[TimedRun | FailedRun | None] = [None] * n
-        attempts = [0] * n
-        last_error = [""] * n
-        last_kind = [""] * n
-        recoveries: list[FailedRun] = []
-        queue = list(range(n))
+        if len(specs) <= 1 or self.max_workers == 1:
+            return SerialBackend().run_all_safe(specs, policy)
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        first_round = True
+
+        def run_round(chunks: list[_Chunk]) -> list[_ChunkResult]:
+            nonlocal pool
+            submitted: list[Future[list[tuple[int, _WireOutcome]]] | str] = []
+            for chunk in chunks:
+                try:
+                    submitted.append(pool.submit(_execute_chunk_safe, chunk))
+                except BrokenExecutor:
+                    submitted.append("process pool broken before dispatch")
+            results: list[_ChunkResult] = []
+            for future in submitted:
+                try:
+                    results.append(
+                        future if isinstance(future, str) else future.result()
+                    )
+                except BrokenExecutor as exc:
+                    results.append(
+                        f"worker process died: {type(exc).__name__}: {exc}"
+                    )
+            if any(isinstance(result, str) for result in results):
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            return results
+
+        chunksize = max(1, -(-len(specs) // (self.max_workers * 4)))
         try:
-            while queue:
-                # After any failure, fall back to chunk size 1: a poison
-                # spec then only takes itself down on the retry.
-                csize = chunksize if first_round else 1
-                chunks = [queue[i : i + csize] for i in range(0, len(queue), csize)]
-                futures: list[
-                    tuple[Future[list[tuple[int, _WireOutcome]]], list[int]]
-                ] = []
-                pool_broken = False
-                for chunk in chunks:
-                    try:
-                        future = pool.submit(
-                            _execute_chunk_safe, [(i, specs[i]) for i in chunk]
-                        )
-                    except BrokenExecutor:
-                        pool_broken = True
-                        for i in chunk:
-                            attempts[i] += 1
-                            last_error[i] = "process pool broken before dispatch"
-                            last_kind[i] = "worker-crash"
-                        continue
-                    futures.append((future, chunk))
-
-                retry: list[int] = []
-                for future, chunk in futures:
-                    try:
-                        results = future.result()
-                    except BrokenExecutor as exc:
-                        pool_broken = True
-                        for i in chunk:
-                            attempts[i] += 1
-                            last_error[i] = (
-                                f"worker process died: {type(exc).__name__}: {exc}"
-                            )
-                            last_kind[i] = "worker-crash"
-                            retry.append(i)
-                        continue
-                    for index, (tag, payload) in results:
-                        attempts[index] += 1
-                        if tag == "ok":
-                            outcomes[index] = payload  # type: ignore[assignment]
-                            if last_kind[index]:
-                                recoveries.append(
-                                    _failed(
-                                        index,
-                                        specs[index],
-                                        last_kind[index],
-                                        attempts[index],
-                                        last_error[index],
-                                        recovered=True,
-                                    )
-                                )
-                        elif tag == "deadline":
-                            # Deadlines are deterministic slowness, not
-                            # transient failure: no retry.
-                            outcomes[index] = _failed(
-                                index,
-                                specs[index],
-                                "deadline",
-                                attempts[index],
-                                str(payload),
-                            )
-                        else:
-                            last_error[index] = str(payload)
-                            last_kind[index] = "exception"
-                            retry.append(index)
-
-                # Pool-broken chunks never produced results; requeue them.
-                retry.extend(
-                    i
-                    for i in queue
-                    if outcomes[i] is None and i not in retry
-                )
-                if pool_broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=self.max_workers)
-
-                queue = []
-                for i in sorted(set(retry)):
-                    if attempts[i] >= policy.max_attempts:
-                        outcomes[i] = _failed(
-                            i,
-                            specs[i],
-                            last_kind[i] or "lost",
-                            attempts[i],
-                            last_error[i],
-                        )
-                    else:
-                        queue.append(i)
-                if queue:
-                    time.sleep(policy.delay(max(attempts[i] for i in queue)))
-                first_round = False
+            return _run_rounds(specs, policy or RetryPolicy(), chunksize, run_round)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-        for i, outcome in enumerate(outcomes):
-            if outcome is None:  # pragma: no cover - defensive
-                outcomes[i] = _failed(
-                    i, specs[i], "lost", attempts[i], "no result returned"
-                )
-        return BatchResult(
-            tuple(o for o in outcomes if o is not None), tuple(recoveries)
-        )
 
 
 _default_backend: ExecutionBackend | None = None

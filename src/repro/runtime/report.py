@@ -33,7 +33,6 @@ class FailedRun:
     * ``"deadline"``     -- the run overran ``ExecutionConfig.deadline``;
     * ``"worker-crash"`` -- a pool worker died (``BrokenProcessPool``);
     * ``"exception"``    -- the executor raised;
-    * ``"lost"``         -- the backend could not account for the spec;
     * ``"cache-corrupt"``-- a disk cache entry failed its integrity
       check and was quarantined.
 

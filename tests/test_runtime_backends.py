@@ -14,6 +14,7 @@ from repro.model.context import make_process_ids
 from repro.runtime import (
     EnsembleSpec,
     ProcessPoolBackend,
+    RunCache,
     SerialBackend,
     backend_from_name,
     get_default_backend,
@@ -84,16 +85,36 @@ class TestSerialPoolEquivalence:
         assert len(report) == 1
 
 
+def unpicklable_and_picklable():
+    """A spec with a lambda blackhole, and a picklable one."""
+    spec = e07_style_spec(seeds=(0, 1)).expand()
+    bad = spec[0].with_(
+        config=ExecutionConfig(channel=ChannelConfig(blackhole=lambda s, r, m: False))
+    )
+    return bad, spec[1]
+
+
 class TestPoolValidation:
     def test_unpicklable_spec_is_rejected_with_guidance(self):
-        spec = e07_style_spec(seeds=(0, 1)).expand()
-        bad = spec[0].with_(
-            config=ExecutionConfig(
-                channel=ChannelConfig(blackhole=lambda s, r, m: False)
-            )
-        )
+        bad, good = unpicklable_and_picklable()
         with pytest.raises(ValueError, match="not picklable"):
-            ProcessPoolBackend(max_workers=2).run_all([bad, spec[1]])
+            ProcessPoolBackend(max_workers=2).run_all_safe([bad, good])
+
+    def test_rejection_does_not_depend_on_batch_size_workers_or_cache(self):
+        """The pool refuses an unpicklable spec even where it would run
+        the batch in process: a lone spec, one worker, or a batch whose
+        other specs were served from the cache."""
+        bad, good = unpicklable_and_picklable()
+        with pytest.raises(ValueError, match="not picklable"):
+            ProcessPoolBackend(max_workers=2).run_all_safe([bad])
+        with pytest.raises(ValueError, match="not picklable"):
+            ProcessPoolBackend(max_workers=1).run_all_safe([bad, good])
+        cache = RunCache()
+        run_ensemble([good], backend=SerialBackend(), cache=cache)
+        with pytest.raises(ValueError, match="not picklable"):
+            run_ensemble(
+                [bad, good], backend=ProcessPoolBackend(max_workers=2), cache=cache
+            )
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):

@@ -120,10 +120,6 @@ class TestSerialRetries:
         assert outcome.kind == "exception"
         assert outcome.attempts == 2
 
-    def test_run_all_names_the_lost_specs(self):
-        with pytest.raises(RuntimeError, match=r"lost results.*seed=7"):
-            SerialBackend().run_all([doomed_spec(seed=7)])
-
 
 class TestPoolHardening:
     def test_pool_survives_a_killed_worker(self, tmp_path):
@@ -168,11 +164,6 @@ class TestGracefulDegradation:
         system = report.system()
         assert not system.complete
         assert system.missing_runs == 1
-
-    def test_strict_mode_restores_abort_semantics(self):
-        specs = [make_spec(seed=0), doomed_spec(seed=7)]
-        with pytest.raises(RuntimeError, match=r"strict mode.*seed=7"):
-            run_ensemble(specs, backend=SerialBackend(), cache=None, strict=True)
 
     def test_all_runs_lost_still_returns_a_report(self):
         with pytest.warns(UserWarning, match="degraded"):
