@@ -112,11 +112,12 @@ def use_infra_faults(plan: InfraFaultPlan) -> Iterator[InfraFaultPlan]:
 
 
 def corrupt_cache_entry(directory: str | Path, digest: str) -> Path:
-    """Overwrite a disk cache entry with garbage (torn-write simulation).
+    """Cut a disk cache entry to its first half (torn-write simulation).
 
     Returns the path written.  The hardened :class:`repro.runtime.RunCache`
     must quarantine the entry on its next read and regenerate the run.
     """
     path = Path(directory) / f"{digest}.json"
-    path.write_text('{"format": "repro-run-entry-v2", "sha2', encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
     return path

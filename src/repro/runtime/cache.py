@@ -15,25 +15,27 @@ invocations, and benchmark rounds.  :class:`RunCache` exploits that:
   the directory (or ``clear()``) after changing *executor semantics*,
   which are outside the key.
 
-Disk integrity (the cache must never poison an ensemble):
+Every disk entry, a single run (``repro-run-entry-v3``) or a whole
+exploration (``repro-exploration-v4``), is one sealed envelope
+``{"format", "sha256", "body"}``: the body holds the run set as one
+:class:`repro.columnar.RunArena` (distinct events encoded once,
+occurrences as packed integers) plus, for an exploration, its search
+stats, and the sha256 is taken over the sorted, compact body.  Both
+kinds are read back through one path, so they get the same checks
+(the cache must never poison an ensemble):
 
 * every write goes to a ``*.tmp`` file in the same directory and is
   published with ``os.replace`` -- atomic on POSIX, so an interrupted
   process can never leave a torn entry under the real name;
-* every entry embeds a sha256 over its canonical JSON body, verified on
-  read; a mismatch (bit rot, tampering, a torn write) quarantines the
-  file (renamed to ``*.corrupt``, recorded in ``quarantined``) and reads
-  as a miss, so the run is silently regenerated;
-* the cache reads exactly the two formats it writes,
-  ``repro-run-entry-v2`` and ``repro-exploration-v4``.  An entry in any
-  other format (including the older, pre-checksum ones) takes the same
-  quarantine-and-miss path and is regenerated.
+* every read verifies the envelope's format and sha256, then decodes
+  the arena with :func:`repro.columnar.jsonio.arena_from_jsonable`,
+  which refuses columns no encoder writes; a run entry must hold
+  exactly one run;
+* an entry that fails any check (bit rot, tampering, a torn write, an
+  older format) is quarantined -- renamed to ``*.corrupt`` and recorded
+  in ``quarantined`` -- and reads as a miss, so it is regenerated.
 
-Exploration groups are written in the v4 *arena* format: the whole run
-set rides as one :class:`repro.columnar.RunArena` (distinct events
-encoded once, occurrences as packed integers), roughly an order of
-magnitude smaller than per-run timeline dicts.  ``bytes_written`` /
-``bytes_read`` track disk entry sizes.
+``bytes_written`` / ``bytes_read`` track disk entry sizes.
 
 ``run_ensemble`` consults the process-wide default cache unless told
 otherwise; disable with ``run_ensemble(..., cache=None)``.
@@ -46,7 +48,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.model.run import Run
 from repro.runtime.spec import RunSpec, spec_digest
@@ -54,7 +56,7 @@ from repro.runtime.spec import RunSpec, spec_digest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.reduction import ExploreStats
 
-_RUN_FORMAT = "repro-run-entry-v2"
+_RUN_FORMAT = "repro-run-entry-v3"
 _EXPLORE_FORMAT = "repro-exploration-v4"
 
 #: One cached exhaustive exploration: its run set and search stats.
@@ -65,29 +67,36 @@ class CacheIntegrityError(ValueError):
     """A disk cache entry failed parsing or its checksum check."""
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename: readers see the old entry or the new, never a torn one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _body_sha256(body: object) -> str:
     serial = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(serial.encode("utf-8")).hexdigest()
 
 
-def _encode_run_entry(run: Run) -> str:
-    from repro.model.serialize import run_to_dict
+def _encode_entry(
+    fmt: str, runs: tuple[Run, ...], stats: "ExploreStats | None"
+) -> str:
+    """Seal ``runs`` (and an exploration's ``stats``) as one entry."""
+    from repro.columnar.arena import encode_runs
+    from repro.columnar.jsonio import arena_to_jsonable
 
-    body = run_to_dict(run)
-    return json.dumps(
-        {"format": _RUN_FORMAT, "sha256": _body_sha256(body), "run": body}
-    )
+    # Key order is part of the bytes: exploration entries already on
+    # disk were written with ``stats`` first.
+    body: dict[str, object] = {}
+    if stats is not None:
+        body["stats"] = stats.as_dict()
+    if runs:
+        body["arena"] = arena_to_jsonable(encode_runs(runs))
+    return json.dumps({"format": fmt, "sha256": _body_sha256(body), "body": body})
 
 
-def _decode_run_entry(text: str) -> Run:
-    from repro.model.serialize import run_from_dict
+def _decode_entry(fmt: str, text: str) -> tuple[tuple[Run, ...], dict[str, Any]]:
+    """Check and decode an entry of format ``fmt``: its runs and stats.
+
+    Body keys other than ``stats`` and ``arena`` (such as the ``leaves``
+    coordinate list older v4 writers recorded) are ignored.
+    """
+    from repro.columnar.arena import decode_runs
+    from repro.columnar.jsonio import arena_from_jsonable
 
     try:
         payload = json.loads(text)
@@ -95,18 +104,26 @@ def _decode_run_entry(text: str) -> Run:
         raise CacheIntegrityError(f"unparseable cache entry: {exc}") from exc
     if not isinstance(payload, dict):
         raise CacheIntegrityError("cache entry is not a JSON object")
-    if payload.get("format") == _RUN_FORMAT:
-        body = payload.get("run")
-        stored = payload.get("sha256")
-        if _body_sha256(body) != stored:
-            raise CacheIntegrityError(
-                "content digest mismatch: entry bytes do not match their "
-                "recorded sha256 (torn write, bit rot, or tampering)"
-            )
-        return run_from_dict(body)
-    raise CacheIntegrityError(
-        f"unrecognized cache entry format {payload.get('format')!r}"
-    )
+    if payload.get("format") != fmt:
+        raise CacheIntegrityError(
+            f"unrecognized cache entry format {payload.get('format')!r}"
+        )
+    body = payload.get("body")
+    if _body_sha256(body) != payload.get("sha256"):
+        raise CacheIntegrityError(
+            "content digest mismatch: entry bytes do not match their "
+            "recorded sha256 (torn write, bit rot, or tampering)"
+        )
+    if not isinstance(body, dict):
+        raise CacheIntegrityError("cache entry body is not a JSON object")
+    stats = body.get("stats", {})
+    if not isinstance(stats, dict):
+        raise CacheIntegrityError("cache entry stats are not a JSON object")
+    arena = body.get("arena")
+    runs = () if arena is None else decode_runs(arena_from_jsonable(arena))
+    if fmt == _RUN_FORMAT and len(runs) != 1:
+        raise CacheIntegrityError(f"run entry holds {len(runs)} runs, not 1")
+    return runs, stats
 
 
 class RunCache:
@@ -120,8 +137,9 @@ class RunCache:
     ``ExploreSpec.digest()``.  Only exhaustive explorations are ever
     stored, so a group hit can never silently hide part of a run set.
 
-    ``quarantined`` lists ``(digest, reason)`` for every disk entry that
-    failed its integrity check and was moved aside to ``*.corrupt``.
+    ``quarantined`` lists ``(name, reason)`` for every disk entry that
+    failed its integrity check and was moved aside to ``*.corrupt``;
+    the name is the digest, prefixed ``explore-`` for an exploration.
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:
@@ -140,11 +158,7 @@ class RunCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def _path(self, digest: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{digest}.json"
-
-    def _quarantine(self, path: Path, digest: str, reason: str) -> None:
+    def _quarantine(self, path: Path, name: str, reason: str) -> None:
         try:
             path.replace(path.with_name(path.stem + ".corrupt"))
         except OSError:
@@ -152,7 +166,46 @@ class RunCache:
                 path.unlink()
             except OSError:  # pragma: no cover - defensive
                 pass
-        self.quarantined.append((digest, reason))
+        self.quarantined.append((name, reason))
+
+    def _read(
+        self, name: str, fmt: str
+    ) -> tuple[tuple[Run, ...], dict[str, Any]] | None:
+        """The decoded disk entry ``name``, or None.
+
+        An entry that fails any check is quarantined and also reads as
+        None -- the caller regenerates it and the next write rewrites a
+        healthy entry.
+        """
+        assert self.directory is not None
+        path = self.directory / f"{name}.json"
+        if not path.exists():
+            return None
+        text = path.read_text(encoding="utf-8")
+        try:
+            entry = _decode_entry(fmt, text)
+        except Exception as exc:
+            self._quarantine(path, name, f"{type(exc).__name__}: {exc}")
+            return None
+        self.bytes_read += len(text)
+        return entry
+
+    def _write(
+        self,
+        name: str,
+        fmt: str,
+        runs: tuple[Run, ...],
+        stats: "ExploreStats | None",
+    ) -> None:
+        """Publish the disk entry ``name`` write-then-rename: readers
+        see the old entry or the new, never a torn one."""
+        assert self.directory is not None
+        path = self.directory / f"{name}.json"
+        tmp = path.with_name(path.name + ".tmp")
+        text = _encode_entry(fmt, runs, stats)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+        self.bytes_written += len(text)
 
     def get(self, spec: RunSpec) -> Run | None:
         """The cached run for this spec, or None.
@@ -167,20 +220,13 @@ class RunCache:
             return None
         run = self._memory.get(digest)
         if run is None and self.directory is not None:
-            path = self._path(digest)
-            if path.exists():
-                text = path.read_text(encoding="utf-8")
-                try:
-                    run = _decode_run_entry(text)
-                except Exception as exc:
-                    self._quarantine(path, digest, f"{type(exc).__name__}: {exc}")
-                    run = None
-                else:
-                    self.bytes_read += len(text)
-                    # The JSON codec keeps scalars and crash plans; anything
-                    # else the executor recorded is recoverable from the spec.
-                    run.meta.setdefault("crash_plan", spec.crash_plan)
-                    self._memory[digest] = run
+            entry = self._read(digest, _RUN_FORMAT)
+            if entry is not None:
+                (run,) = entry[0]
+                # The JSON codec keeps scalars and crash plans; anything
+                # else the executor recorded is recoverable from the spec.
+                run.meta.setdefault("crash_plan", spec.crash_plan)
+                self._memory[digest] = run
         if run is None:
             self.misses += 1
             return None
@@ -194,15 +240,9 @@ class RunCache:
             return
         self._memory[digest] = run
         if self.directory is not None:
-            text = _encode_run_entry(run)
-            _atomic_write_text(self._path(digest), text)
-            self.bytes_written += len(text)
+            self._write(digest, _RUN_FORMAT, (run,), None)
 
     # -- exploration groups -------------------------------------------------
-
-    def _explore_path(self, digest: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"explore-{digest}.json"
 
     def get_exploration(self, digest: str) -> Exploration | None:
         """The cached (runs, stats) for an ExploreSpec digest, or None.
@@ -213,19 +253,17 @@ class RunCache:
         """
         entry = self._explorations.get(digest)
         if entry is None and self.directory is not None:
-            path = self._explore_path(digest)
-            if path.exists():
-                text = path.read_text(encoding="utf-8")
-                try:
-                    entry = _load_exploration(text)
-                except Exception as exc:
-                    self._quarantine(
-                        path, f"explore-{digest}", f"{type(exc).__name__}: {exc}"
-                    )
-                    entry = None
-                else:
-                    self.bytes_read += len(text)
-                    self._explorations[digest] = entry
+            read = self._read(f"explore-{digest}", _EXPLORE_FORMAT)
+            if read is not None:
+                from repro.explore.reduction import ExploreStats
+
+                runs, raw_stats = read
+                known = {f.name for f in dataclasses.fields(ExploreStats)}
+                entry = (
+                    runs,
+                    ExploreStats(**{k: v for k, v in raw_stats.items() if k in known}),
+                )
+                self._explorations[digest] = entry
         if entry is None:
             self.misses += 1
             return None
@@ -240,9 +278,7 @@ class RunCache:
         entry = (tuple(runs), dataclasses.replace(stats))
         self._explorations[digest] = entry
         if self.directory is not None:
-            self.bytes_written += _save_exploration(
-                entry, self._explore_path(digest)
-            )
+            self._write(f"explore-{digest}", _EXPLORE_FORMAT, *entry)
 
     def exploration_digests(self) -> tuple[str, ...]:
         """Digests of every exploration entry visible to this cache.
@@ -291,69 +327,6 @@ class RunCache:
         self.hits = self.misses = self.skips = 0
         self.bytes_written = self.bytes_read = 0
         self.quarantined.clear()
-
-
-def _save_exploration(entry: Exploration, path: Path) -> int:
-    """Write a v4 (arena-bytes) exploration entry; returns bytes written.
-
-    The run set is stored as one :class:`repro.columnar.RunArena` --
-    each distinct event encoded once, occurrences as packed integers --
-    instead of a per-run timeline dict list, which shrinks entries by
-    roughly an order of magnitude on explorer output.
-    """
-    from repro.columnar.arena import encode_runs
-    from repro.columnar.jsonio import arena_to_jsonable
-
-    runs, stats = entry
-    body: dict[str, object] = {"stats": stats.as_dict()}
-    if runs:
-        body["arena"] = arena_to_jsonable(encode_runs(runs))
-    payload = {
-        "format": _EXPLORE_FORMAT,
-        "sha256": _body_sha256(body),
-        "body": body,
-    }
-    text = json.dumps(payload)
-    _atomic_write_text(path, text)
-    return len(text)
-
-
-def _load_exploration(text: str) -> Exploration:
-    """Parse a v4 exploration entry.
-
-    Body keys other than ``stats`` and ``arena`` (such as the ``leaves``
-    coordinate list older v4 writers recorded) are ignored.
-    """
-    from repro.columnar.arena import decode_runs
-    from repro.columnar.jsonio import arena_from_jsonable
-    from repro.explore.reduction import ExploreStats
-
-    try:
-        payload = json.loads(text)
-    except Exception as exc:
-        raise CacheIntegrityError(f"unparseable exploration entry: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CacheIntegrityError("exploration entry is not a JSON object")
-    fmt = payload.get("format")
-    if fmt != _EXPLORE_FORMAT:
-        raise CacheIntegrityError(f"unrecognized exploration format {fmt!r}")
-    body = payload.get("body")
-    if _body_sha256(body) != payload.get("sha256"):
-        raise CacheIntegrityError("content digest mismatch on exploration entry")
-    if not isinstance(body, dict):
-        raise CacheIntegrityError("exploration body is not a JSON object")
-    known = {f.name for f in dataclasses.fields(ExploreStats)}
-    stats = ExploreStats(
-        **{k: v for k, v in body.get("stats", {}).items() if k in known}
-    )
-    raw_arena = body.get("arena")
-    if raw_arena is None:
-        runs: tuple[Run, ...] = ()
-    elif isinstance(raw_arena, dict):
-        runs = decode_runs(arena_from_jsonable(raw_arena))
-    else:
-        raise CacheIntegrityError("v4 exploration arena is not an object")
-    return runs, stats
 
 
 _default_cache: RunCache | None = None

@@ -1,9 +1,13 @@
 """Tests for RunCache disk integrity: atomic writes, checksummed
 entries, quarantine of corrupt files, and regeneration."""
 
+import hashlib
 import json
 
+import pytest
 
+from repro.columnar import encode_runs
+from repro.columnar.jsonio import arena_to_jsonable
 from repro.core.protocols import NUDCProcess
 from repro.faults.infra import corrupt_cache_entry
 from repro.model.context import make_process_ids
@@ -11,6 +15,7 @@ from repro.runtime import RunCache, RunSpec, run_ensemble
 from repro.sim.executor import Executor
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import single_action
+from tests.test_columnar_roundtrip import PROBES, tampered_payload
 
 PROCS = make_process_ids(3)
 
@@ -28,6 +33,17 @@ def make_run(spec):
     return Executor.from_spec(spec).run()
 
 
+def sha256_of(body):
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_sealed(path, payload):
+    """Write an edited entry back with its body sha256 recomputed."""
+    payload["sha256"] = sha256_of(payload["body"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 class TestAtomicCheckedWrites:
     def test_put_is_atomic_and_checksummed(self, tmp_path):
         spec = make_spec()
@@ -36,9 +52,9 @@ class TestAtomicCheckedWrites:
         payload = json.loads(
             (tmp_path / f"{spec.digest()}.json").read_text(encoding="utf-8")
         )
-        assert payload["format"] == "repro-run-entry-v2"
+        assert payload["format"] == "repro-run-entry-v3"
         assert len(payload["sha256"]) == 64
-        assert "run" in payload
+        assert set(payload["body"]) == {"arena"}
 
     def test_round_trip_through_disk(self, tmp_path):
         spec = make_spec()
@@ -71,7 +87,7 @@ class TestQuarantine:
         RunCache(tmp_path).put(spec, make_run(spec))
         path = tmp_path / f"{spec.digest()}.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["run"]["duration"] = payload["run"]["duration"] + 1
+        payload["body"]["arena"]["n_runs"] += 1
         path.write_text(json.dumps(payload), encoding="utf-8")
 
         fresh = RunCache(tmp_path)
@@ -80,7 +96,7 @@ class TestQuarantine:
         assert "digest mismatch" in entry[1]
 
     def test_unchecksummed_entry_is_quarantined(self, tmp_path):
-        """A bare run dict (no checksummed v2 envelope) is not a format
+        """A bare run dict (no sealed v3 envelope) is not a format
         the cache reads: it quarantines, reads as a miss, and the next
         put heals it."""
         from repro.model.serialize import run_to_dict
@@ -110,8 +126,68 @@ class TestQuarantine:
             fresh = RunCache(tmp_path)
             assert fresh.get_exploration(fmt) is None
             (entry,) = fresh.quarantined
-            assert "unrecognized exploration format" in entry[1]
+            assert "unrecognized cache entry format" in entry[1]
             assert path.with_name(f"explore-{fmt}.corrupt").exists()
+
+    def test_v2_run_entry_is_quarantined_and_healed(self, tmp_path):
+        """Run entries written before v3 held a per-run event tree; they
+        read as a miss and the next put rewrites them as v3."""
+        from repro.model.serialize import run_to_dict
+
+        spec = make_spec()
+        run = make_run(spec)
+        body = run_to_dict(run)
+        path = tmp_path / f"{spec.digest()}.json"
+        path.write_text(
+            json.dumps(
+                {"format": "repro-run-entry-v2", "sha256": sha256_of(body), "run": body}
+            ),
+            encoding="utf-8",
+        )
+        fresh = RunCache(tmp_path)
+        assert fresh.get(spec) is None
+        (entry,) = fresh.quarantined
+        assert "unrecognized cache entry format 'repro-run-entry-v2'" in entry[1]
+
+        fresh.put(spec, run)
+        assert RunCache(tmp_path).get(spec) == run
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_resealed_arena_the_decoder_refuses_is_quarantined(self, tmp_path, probe):
+        """A run entry whose arena was edited and resealed passes the
+        sha256 check; the arena decoder's checks must still refuse it."""
+        spec = make_spec()
+        run = make_run(spec)
+        RunCache(tmp_path).put(spec, run)
+        path = tmp_path / f"{spec.digest()}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["body"]["arena"] = tampered_payload((run,), probe)
+        write_sealed(path, payload)
+
+        fresh = RunCache(tmp_path)
+        assert fresh.get(spec) is None
+        (entry,) = fresh.quarantined
+        assert entry[0] == spec.digest()
+        assert "arena" in entry[1]
+        assert (tmp_path / f"{spec.digest()}.corrupt").exists()
+
+        fresh.put(spec, run)
+        assert RunCache(tmp_path).get(spec) == run
+
+    def test_run_entry_must_hold_one_run(self, tmp_path):
+        spec = make_spec()
+        run = make_run(spec)
+        RunCache(tmp_path).put(spec, run)
+        path = tmp_path / f"{spec.digest()}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        other = make_run(make_spec(seed=1))
+        payload["body"]["arena"] = arena_to_jsonable(encode_runs((run, other)))
+        write_sealed(path, payload)
+
+        fresh = RunCache(tmp_path)
+        assert fresh.get(spec) is None
+        (entry,) = fresh.quarantined
+        assert "holds 2 runs" in entry[1]
 
     def test_run_ensemble_surfaces_cache_corruption_as_recovery(self, tmp_path):
         spec = make_spec()
