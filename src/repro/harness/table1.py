@@ -20,7 +20,6 @@ crossovers fall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 from repro.core.consensus import (
@@ -43,7 +42,7 @@ from repro.detectors.standard import (
     StrongOracle,
 )
 from repro.model.context import ChannelSemantics, make_process_ids
-from repro.runtime import ExecutionBackend, RunSpec, run_ensemble
+from repro.runtime import RunSpec, run_ensemble
 from repro.sim.executor import ExecutionConfig
 from repro.sim.failures import CrashPlan, staggered_plan
 from repro.sim.network import ChannelConfig
@@ -108,7 +107,6 @@ def _udc_trial(
     t: int,
     channel: ChannelSemantics,
     seeds: Sequence[int],
-    backend: ExecutionBackend | None = None,
 ) -> bool:
     """Run UDC trials with t staggered crashes; all runs must satisfy UDC."""
     faulty = list(procs)[-t:] if t else []
@@ -122,7 +120,7 @@ def _udc_trial(
         detector=detector,
         config=_config(channel),
     )
-    report = run_ensemble([base.with_(seed=s) for s in seeds], backend=backend)
+    report = run_ensemble([base.with_(seed=s) for s in seeds])
     return all(bool(udc_holds(run)) for run in report.runs)
 
 
@@ -134,7 +132,6 @@ def _consensus_trial(
     channel: ChannelSemantics,
     seeds: Sequence[int],
     plan: CrashPlan | None = None,
-    backend: ExecutionBackend | None = None,
     **kwargs,
 ) -> bool:
     values = {p: f"v{i % 2}" for i, p in enumerate(procs)}
@@ -151,24 +148,18 @@ def _consensus_trial(
         detector=detector,
         config=config,
     )
-    report = run_ensemble([base.with_(seed=s) for s in seeds], backend=backend)
+    report = run_ensemble([base.with_(seed=s) for s in seeds])
     return all(check_consensus(run, values) for run in report.runs)
 
 
-def build_table1(
-    n: int = 5,
-    seeds: Sequence[int] = (0, 1),
-    backend: ExecutionBackend | None = None,
-) -> Table1:
+def build_table1(n: int = 5, seeds: Sequence[int] = (0, 1)) -> Table1:
     """Execute every Table 1 cell and collect the verdicts.
 
-    ``backend`` selects how each cell's seed sweep executes (defaults to
-    the process-wide default backend; see :mod:`repro.runtime`).
+    Each cell's seed sweep runs on the process-wide default backend
+    (see :mod:`repro.runtime`), which the harness ``--backend`` flag sets.
     """
     procs = make_process_ids(n)
     table = Table1(n=n)
-    _udc = partial(_udc_trial, backend=backend)
-    _cons = partial(_consensus_trial, backend=backend)
 
     for channel in (ChannelSemantics.RELIABLE, ChannelSemantics.FAIR_LOSSY):
         channel_name = (
@@ -179,7 +170,7 @@ def build_table1(
 
             # ---- the UDC row -------------------------------------------------
             if channel is ChannelSemantics.RELIABLE:
-                ok = _udc(
+                ok = _udc_trial(
                     procs,
                     uniform_protocol(ReliableUDCProcess),
                     NoDetector(),
@@ -194,7 +185,7 @@ def build_table1(
                 if regime == "t < n/2":
                     # Gopal-Toueg: the trivial subset detector consults no
                     # ground truth; this is the "no FD" cell.
-                    ok = _udc(
+                    ok = _udc_trial(
                         procs,
                         uniform_protocol(GeneralizedFDUDCProcess, t=t),
                         TrivialSubsetOracle(t),
@@ -206,7 +197,7 @@ def build_table1(
                         Cell(channel_name, "UDC", regime, "no FD", ok)
                     )
                 elif regime == "n/2 <= t < n-1":
-                    ok = _udc(
+                    ok = _udc_trial(
                         procs,
                         uniform_protocol(GeneralizedFDUDCProcess, t=t),
                         GeneralizedOracle(t, padding=1),
@@ -214,7 +205,7 @@ def build_table1(
                         channel,
                         seeds,
                     )
-                    weaker = _udc(
+                    weaker = _udc_trial(
                         procs,
                         uniform_protocol(GeneralizedFDUDCProcess, t=t),
                         TrivialSubsetOracle(t),
@@ -234,7 +225,7 @@ def build_table1(
                         )
                     )
                 else:  # t >= n-1: perfect detectors (Thm 3.6 + Prop 3.4)
-                    ok = _udc(
+                    ok = _udc_trial(
                         procs,
                         uniform_protocol(StrongFDUDCProcess),
                         PerfectOracle(),
@@ -242,7 +233,7 @@ def build_table1(
                         channel,
                         seeds,
                     )
-                    weaker = _udc(
+                    weaker = _udc_trial(
                         procs,
                         uniform_protocol(GeneralizedFDUDCProcess, t=t),
                         TrivialSubsetOracle(t),
@@ -264,7 +255,7 @@ def build_table1(
 
             # ---- the consensus row ---------------------------------------------
             if regime == "t < n/2":
-                ok = _cons(
+                ok = _consensus_trial(
                     procs,
                     RotatingCoordinatorConsensus,
                     EventuallyWeakOracle(stabilization_tick=30),
@@ -280,7 +271,7 @@ def build_table1(
                 flp_plan = CrashPlan.of(
                     {p: 2 + i for i, p in enumerate(list(procs)[:t])}
                 )
-                weaker = _cons(
+                weaker = _consensus_trial(
                     procs,
                     RotatingCoordinatorConsensus,
                     NoDetector(),
@@ -301,10 +292,10 @@ def build_table1(
                     )
                 )
             elif regime == "n/2 <= t < n-1":
-                ok = _cons(
+                ok = _consensus_trial(
                     procs, StrongConsensusProcess, StrongOracle(), t, channel, seeds
                 )
-                weaker = _cons(
+                weaker = _consensus_trial(
                     procs,
                     RotatingCoordinatorConsensus,
                     EventuallyWeakOracle(stabilization_tick=30),
@@ -325,7 +316,7 @@ def build_table1(
                 )
             else:
                 # t >= n-1: Strong = Perfect (footnote 3 / Prop 3.4).
-                ok = _cons(
+                ok = _consensus_trial(
                     procs, StrongConsensusProcess, StrongOracle(), t, channel, seeds
                 )
                 table.cells.append(
