@@ -161,7 +161,7 @@ def _execute_spec(spec: RunSpec) -> TimedRun:
     return run, elapsed
 
 
-#: Tagged per-spec outcome returned from workers (must pickle).
+#: Tagged per-spec outcome of one execution (must pickle: workers return it).
 _WireOutcome = tuple[str, object]
 #: Specs tagged with their batch index, as one worker task receives them.
 _Chunk = list[tuple[int, RunSpec]]
@@ -170,7 +170,7 @@ _ChunkResult = list[tuple[int, _WireOutcome]] | str
 
 
 def _execute_chunk_safe(chunk: _Chunk) -> list[tuple[int, _WireOutcome]]:
-    """Worker entry point: execute an indexed chunk, never raise."""
+    """Execute an indexed chunk, never raise (also the pool's worker entry point)."""
     out: list[tuple[int, _WireOutcome]] = []
     for index, spec in chunk:
         try:
