@@ -14,9 +14,8 @@ channels; every oracle family of ``repro.detectors.standard`` and
 tick-0 and simultaneous crashes; and skipped activations.
 
 A second digest, ``RESEND_DIGEST``, pins what the matrix leaves out: the
-atomic-broadcast extension, the suspicion-gossip wrapper, and every
-retransmitting protocol with a non-default ``resend_rounds`` or
-``resend_interval``.  Its specs stay out of :func:`matrix`, whose 24
+suspicion-gossip wrapper, and every retransmitting protocol with a
+non-default ``resend_rounds`` or ``resend_interval``.  Its specs stay out of :func:`matrix`, whose 24
 specs are also the sampler benchmark's workload.
 
 If a change is *meant* to alter runs, the new digest must come with a
@@ -29,7 +28,6 @@ import hashlib
 import json
 from functools import lru_cache
 
-from repro.core.atomic_broadcast import AtomicBroadcastProcess
 from repro.core.consensus import (
     RotatingCoordinatorConsensus,
     StrongConsensusProcess,
@@ -65,7 +63,6 @@ from repro.sim.failures import CrashPlan
 from repro.sim.network import ChannelConfig, Partition
 from repro.sim.process import uniform_protocol
 from repro.workloads.generators import (
-    action_id,
     burst_workload,
     post_crash_workload,
     single_action,
@@ -76,9 +73,9 @@ from repro.workloads.generators import (
 MATRIX_DIGEST = "f0aff15ad80ced2ffc8674ab7fc8951da0a3b13b57872c5f64b1d30ff49e4c3d"
 
 #: sha256 of :func:`resend_matrix`, recorded while every protocol still
-#: wrote its own retransmission loop and atomic broadcast its own copy of
-#: the rotating-coordinator rounds; both must reproduce it exactly.
-RESEND_DIGEST = "cdb4ffbc8f3e1d35ff0b2e80f9f4fc273a723b6bd0fb08e2556c7a08c699f24a"
+#: wrote its own retransmission loop, and re-recorded, every other spec's
+#: run unchanged, when the atomic-broadcast specs left the matrix.
+RESEND_DIGEST = "4a62084379f3d003c7bac39221435308da7872763bb41dc6b442fe92c47b1e68"
 
 P3 = make_process_ids(3)
 P4 = make_process_ids(4)
@@ -192,23 +189,11 @@ def matrix() -> list[tuple[str, RunSpec]]:
     return cases
 
 
-#: Atomic broadcast's workload: three a-broadcasts from three processes.
-AB_WORKLOAD = (
-    (1, "p1", action_id("p1", "m1")),
-    (3, "p2", action_id("p2", "m2")),
-    (6, "p4", action_id("p4", "m3")),
-)
-AB_CONFIG = ExecutionConfig(max_ticks=4000)
-AB_RELIABLE = ExecutionConfig(
-    max_ticks=4000, channel=ChannelConfig(semantics=ChannelSemantics.RELIABLE)
-)
 CONSENSUS5 = {p: f"v{i % 3}" for i, p in enumerate(P5)}
 
 
 def resend_matrix() -> list[tuple[str, RunSpec]]:
     """The (name, spec) pairs behind ``RESEND_DIGEST``, in a fixed order."""
-    ab = uniform_protocol(AtomicBroadcastProcess)
-    eventually = EventuallyWeakOracle(stabilization_tick=25)
     gossip = with_gossip(uniform_protocol(StrongFDUDCProcess))
     gossip_plan = {"p3": 4}
     gossip_workload = tuple(single_action("p1", tick=1)) + tuple(
@@ -216,22 +201,13 @@ def resend_matrix() -> list[tuple[str, RunSpec]]:
     )
     cases: list[tuple[str, RunSpec]] = []
     for seed in (0, 1, 2):
-        cases += [
-            (f"ab/no-crash/{seed}",
-             _spec(P5, ab, workload=AB_WORKLOAD, detector=eventually,
-                   config=AB_CONFIG, seed=seed)),
-            (f"ab/minority-crash/{seed}",
-             _spec(P5, ab, crashes={"p3": 10, "p5": 18}, workload=AB_WORKLOAD,
-                   detector=eventually, config=AB_CONFIG, seed=seed)),
+        cases.append(
             (f"gossip/impermanent-weak/fair/{seed}",
              _spec(P4, gossip, crashes=gossip_plan, workload=gossip_workload,
-                   detector=ImpermanentWeakOracle(), seed=seed)),
-        ]
+                   detector=ImpermanentWeakOracle(), seed=seed))
+        )
     for seed in (0, 1):
         cases += [
-            (f"ab/broadcaster-crash/reliable/{seed}",
-             _spec(P5, ab, crashes={"p2": 8}, workload=AB_WORKLOAD,
-                   detector=eventually, config=AB_RELIABLE, seed=seed)),
             (f"gossip/impermanent-weak/reliable/{seed}",
              _spec(P4, gossip, crashes=gossip_plan, workload=gossip_workload,
                    detector=ImpermanentWeakOracle(), config=RELIABLE, seed=seed)),
