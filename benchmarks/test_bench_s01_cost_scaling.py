@@ -2,13 +2,14 @@
 
 The paper reports no measurements; this series characterises the
 implementation: messages per coordinated action for each UDC protocol
-as n grows, under the default fair-lossy channel.  Expected shape:
+as n grows, under the default fair-lossy channel, beside the
+rotating-coordinator consensus of Table 1's baseline.  Expected shape:
 linear-ish in n for the one-shot reliable protocol, a constant factor
-higher for the retransmitting protocols, and atomic broadcast well
-above all of them (it pays for consensus).
+higher for the retransmitting protocols, and consensus well above all
+of them (it pays for rounds of majority quorums).
 """
 
-from repro.core.atomic_broadcast import AtomicBroadcastProcess
+from repro.core.consensus import RotatingCoordinatorConsensus, consensus_factory
 from repro.core.protocols import (
     NUDCProcess,
     ReliableUDCProcess,
@@ -27,7 +28,11 @@ SIZES = (3, 4, 5, 6)
 SEEDS = (0, 1, 2)
 
 RELIABLE = ExecutionConfig(channel=ChannelConfig(semantics=ChannelSemantics.RELIABLE))
-ABCAST = ExecutionConfig(max_ticks=4000)
+
+
+def proposals(n):
+    """A distinct proposal per process, so consensus has a choice to make."""
+    return {p: f"v{i}" for i, p in enumerate(make_process_ids(n))}
 
 
 def cost_series(factory_for, *, detector_for=lambda n: None, config=None):
@@ -63,10 +68,9 @@ def test_bench_s01_cost_scaling(benchmark):
                 lambda n: uniform_protocol(StrongFDUDCProcess),
                 detector_for=lambda n: StrongOracle(),
             ),
-            "atomic broadcast (ext)": cost_series(
-                lambda n: uniform_protocol(AtomicBroadcastProcess),
+            "consensus (rotating coordinator)": cost_series(
+                lambda n: consensus_factory(RotatingCoordinatorConsensus, proposals(n)),
                 detector_for=lambda n: EventuallyWeakOracle(stabilization_tick=20),
-                config=ABCAST,
             ),
         }
 
@@ -76,13 +80,13 @@ def test_bench_s01_cost_scaling(benchmark):
         print(render_series(title, "n", "messages/action", points))
         print()
 
-    # Shape assertions: reliable one-shot is the cheapest UDC; atomic
-    # broadcast is the most expensive at every size.
+    # Shape assertions: reliable one-shot is the cheapest UDC; consensus
+    # is the most expensive at every size.
     for i, n in enumerate(SIZES):
         reliable = series["UDC reliable (Prop 2.4)"][i].mean
         strong = series["UDC strong-FD (Prop 3.1)"][i].mean
-        abcast = series["atomic broadcast (ext)"][i].mean
-        assert reliable <= strong <= abcast
+        consensus = series["consensus (rotating coordinator)"][i].mean
+        assert reliable <= strong <= consensus
     # Costs grow with n for every protocol.
     for points in series.values():
         assert points[-1].mean > points[0].mean

@@ -30,8 +30,6 @@ Decisions are recorded as ``do_p(("decide", v))`` events;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 from repro.detectors.properties import PropertyVerdict
 from repro.model.events import DoEvent, Message, ProcessId, StandardSuspicion, Suspicion
 from repro.model.run import Run
@@ -204,8 +202,10 @@ class StrongConsensusProcess(ProtocolProcess):
 # ---------------------------------------------------------------------------
 
 
-class RotatingRounds:
-    """Chandra-Toueg's <>S rounds for one consensus instance (t < n/2).
+class RotatingCoordinatorConsensus(ProtocolProcess):
+    """<>S rotating-coordinator consensus; requires a majority of correct
+    processes.  With no (or a never-stabilising) detector the rounds
+    starve and the run ends undecided -- the executable face of FLP.
 
     Round r's coordinator is ``processes[r % n]``.  Phase 1: everyone
     sends it their (estimate, ts).  Phase 2: with a majority of them it
@@ -213,112 +213,6 @@ class RotatingRounds:
     estimate and acks it, or nacks a coordinator it suspects, and moves
     on.  Phase 4: a majority of acks decides; a nack among a majority of
     replies moves the coordinator on too.
-
-    The owner supplies the message kinds ``(p1, p2, ack, nack)``,
-    ``wrap(fields)`` (the payload that carries a round's fields) and
-    ``emit(target, message)`` (a send with paced retransmission).
-    """
-
-    def __init__(
-        self,
-        env: ProcessEnv,
-        kinds: tuple[str, str, str, str],
-        wrap: Callable[[tuple], object],
-        emit: Callable[[ProcessId, Message], None],
-        estimate,
-    ) -> None:
-        self.env = env
-        self.kinds = kinds
-        self.wrap = wrap
-        self.emit = emit
-        self.estimate = estimate
-        self.ts = 0
-        self.round = 0
-        #: round -> sender -> (estimate, ts), at the round's coordinator
-        self.estimates: dict[int, dict[ProcessId, tuple]] = {}
-        self.acks: dict[int, set[ProcessId]] = {}
-        self.nacks: dict[int, set[ProcessId]] = {}
-        self.sent_p1: set[int] = set()
-        self.sent_p2: set[int] = set()
-        self.replied: set[int] = set()
-
-    def coordinator(self, rnd: int) -> ProcessId:
-        processes = self.env.processes
-        return processes[rnd % len(processes)]
-
-    def receive(self, sender: ProcessId, kind: str, fields) -> None:
-        """Take in a round message; ``fields`` is its payload without the
-        owner's wrapping."""
-        p1, p2, ack, nack = self.kinds
-        rnd = fields[0]
-        if kind == p1:
-            self.estimates.setdefault(rnd, {})[sender] = (fields[1], fields[2])
-        elif kind == p2:
-            if rnd >= self.round and rnd not in self.replied:
-                self.estimate = fields[1]
-                self.ts = rnd
-                self.replied.add(rnd)
-                self.emit(self.coordinator(rnd), Message(ack, self.wrap((rnd,))))
-                self.round = max(self.round, rnd + 1)
-        elif kind == ack:
-            self.acks.setdefault(rnd, set()).add(sender)
-        elif kind == nack:
-            self.nacks.setdefault(rnd, set()).add(sender)
-
-    def drive(self, suspects: frozenset[ProcessId], max_rounds: int) -> bool:
-        """Play rounds as far as the messages in hand allow.  True once a
-        majority acked this process's phase-2 estimate: ``estimate`` is
-        then the decision."""
-        p1, p2, _, nack = self.kinds
-        pid = self.env.pid
-        majority = len(self.env.processes) // 2 + 1
-        progressed = True
-        while progressed and self.round < max_rounds:
-            progressed = False
-            rnd = self.round
-            coord = self.coordinator(rnd)
-            if coord != pid:
-                if rnd not in self.sent_p1:
-                    self.sent_p1.add(rnd)
-                    self.emit(coord, Message(p1, self.wrap((rnd, self.estimate, self.ts))))
-                if rnd not in self.replied and coord in suspects:
-                    self.replied.add(rnd)
-                    self.emit(coord, Message(nack, self.wrap((rnd,))))
-                    self.round += 1
-                    progressed = True
-                continue
-            estimates = self.estimates.setdefault(rnd, {})
-            estimates[pid] = (self.estimate, self.ts)
-            acks = self.acks.setdefault(rnd, set())
-            if rnd not in self.sent_p2 and len(estimates) >= majority:
-                best, _ = max(estimates.values(), key=lambda et: et[1])
-                self.sent_p2.add(rnd)
-                self.estimate = best
-                self.ts = rnd
-                acks.add(pid)  # own implicit ack
-                self.replied.add(rnd)
-                message = Message(p2, self.wrap((rnd, best)))
-                for q in self.env.others:
-                    self.emit(q, message)
-            if rnd in self.sent_p2:
-                if len(acks) >= majority:
-                    return True
-                nacks = self.nacks.get(rnd)
-                if nacks and len(acks) + len(nacks) >= majority:
-                    self.round += 1
-                    progressed = True
-        return False
-
-
-def _bare(fields: tuple):
-    """Consensus's payloads: the fields, an ack or nack its bare round."""
-    return fields if len(fields) > 1 else fields[0]
-
-
-class RotatingCoordinatorConsensus(ProtocolProcess):
-    """<>S rotating-coordinator consensus; requires a majority of correct
-    processes.  With no (or a never-stabilising) detector the rounds
-    starve and the run ends undecided -- the executable face of FLP.
 
     Fair-lossy adaptation: every protocol message is entered into a
     resend table and retransmitted (paced, with a per-message budget that
@@ -341,14 +235,27 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         super().__init__(pid, env)
         self.max_rounds = max_rounds
         self.resend_rounds = resend_rounds
+        self.estimate = value
+        self.ts = 0
+        self.round = 0
+        #: round -> sender -> (estimate, ts), at the round's coordinator
+        self.estimates: dict[int, dict[ProcessId, tuple]] = {}
+        self.acks: dict[int, set[ProcessId]] = {}
+        self.nacks: dict[int, set[ProcessId]] = {}
+        self.sent_p1: set[int] = set()
+        self.sent_p2: set[int] = set()
+        self.replied: set[int] = set()
         self.decided = None
         self.current_suspects: frozenset[ProcessId] = frozenset()
         self.resends = Resends(resend_interval)
         self.decisions = Resends(0)
-        self.rounds = RotatingRounds(env, (P1, P2, ACK, NACK), _bare, self._emit, value)
 
     def _emit(self, target: ProcessId, message: Message) -> None:
         self.resends.emit(self.env, target, message, self.resend_rounds)
+
+    def _coordinator(self, rnd: int) -> ProcessId:
+        processes = self.env.processes
+        return processes[rnd % len(processes)]
 
     # -- hooks --------------------------------------------------------------------
 
@@ -365,10 +272,21 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         if kind == DECIDE:
             self._decide(payload)
             return
-        if kind in (P1, P2):
-            self.rounds.receive(sender, kind, payload)
-        elif kind in (ACK, NACK):
-            self.rounds.receive(sender, kind, (payload,))
+        if kind == P1:
+            rnd, estimate, ts = payload
+            self.estimates.setdefault(rnd, {})[sender] = (estimate, ts)
+        elif kind == P2:
+            rnd, estimate = payload
+            if rnd >= self.round and rnd not in self.replied:
+                self.estimate = estimate
+                self.ts = rnd
+                self.replied.add(rnd)
+                self._emit(self._coordinator(rnd), Message(ACK, rnd))
+                self.round = max(self.round, rnd + 1)
+        elif kind == ACK:
+            self.acks.setdefault(payload, set()).add(sender)
+        elif kind == NACK:
+            self.nacks.setdefault(payload, set()).add(sender)
         self._drive()
 
     def on_tick(self) -> None:
@@ -384,10 +302,48 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         return bool(self.resends.left)
 
     def _drive(self) -> None:
-        if self.decided is None and self.rounds.drive(
-            self.current_suspects, self.max_rounds
-        ):
-            self._decide(self.rounds.estimate)
+        """Play rounds as far as the messages in hand allow, and decide
+        once a majority acked this process's phase-2 estimate."""
+        if self.decided is not None:
+            return
+        pid = self.pid
+        majority = len(self.env.processes) // 2 + 1
+        progressed = True
+        while progressed and self.round < self.max_rounds:
+            progressed = False
+            rnd = self.round
+            coord = self._coordinator(rnd)
+            if coord != pid:
+                if rnd not in self.sent_p1:
+                    self.sent_p1.add(rnd)
+                    self._emit(coord, Message(P1, (rnd, self.estimate, self.ts)))
+                if rnd not in self.replied and coord in self.current_suspects:
+                    self.replied.add(rnd)
+                    self._emit(coord, Message(NACK, rnd))
+                    self.round += 1
+                    progressed = True
+                continue
+            estimates = self.estimates.setdefault(rnd, {})
+            estimates[pid] = (self.estimate, self.ts)
+            acks = self.acks.setdefault(rnd, set())
+            if rnd not in self.sent_p2 and len(estimates) >= majority:
+                best, _ = max(estimates.values(), key=lambda et: et[1])
+                self.sent_p2.add(rnd)
+                self.estimate = best
+                self.ts = rnd
+                acks.add(pid)  # own implicit ack
+                self.replied.add(rnd)
+                message = Message(P2, (rnd, best))
+                for q in self.env.others:
+                    self._emit(q, message)
+            if rnd in self.sent_p2:
+                if len(acks) >= majority:
+                    self._decide(self.estimate)
+                    return
+                nacks = self.nacks.get(rnd)
+                if nacks and len(acks) + len(nacks) >= majority:
+                    self.round += 1
+                    progressed = True
 
     def _decide(self, value) -> None:
         if self.decided is not None:

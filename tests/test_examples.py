@@ -44,12 +44,6 @@ def test_knowledge_analysis():
     assert "perfect-detector verdicts: 30/30" in out
 
 
-def test_total_order_ledger():
-    out = run_example("total_order_ledger.py")
-    assert "[UDC]  every replica applied the same set: True" in out
-    assert "atomic broadcast: agreed" in out
-
-
 def test_failure_detector_zoo():
     out = run_example("failure_detector_zoo.py")
     # The hierarchy's key shape facts, as printed rows.
