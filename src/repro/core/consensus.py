@@ -15,8 +15,12 @@ in both channel regimes.  Two algorithms cover the table:
   the intersections to agree.
 * :class:`RotatingCoordinatorConsensus` -- CT's <>S rotating-coordinator
   algorithm for t < n/2 (<>W is equivalent to <>S by the gossip
-  conversion).  Majority quorums lock estimates; once the detector
-  stabilises, a never-suspected correct coordinator drives a decision.
+  conversion).  Majority quorums lock estimates; an estimate carries the
+  round that locked it (-1 for a proposal never locked), and a
+  coordinator proposes the latest-locked estimate of a majority, so a
+  decided value is the only one a later round can propose.  Once the
+  detector stabilises, a never-suspected correct coordinator drives a
+  decision.
 
 Both are adapted to fair-lossy channels by bounded retransmission of the
 sender's cumulative message state, exactly as the paper observes CT's
@@ -236,7 +240,7 @@ class RotatingCoordinatorConsensus(ProtocolProcess):
         self.max_rounds = max_rounds
         self.resend_rounds = resend_rounds
         self.estimate = value
-        self.ts = 0
+        self.ts = -1  # below every round: never locked
         self.round = 0
         #: round -> sender -> (estimate, ts), at the round's coordinator
         self.estimates: dict[int, dict[ProcessId, tuple]] = {}

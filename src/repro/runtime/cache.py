@@ -15,7 +15,7 @@ invocations, and benchmark rounds.  :class:`RunCache` exploits that:
   the directory (or ``clear()``) after changing *executor semantics*,
   which are outside the key.
 
-Every disk entry, a single run (``repro-run-entry-v3``) or a whole
+Every disk entry, a single run (``repro-run-entry-v4``) or a whole
 exploration (``repro-exploration-v4``), is one sealed envelope
 ``{"format", "sha256", "body"}``: the body holds the run set as one
 :class:`repro.columnar.RunArena` (distinct events encoded once,
@@ -56,7 +56,9 @@ from repro.runtime.spec import RunSpec, spec_digest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.reduction import ExploreStats
 
-_RUN_FORMAT = "repro-run-entry-v3"
+#: v4: rotating-coordinator consensus runs changed under unchanged spec
+#: digests (its timestamps start below round 0), so v3 entries are stale.
+_RUN_FORMAT = "repro-run-entry-v4"
 _EXPLORE_FORMAT = "repro-exploration-v4"
 
 #: One cached exhaustive exploration: its run set and search stats.

@@ -1,6 +1,8 @@
 """Tests for the Chandra-Toueg consensus baselines (Table 1's consensus rows)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.consensus import (
     RotatingCoordinatorConsensus,
@@ -26,6 +28,20 @@ from repro.model.events import DoEvent
 PROCS = make_process_ids(5)
 VALUES = {p: f"v{i % 2}" for i, p in enumerate(PROCS)}
 RELIABLE = ExecutionConfig(channel=ChannelConfig(semantics=ChannelSemantics.RELIABLE))
+
+
+@st.composite
+def rotating_cases(draw):
+    """(n, crashes, proposals, reliable, stabilization tick, seed): a
+    majority stays correct, crashes land at ticks 0-40, proposals come
+    from three values, and <>W settles at a tick in 0-60."""
+    n = draw(st.integers(3, 5))
+    procs = make_process_ids(n)
+    faulty = draw(st.lists(st.sampled_from(procs), unique=True, max_size=(n - 1) // 2))
+    crashes = {p: draw(st.integers(0, 40)) for p in faulty}
+    values = tuple(draw(st.sampled_from(("v0", "v1", "v2"))) for _ in procs)
+    return (n, crashes, values, draw(st.booleans()), draw(st.integers(0, 60)),
+            draw(st.integers(0, 10**6)))
 
 
 def run_consensus(cls, detector, plan=CrashPlan.none(), seed=0, config=None, **kwargs):
@@ -112,6 +128,31 @@ class TestRotatingCoordinator:
         )
         outcome = consensus_outcome(run)
         assert set(outcome) >= run.correct()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rotating_cases())
+    # Each witness decided two values while ts started at 0, round 0's
+    # own number, so that a lock in round 0 tied with no lock at all.
+    @example((3, {}, ("v2", "v1", "v1"), False, 21, 142658))
+    @example((3, {"p1": 20}, ("v0", "v1", "v1"), False, 48, 666445))
+    @example((5, {"p3": 24, "p4": 21}, ("v1", "v2", "v2", "v2", "v1"), True, 2, 821274))
+    def test_solves_consensus_with_a_correct_majority(self, case):
+        n, crashes, values, reliable, stabilization, seed = case
+        procs = make_process_ids(n)
+        proposals = dict(zip(procs, values))
+        channel = ChannelConfig(
+            semantics=ChannelSemantics.RELIABLE if reliable else ChannelSemantics.FAIR_LOSSY
+        )
+        run = Executor(
+            procs,
+            consensus_factory(RotatingCoordinatorConsensus, proposals),
+            crash_plan=CrashPlan.of(crashes),
+            detector=EventuallyWeakOracle(stabilization_tick=stabilization),
+            config=ExecutionConfig(max_ticks=4000, channel=channel),
+            seed=seed,
+        ).run()
+        verdict = check_consensus(run, proposals)
+        assert verdict, verdict.witness
 
     def test_agreement_with_noisy_prefix(self):
         # Wrong suspicions before stabilization cause wasted rounds but

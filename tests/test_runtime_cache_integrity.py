@@ -52,7 +52,7 @@ class TestAtomicCheckedWrites:
         payload = json.loads(
             (tmp_path / f"{spec.digest()}.json").read_text(encoding="utf-8")
         )
-        assert payload["format"] == "repro-run-entry-v3"
+        assert payload["format"] == "repro-run-entry-v4"
         assert len(payload["sha256"]) == 64
         assert set(payload["body"]) == {"arena"}
 
@@ -130,27 +130,31 @@ class TestQuarantine:
             assert path.with_name(f"explore-{fmt}.corrupt").exists()
 
     def test_v2_run_entry_is_quarantined_and_healed(self, tmp_path):
-        """Run entries written before v3 held a per-run event tree; they
-        read as a miss and the next put rewrites them as v3."""
+        """Older run entries read as a miss and the next put rewrites
+        them as v4: v2 held a per-run event tree, and v3, the same sealed
+        arena as v4, was written while rotating-coordinator consensus
+        started its timestamps at round 0."""
         from repro.model.serialize import run_to_dict
 
         spec = make_spec()
         run = make_run(spec)
-        body = run_to_dict(run)
+        tree = run_to_dict(run)
+        arena = {"arena": arena_to_jsonable(encode_runs((run,)))}
+        older = [
+            {"format": "repro-run-entry-v2", "sha256": sha256_of(tree), "run": tree},
+            {"format": "repro-run-entry-v3", "sha256": sha256_of(arena), "body": arena},
+        ]
         path = tmp_path / f"{spec.digest()}.json"
-        path.write_text(
-            json.dumps(
-                {"format": "repro-run-entry-v2", "sha256": sha256_of(body), "run": body}
-            ),
-            encoding="utf-8",
-        )
-        fresh = RunCache(tmp_path)
-        assert fresh.get(spec) is None
-        (entry,) = fresh.quarantined
-        assert "unrecognized cache entry format 'repro-run-entry-v2'" in entry[1]
+        for payload in older:
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            fresh = RunCache(tmp_path)
+            assert fresh.get(spec) is None
+            (entry,) = fresh.quarantined
+            fmt = payload["format"]
+            assert f"unrecognized cache entry format '{fmt}'" in entry[1]
 
-        fresh.put(spec, run)
-        assert RunCache(tmp_path).get(spec) == run
+            fresh.put(spec, run)
+            assert RunCache(tmp_path).get(spec) == run
 
     @pytest.mark.parametrize("probe", PROBES)
     def test_resealed_arena_the_decoder_refuses_is_quarantined(self, tmp_path, probe):

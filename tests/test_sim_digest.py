@@ -69,13 +69,17 @@ from repro.workloads.generators import (
 )
 
 #: sha256 of the matrix below, recorded before the executor's fault
-#: injection hooks were deleted; the executor must reproduce it exactly.
-MATRIX_DIGEST = "f0aff15ad80ced2ffc8674ab7fc8951da0a3b13b57872c5f64b1d30ff49e4c3d"
+#: injection hooks were deleted, and re-recorded when rotating-coordinator
+#: consensus started its timestamps below round 0 (only
+#: ``consensus/rotating`` moved); the executor must reproduce it exactly.
+MATRIX_DIGEST = "1a690f24bea110d40603284c97eaf4da342d606ea88a720d9593638327003478"
 
 #: sha256 of :func:`resend_matrix`, recorded while every protocol still
-#: wrote its own retransmission loop, and re-recorded, every other spec's
-#: run unchanged, when the atomic-broadcast specs left the matrix.
-RESEND_DIGEST = "4a62084379f3d003c7bac39221435308da7872763bb41dc6b442fe92c47b1e68"
+#: wrote its own retransmission loop; re-recorded, every other spec's run
+#: unchanged, when the atomic-broadcast specs left the matrix, and again
+#: when rotating-coordinator consensus started its timestamps below round
+#: 0 (only its four ``consensus/rotating/...`` specs moved).
+RESEND_DIGEST = "0dc2d58e960c32eaff8250bf38c5ae807ae63b9c877d73de7012cc14a3475b5b"
 
 P3 = make_process_ids(3)
 P4 = make_process_ids(4)
