@@ -34,6 +34,7 @@ Decisions are recorded as ``do_p(("decide", v))`` events;
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from repro.detectors.properties import PropertyVerdict
 from repro.model.events import DoEvent, Message, ProcessId, StandardSuspicion, Suspicion
 from repro.model.run import Run

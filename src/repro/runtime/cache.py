@@ -56,8 +56,7 @@ from repro.runtime.spec import RunSpec, spec_digest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.explore.reduction import ExploreStats
 
-#: v4: rotating-coordinator consensus runs changed under unchanged spec
-#: digests (its timestamps start below round 0), so v3 entries are stale.
+#: v4: rotating-coordinator consensus runs changed; their spec digests did not.
 _RUN_FORMAT = "repro-run-entry-v4"
 _EXPLORE_FORMAT = "repro-exploration-v4"
 
