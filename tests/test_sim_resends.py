@@ -2,7 +2,7 @@
 
 Before the table, each protocol kept its own retransmission loop.  The
 reference below is those loops written out once more: ``_emit``'s
-once-per-key rule (consensus and atomic broadcast), the per-target
+once-per-key rule (rotating-coordinator consensus), the per-target
 budgets filled when an action was joined or a suspicion learned (UDC,
 suspicion gossip), acks that exempt a key from every later resend, and
 the ``_pace``/``_resend`` pass that sends one copy under every key with
